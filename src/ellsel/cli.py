@@ -22,16 +22,16 @@ from ellsel.core import NomePair, elliptic_gamma, theta
 from ellsel.densities import ParamSet
 from ellsel.harness import (
     FAMILIES,
+    FAMILY_TABLE,
     SUITES,
     HarnessConfig,
     params_options,
     place_params,
-    report_csv_row,
+    reports_to_csv,
     reports_to_json,
     run_case,
     run_suite,
     sample_case,
-    write_reports_csv,
 )
 from ellsel.partitions import parse_bipartition
 from ellsel.quadrature import GridSpec, convergence_table, write_convergence_csv
@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     case.add_argument("--params", default=None, help="JSON parameter file (rank-n families)")
     case.add_argument("--shapes", default=None, help='bipartition pair "2,1|0;1|0"')
     case.add_argument("--seed", type=int, default=0)
-    case.add_argument("--grid", type=int, default=None)
-    case.add_argument("--tol", type=float, default=None)
+    case.add_argument("--grid", type=int, default=None, help="override 1-d grid size")
+    case.add_argument("--tol", type=float, default=None, help="override 1-d tolerance")
 
     ev = sub.add_parser("eval", help="evaluate a special function")
     ev.add_argument("--fn", required=True, choices=("gamma", "theta", "binomial", "interp"))
@@ -105,33 +105,21 @@ def _load_config(args) -> HarnessConfig:
         cfg.tol_1d = args.tol
     threads = getattr(args, "threads", None)
     env_threads = os.environ.get("ELLSEL_THREADS")
-    if env_threads is not None:
-        cfg.threads = int(env_threads)
-    elif threads is not None:
+    if threads is not None:
         cfg.threads = threads
+    elif env_threads is not None:
+        cfg.threads = int(env_threads)
     return cfg
 
 
 def _emit_reports(reports, args) -> int:
-    if args.format == "csv" or (args.out and str(args.out).endswith(".csv")):
-        if args.out:
-            write_reports_csv(args.out, reports)
-        else:
-            import csv as _csv
-
-            from ellsel.harness import CSV_COLUMNS
-
-            writer = _csv.DictWriter(sys.stdout, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for rep in reports:
-                writer.writerow(report_csv_row(rep))
+    as_csv = args.format == "csv" or str(args.out or "").endswith(".csv")
+    text = reports_to_csv(reports) if as_csv else reports_to_json(reports)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     else:
-        text = reports_to_json(reports)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            print(text)
+        print(text, end="" if as_csv else "\n")
     counts = {}
     for rep in reports:
         counts[rep.status] = counts.get(rep.status, 0) + 1
@@ -153,30 +141,36 @@ def _cmd_verify(args) -> int:
     return _emit_reports(reports, args)
 
 
-def _read_params(args) -> ParamSet | None:
-    if not args.params:
-        return None
-    with open(args.params) as fh:
-        return ParamSet.from_json(fh.read())
+def _sampled_case(args, **options):
+    """The family's case at --seed; with --params, moved to the file's
+    parameter set on the contour that set needs."""
+    cfg = _load_config(args)
+    params = None
+    if args.params:
+        with open(args.params) as fh:
+            params = ParamSet.from_json(fh.read())
+        options.update(params_options(args.family, params))
+    case = sample_case(args.family, args.seed, cfg, **options)
+    if params:
+        place_params(case, params)
+    return case
 
 
 def _cmd_case(args) -> int:
-    cfg = _load_config(args)
-    params = _read_params(args)
-    options = params_options(args.family, params) if params else {}
+    options = {}
     if args.shapes:
+        option = FAMILY_TABLE[args.family].shapes_option
+        if option is None:
+            raise ValueError(f"family {args.family} takes no --shapes")
         parts = args.shapes.split(";")
-        if args.family in ("an_aflt", "an_kadell", "an_hua_kadell"):
+        if option == "shapes":
             options["shapes"] = (
                 parse_bipartition(parts[0]),
                 parse_bipartition(parts[1] if len(parts) > 1 else "0|0"),
             )
         else:
             options["mu"] = parse_bipartition(parts[0])
-    case = sample_case(args.family, args.seed, cfg, **options)
-    if params:
-        place_params(case, params)
-    rep = run_case(case)
+    rep = run_case(_sampled_case(args, **options))
     print(reports_to_json([rep]))
     return 0 if rep.status == "pass" else 2
 
@@ -219,12 +213,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = _load_config(args)
-    params = _read_params(args)
-    options = params_options(args.family, params) if params else {}
-    case = sample_case(args.family, args.seed, cfg, **options)
-    if params:
-        place_params(case, params)
+    case = _sampled_case(args)
     if "infeasible" in case.extra:
         print(f"infeasible: {case.extra['infeasible']}", file=sys.stderr)
         return 2

@@ -1,22 +1,26 @@
 """Identity registry, parameter samplers, case execution and report
 emission.
 
-Each family pairs a seeded sampler (drawing a feasible parameter point
-for the identity, on the unit torus or a residue-corrected contour)
-with an evaluator computing the integral side by adaptive torus
-quadrature and the closed-form side from gamma/Delta0 products.
-Reports carry both the identity residual and the quadrature doubling
+Each family is one record in FAMILY_TABLE: a seeded sampler (drawing a
+feasible parameter point for the identity, on the unit torus or a
+residue-corrected contour) and an evaluator giving the integrand and
+the closed-form side from gamma/Delta0 products.  run_case alone does
+the adaptive quadrature and decides the status.  Reports carry both the identity residual and the quadrature doubling
 estimate so formula errors and quadrature noise remain distinguishable.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -53,27 +57,11 @@ from ellsel.partitions import (
 )
 from ellsel.quadrature import (
     GridSpec,
+    QuadResult,
     TorusFactorizedIntegrand,
     integrate_adaptive,
 )
 from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
-
-FAMILIES = (
-    "beta_k1",
-    "selberg_A1",
-    "vdBult",
-    "kernel_decomp",
-    "key_theorem",
-    "prop_RK",
-    "an_selberg",
-    "an_aflt",
-    "an_kadell",
-    "an_hua_kadell",
-    "prop_xselberg_base",
-    "equal_k_recursion",
-    "kernel_consistency",
-    "algebraic_suite",
-)
 
 MARGIN = 1.0 - FEASIBILITY_MARGIN
 
@@ -90,6 +78,23 @@ class IdentityCase:
     shapes: tuple[Bipartition, Bipartition] | None = None
     extra: dict = field(default_factory=dict)
     contour: Contour = field(default_factory=Contour)  # density families only
+    budget: int = 0  # evaluation cap of the main integral's adaptive quadrature
+
+
+@dataclass
+class Evaluation:
+    """One family's side of a case.  run_case integrates `integrand` on
+    the case's grid, dividing by `norm` when one is given; a family with
+    no main integral passes its computed `lhs` instead, and may report
+    its own `rel_err` and `grid` label."""
+
+    rhs: complex
+    integrand: object = None
+    norm: complex | None = None
+    lhs: complex = 0.0
+    rel_err: float | None = None
+    grid: str | None = None
+    notes: str = ""
 
 
 @dataclass
@@ -158,25 +163,12 @@ CSV_COLUMNS = [
 
 
 def report_csv_row(rep: VerificationReport) -> dict:
-    return {
-        "id": rep.id,
-        "family": rep.family,
-        "n": rep.n,
-        "k": " ".join(str(v) for v in rep.k) if rep.k else "",
-        "shapes": rep.shapes,
-        "grid": rep.grid,
-        "lhs_re": complex(rep.lhs).real,
-        "lhs_im": complex(rep.lhs).imag,
-        "rhs_re": complex(rep.rhs).real,
-        "rhs_im": complex(rep.rhs).imag,
-        "rel_err": rep.rel_err,
-        "doubling_estimate": rep.doubling_estimate,
-        "status": rep.status,
-        "seed": rep.seed,
-        "tol": rep.tol,
-        "runtime_ms": rep.runtime_ms,
-        "notes": rep.notes,
-    }
+    """The JSON record with k space-separated and lhs, rhs split."""
+    data = rep.to_json_dict()
+    data["k"] = " ".join(str(v) for v in rep.k) if rep.k else ""
+    for side in ("lhs", "rhs"):
+        data[f"{side}_re"], data[f"{side}_im"] = data[side]
+    return {col: data[col] for col in CSV_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,6 @@ def aflt_rhs(params: ParamSet, lam: Bipartition, mu: Bipartition, ctx: SymbolCon
     n, t = params.n, params.t
     ts = params.ts
     k1, kn = params.k[0], params.k[-1]
-    kk = (0,) + params.k
     tau = ts[2 * n] * ts[2 * n + 1] * ts[2 * n + 2] / t**2
     a_l = t ** (k1 - 1) * ts[0] / ts[1]
     val = 1.0 + 0.0j
@@ -249,13 +240,7 @@ def aflt_rhs(params: ParamSet, lam: Bipartition, mu: Bipartition, ctx: SymbolCon
     for r in range(2 * n + 1, 2 * n + 5):
         val *= delta0_bi(lam, a_l, [t ** (k1 - 1) * ts[0] * ts[r - 1]], ctx)
     a_m = t**kn * tau / ts[2 * n + 3]
-    for r in range(2 * n + 2, 2 * n + 4):
-        val *= delta0_bi(mu, a_m, [t ** (kn - 1) * ts[2 * n] * ts[r - 1]], ctx)
-    for r in range(2, n + 1):
-        val *= delta0_bi(mu, a_m, [t**kn * ts[2 * r - 2] * tau], ctx)
-        val /= delta0_bi(
-            mu, a_m, [t ** (kn + kk[r] - kk[r - 1]) * ts[2 * r - 2] * tau], ctx
-        )
+    val = _mu_delta_tail(val, mu, a_m, tau, n, params.k, ts, ctx)
     spec = spectral_vector(lam, k1, t, params.p, params.q)
     val *= delta0_bi(mu, a_m, [t**kn * ts[0] * tau * s for s in spec], ctx)
     val /= delta0_bi(mu, a_m, [t ** (kn + 1) * ts[0] * tau * s for s in spec], ctx)
@@ -317,6 +302,14 @@ def xselberg_rhs(
                     t ** (i - 1) * ts[2 * r - 1] * ts[s - 1],
                 ]
     val *= elliptic_gamma_multi(gargs, ctx.nomes)
+    return _mu_delta_tail(val, mu, a_m, tau, n, ks, ts, ctx)
+
+
+def _mu_delta_tail(val, mu, a_m, tau, n, ks, ts, ctx: SymbolContext) -> complex:
+    """val times the Delta0 factors of the last-node shape mu over
+    t_(2n+2), t_(2n+3) and the level steps, shared by aflt_rhs and
+    xselberg_rhs."""
+    t, kn, kk = ctx.t, ks[-1], (0,) + tuple(ks)
     for r in range(2 * n + 2, 2 * n + 4):
         val *= delta0_bi(mu, a_m, [t ** (kn - 1) * ts[2 * n] * ts[r - 1]], ctx)
     for r in range(2, n + 1):
@@ -329,12 +322,42 @@ def _gamma_pm_list(a, z):
     return [a * z, a / z]
 
 
+def _vertex_pair_gamma(tlist, c, x1, nomes: NomePair) -> complex:
+    """Gamma product over t_r t_s (r < s) and c t_r x1^(+-1): the closed
+    form's factor for a rank-one integral whose kernel carries c, x1."""
+    gargs = []
+    for r, tr in enumerate(tlist):
+        gargs += [tr * ts for ts in tlist[r + 1 :]]
+        gargs += [c * tr * x1, c * tr / x1]
+    return elliptic_gamma_multi(gargs, nomes)
+
+
+def _hybrid_mu_fn(mu, ts6, ctx: SymbolContext, cache: TableCache):
+    """Hybrid factor R*_mu(z; t4/t, t5/t; t tau, t6), tau = t3 t4 t5 / t^2,
+    of a rank-one parameter list ts6 = (t1..t6); a rank-n caller passes
+    its last six parameters t_(2n-1)..t_(2n+4)."""
+    t = ctx.t
+    tau = ts6[2] * ts6[3] * ts6[4] / t**2
+
+    def fn(z):
+        return interp_hybrid(mu, (z,), (ts6[3] / t, ts6[4] / t), t * tau, ts6[5], ctx, cache)
+
+    return fn
+
+
+def _one_variable_integrand(nomes: NomePair, *fns) -> TorusFactorizedIntegrand:
+    """Product of fns on one circle, with the rank-one density constant."""
+    return TorusFactorizedIntegrand(
+        nvars=1, unary=[(0, fn) for fn in fns], prefactor=kappa(1, nomes)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Family: beta_k1 / selberg_A1
 # ---------------------------------------------------------------------------
 
 
-def _sample_rank1(k: int, rng, mu_windows=()) -> ParamSet:
+def _sample_rank1(k: int, rng) -> ParamSet:
     """Feasible rank-one parameter set; windows shift with k to satisfy
     |pq| = |t|^(2k-2) |t_1..t_6| inside the unit polydisc."""
     if k == 1:
@@ -356,35 +379,36 @@ def _sample_rank1(k: int, rng, mu_windows=()) -> ParamSet:
     raise InfeasibleError(f"no rank-one draw for k={k}")
 
 
-def _eval_density(case: IdentityCase, rhs: complex) -> VerificationReport:
+def _eval_density(case: IdentityCase, rhs: complex) -> Evaluation:
     """Density integral on the case's contour: the torus part plus its
     residue terms, each on the case's per-dimension grid."""
-    params = case.paramset
-    integrand = IntegrandDescriptor(params).build_on(case.contour)
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
+    integrand = IntegrandDescriptor(case.paramset).build_on(case.contour)
     notes = f"contour: {case.contour.describe()}" if case.contour.residues else ""
-    return _finish(case, res, rhs, params=params, notes=notes)
+    return Evaluation(rhs, integrand, notes=notes)
 
 
-def _eval_selberg(case: IdentityCase) -> VerificationReport:
+def _eval_selberg(case: IdentityCase) -> Evaluation:
     params = case.paramset
     rhs = selberg_average_normalizer(params.k[0], params.ts, params.t, params.nomes)
     return _eval_density(case, rhs)
 
 
-def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
-    rng = np.random.default_rng([seed, 101])
-    params = _sample_rank1(1, rng)
-    grid = GridSpec((cfg.grid_1d,))
+def _one_dim_case(case_id: str, family: str, seed: int, cfg, tol: float, **fields) -> IdentityCase:
+    """A case with one variable on the 1-d grid, allowed two doublings."""
     return IdentityCase(
-        id=f"beta_k1-s{seed}",
-        family="beta_k1",
+        id=case_id,
+        family=family,
         seed=seed,
-        grid=grid,
-        tol=cfg.tol_1d,
-        paramset=params,
-        extra={"budget": 4 * cfg.grid_1d},
+        grid=GridSpec((cfg.grid_1d,)),
+        tol=tol,
+        budget=4 * cfg.grid_1d,
+        **fields,
     )
+
+
+def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
+    params = _sample_rank1(1, np.random.default_rng([seed, 101]))
+    return _one_dim_case(f"beta_k1-s{seed}", "beta_k1", seed, cfg, cfg.tol_1d, paramset=params)
 
 
 def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
@@ -399,7 +423,7 @@ def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
         grid=grid,
         tol=tol,
         paramset=params,
-        extra={"budget": math.prod(grid.dims)},
+        budget=math.prod(grid.dims),
     )
 
 
@@ -408,14 +432,15 @@ def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
 # ---------------------------------------------------------------------------
 
 
-VDBULT_SHAPES = [
+KEY_SHAPES = [
     ZERO,
     Bipartition.of((1,), ()),
     Bipartition.of((), (1,)),
     Bipartition.of((2,), ()),
     Bipartition.of((), (2,)),
-    Bipartition.of((1,), (1,)),  # torus-infeasible: diagnosed, not verified
 ]
+# (1|1) is torus-infeasible: diagnosed, not verified
+VDBULT_SHAPES = KEY_SHAPES + [Bipartition.of((1,), (1,))]
 
 
 def _shape_nome_windows(r1: int, r2: int) -> tuple[tuple, tuple]:
@@ -474,20 +499,15 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
         if bad:
             reason = bad[0]
             continue
-        return IdentityCase(
-            id=f"vdBult-{mu}-s{seed}",
-            family="vdBult",
-            seed=seed,
-            grid=GridSpec((cfg.grid_1d,)),
-            tol=1e-8,
+        return _one_dim_case(
+            f"vdBult-{mu}-s{seed}", "vdBult", seed, cfg, 1e-8,
             params={"p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3, "t4": t4, "c": c, "x1": x1},
             shapes=(mu, ZERO),
-            extra={"budget": 4 * cfg.grid_1d},
         )
-    return _infeasible_case("vdBult", seed, cfg, f"no feasible draw for mu={mu}: {reason}")
+    return _infeasible_case("vdBult", seed, f"no feasible draw for mu={mu}: {reason}")
 
 
-def _eval_vdbult(case: IdentityCase) -> VerificationReport:
+def _eval_vdbult(case: IdentityCase) -> Evaluation:
     pr = case.params
     p, q, t = pr["p"], pr["q"], pr["t"]
     t1, t2, t3, t4, c, x1 = pr["t1"], pr["t2"], pr["t3"], pr["t4"], pr["c"], pr["x1"]
@@ -500,21 +520,11 @@ def _eval_vdbult(case: IdentityCase) -> VerificationReport:
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
     unary = vertex_unary_fn((t1, t2, t3, t4, c * x1, c / x1), t, nomes)
-    integrand = TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, unary), (0, interp_fn)], prefactor=kappa(1, nomes)
-    )
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-
+    integrand = _one_variable_integrand(nomes, unary, interp_fn)
     rhs = interp_nonskew(mu, (x1,), c * t1, c * t2, ctx, cache)
     rhs *= delta0_bi(mu, t1 / t2, [t1 * t3, t1 * t4], ctx)
-    gargs = []
-    tlist = (t1, t2, t3, t4)
-    for r in range(4):
-        for s in range(r + 1, 4):
-            gargs.append(tlist[r] * tlist[s])
-        gargs += [c * tlist[r] * x1, c * tlist[r] / x1]
-    rhs *= elliptic_gamma_multi(gargs, nomes)
-    return _finish(case, res, rhs)
+    rhs *= _vertex_pair_gamma((t1, t2, t3, t4), c, x1, nomes)
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -548,19 +558,15 @@ def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> Identit
         ]
         if _margins_ok(checks):
             continue
-        return IdentityCase(
-            id=f"kernel_decomp-{variant}-s{seed}",
-            family="kernel_decomp",
-            seed=seed,
-            grid=GridSpec((cfg.grid_1d,)),
-            tol=1e-8,
+        return _one_dim_case(
+            f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8,
             params={"p": p, "q": q, "t": t, "b": b, "c": c, "d": d, "x1": x1, "y1": y1},
-            extra={"variant": variant, "budget": 4 * cfg.grid_1d},
+            extra={"variant": variant},
         )
-    return _infeasible_case("kernel_decomp", seed, cfg, f"no feasible {variant} draw")
+    return _infeasible_case("kernel_decomp", seed, f"no feasible {variant} draw")
 
 
-def _eval_kernel_decomp(case: IdentityCase) -> VerificationReport:
+def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
     pr = case.params
     p, q, t = pr["p"], pr["q"], pr["t"]
     b, c, d, x1, y1 = pr["b"], pr["c"], pr["d"], pr["x1"], pr["y1"]
@@ -604,11 +610,7 @@ def _eval_kernel_decomp(case: IdentityCase) -> VerificationReport:
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(c * t / b, x1), nomes
         )
 
-    integrand = TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, fn) for fn in unaries], prefactor=kappa(1, nomes)
-    )
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-    return _finish(case, res, rhs)
+    return Evaluation(rhs, _one_variable_integrand(nomes, *unaries))
 
 
 # ---------------------------------------------------------------------------
@@ -616,22 +618,9 @@ def _eval_kernel_decomp(case: IdentityCase) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-KEY_SHAPES = [
-    ZERO,
-    Bipartition.of((1,), ()),
-    Bipartition.of((), (1,)),
-    Bipartition.of((2,), ()),
-    Bipartition.of((), (2,)),
-]
-
-
-def _keytheorem_shape(seed: int) -> Bipartition:
-    return KEY_SHAPES[seed % len(KEY_SHAPES)]
-
-
 def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCase:
     rng = np.random.default_rng([seed, 105])
-    mu = mu if mu is not None else _keytheorem_shape(seed)
+    mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
     r1, r2 = mu.first[0], mu.second[0]
     pw, qw = _shape_nome_windows(r1, r2)
     heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.65, 0.88)
@@ -655,23 +644,18 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
         checks += _interp_pole_entries(mu, t2, ctx)
         if abs(c) < 0.1 or _margins_ok(checks):
             continue
-        return IdentityCase(
-            id=f"key_theorem-{mu}-s{seed}",
-            family="key_theorem",
-            seed=seed,
-            grid=GridSpec((cfg.grid_1d,)),
-            tol=1e-8,
+        return _one_dim_case(
+            f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8,
             params={
                 "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3, "t4": t4,
                 "v1": v1, "v2": v2, "c": c, "x1": x1,
             },
             shapes=(mu, ZERO),
-            extra={"budget": 4 * cfg.grid_1d},
         )
-    return _infeasible_case("key_theorem", seed, cfg, f"no feasible draw for mu={mu}")
+    return _infeasible_case("key_theorem", seed, f"no feasible draw for mu={mu}")
 
 
-def _eval_key_theorem(case: IdentityCase) -> VerificationReport:
+def _eval_key_theorem(case: IdentityCase) -> Evaluation:
     pr = case.params
     p, q, t = pr["p"], pr["q"], pr["t"]
     t1, t2, t3, t4 = pr["t1"], pr["t2"], pr["t3"], pr["t4"]
@@ -685,28 +669,18 @@ def _eval_key_theorem(case: IdentityCase) -> VerificationReport:
     def interp_fn(z):
         return interp_hybrid(mu, (z,), (v1, v2), a_hyb, t2, ctx, cache)
 
-    unaries = [
+    integrand = _one_variable_integrand(
+        nomes,
         lambda z: kernel_k1(z, x1, c, ctx),
         interp_fn,
         vertex_unary_fn((t1, t2, t3, t4), t, nomes),
-    ]
-    integrand = TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, fn) for fn in unaries], prefactor=kappa(1, nomes)
     )
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-
-    tlist = (t1, t2, t3, t4)
-    gargs = []
-    for r in range(4):
-        for s in range(r + 1, 4):
-            gargs.append(tlist[r] * tlist[s])
-        gargs += [c * tlist[r] * x1, c * tlist[r] / x1]
-    rhs = elliptic_gamma_multi(gargs, nomes)
+    rhs = _vertex_pair_gamma((t1, t2, t3, t4), c, x1, nomes)
     head = t * t1 * v1 * v2 / t2
     rhs *= delta0_bi(mu, head, [t * t1 * v1], ctx)
     rhs /= delta0_bi(mu, head, [c**2 * t * t1 * v1], ctx)
     rhs *= interp_hybrid(mu, (x1,), (c * v1, v2 / c), c * a_hyb, c * t2, ctx, cache)
-    return _finish(case, res, rhs)
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +690,7 @@ def _eval_key_theorem(case: IdentityCase) -> VerificationReport:
 
 def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCase:
     rng = np.random.default_rng([seed, 106])
-    mu = mu if mu is not None else _keytheorem_shape(seed)
+    mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
     r1, r2 = mu.first[0], mu.second[0]
     pw, qw = _shape_nome_windows(r1, r2)
     heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.45, 0.7)
@@ -736,23 +710,18 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
         checks += _interp_pole_entries(mu, t2, ctx)
         if abs(c) < 0.1 or _margins_ok(checks):
             continue
-        return IdentityCase(
-            id=f"prop_RK-{mu}-s{seed}",
-            family="prop_RK",
-            seed=seed,
-            grid=GridSpec((cfg.grid_1d,)),
-            tol=1e-8,
+        return _one_dim_case(
+            f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8,
             params={
                 "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3,
                 "t4": t4, "t5": t5, "c": c, "x1": x1,
             },
             shapes=(mu, ZERO),
-            extra={"budget": 4 * cfg.grid_1d},
         )
-    return _infeasible_case("prop_RK", seed, cfg, f"no feasible draw for mu={mu}")
+    return _infeasible_case("prop_RK", seed, f"no feasible draw for mu={mu}")
 
 
-def _eval_prop_rk(case: IdentityCase) -> VerificationReport:
+def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     pr = case.params
     p, q, t = pr["p"], pr["q"], pr["t"]
     t1, t2, t3, t4, t5 = pr["t1"], pr["t2"], pr["t3"], pr["t4"], pr["t5"]
@@ -765,23 +734,13 @@ def _eval_prop_rk(case: IdentityCase) -> VerificationReport:
     def interp_fn(z):
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
-    unaries = [
+    integrand = _one_variable_integrand(
+        nomes,
         lambda z: kernel_k1(z, x1, c, ctx),
         interp_fn,
         vertex_unary_fn((t2, t3, t4, t5), t, nomes),
-    ]
-    integrand = TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, fn) for fn in unaries], prefactor=kappa(1, nomes)
     )
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-
-    tlist = (t2, t3, t4, t5)
-    gargs = []
-    for r in range(4):
-        for s in range(r + 1, 4):
-            gargs.append(tlist[r] * tlist[s])
-        gargs += [c * tlist[r] * x1, c * tlist[r] / x1]
-    rhs = elliptic_gamma_multi(gargs, nomes)
+    rhs = _vertex_pair_gamma((t2, t3, t4, t5), c, x1, nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     for nu in sub_bipartitions(mu):
@@ -790,7 +749,7 @@ def _eval_prop_rk(case: IdentityCase) -> VerificationReport:
             continue
         total += coeff * interp_nonskew(nu, (x1,), t1 / c, c * t2, ctx, cache)
     rhs *= total
-    return _finish(case, res, rhs)
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -904,10 +863,14 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
     total = sum(k)
     per_dim = {1: cfg.grid_1d, 2: cfg.grid_2d, 3: cfg.grid_3d}.get(total)
     tol = {1: cfg.tol_1d, 2: cfg.tol_2d, 3: cfg.tol_3d}.get(total)
+    note_id = f"an_selberg-n{n}k{kid}-s{seed}"
     if per_dim is None:
         return _infeasible_case(
-            "an_selberg", seed, cfg, f"total dimension {total} beyond suite caps",
-            note_id=f"an_selberg-n{n}k{kid}-s{seed}",
+            "an_selberg", seed, f"total dimension {total} beyond suite caps", note_id
+        )
+    if n > 2:
+        return _infeasible_case(
+            "an_selberg", seed, f"no sampling windows exist for rank n={n} > 2", note_id
         )
     windows, corrected, reach = AN_SELBERG_N2.get(tuple(k), AN_SELBERG_N2[(1, 1)])
 
@@ -926,23 +889,21 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
                 n, k, rng, windows, accept=tight, corrected=corrected
             )
     except InfeasibleError as exc:
-        return _infeasible_case(
-            "an_selberg", seed, cfg, str(exc), note_id=f"an_selberg-n{n}k{kid}-s{seed}"
-        )
+        return _infeasible_case("an_selberg", seed, str(exc), note_id)
     dims = (per_dim,) * total
     return IdentityCase(
-        id=f"an_selberg-n{n}k{kid}-s{seed}",
+        id=note_id,
         family="an_selberg",
         seed=seed,
         grid=GridSpec(dims),
         tol=tol,
         paramset=params,
-        extra={"budget": math.prod(dims)},
+        budget=math.prod(dims),
         contour=contour,
     )
 
 
-def _eval_an_selberg(case: IdentityCase) -> VerificationReport:
+def _eval_an_selberg(case: IdentityCase) -> Evaluation:
     return _eval_density(case, an_selberg_rhs(case.paramset))
 
 
@@ -1035,17 +996,17 @@ def _an_interp_accept(lam, mu, n):
     return accept
 
 
-_FAMILY_TAG = {"an_aflt": 1, "an_kadell": 2, "an_hua_kadell": 3}
-
-
 def _sample_an_aflt(
     seed: int,
     cfg,
     n: int = 1,
     family: str = "an_aflt",
     shapes: tuple[Bipartition, Bipartition] | None = None,
+    tag: int = 1,
 ) -> IdentityCase:
-    rng = np.random.default_rng([seed, 108, n, _FAMILY_TAG[family]])
+    """Sampler shared by an_aflt, an_kadell and an_hua_kadell; tag keeps
+    their random streams apart."""
+    rng = np.random.default_rng([seed, 108, n, tag])
     hua = family == "an_hua_kadell"
     if shapes is None:
         if family == "an_kadell":
@@ -1076,7 +1037,7 @@ def _sample_an_aflt(
             }
             params, _ = _sample_an_paramset(2, k, rng, base, hua=hua, accept=accept)
     except InfeasibleError as exc:
-        return _infeasible_case(family, seed, cfg, str(exc), note_id=f"{family}-n{n}-s{seed}")
+        return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
     grid_n = cfg.grid_1d if n == 1 else cfg.grid_2d_aflt
     tol = 1e-8 if n == 1 else 1e-5
     return IdentityCase(
@@ -1087,15 +1048,12 @@ def _sample_an_aflt(
         tol=tol,
         paramset=params,
         shapes=(lam, mu),
-        extra={"budget": math.prod((grid_n,) * n)},
+        budget=grid_n**n,
     )
 
 
 def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
-    n, t = params.n, params.t
-    ts = params.ts
-    c = params.c
-    tau = ts[2 * n] * ts[2 * n + 1] * ts[2 * n + 2] / t**2
+    n, ts, c = params.n, params.ts, params.c
 
     def lam_fn(z):
         return interp_nonskew(lam, (z,), c ** (1 - n) * ts[0], c ** (1 - n) * ts[1], ctx, cache)
@@ -1106,11 +1064,7 @@ def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
             return interp_nonskew(mu, (z,), ts[2 * n], ts[2 * n + 3], ctx, cache)
 
     else:
-
-        def mu_fn(z):
-            return interp_hybrid(
-                mu, (z,), (ts[2 * n + 1] / t, ts[2 * n + 2] / t), t * tau, ts[2 * n + 3], ctx, cache
-            )
+        mu_fn = _hybrid_mu_fn(mu, ts[2 * n - 2 :], ctx, cache)
 
     extra = {1: [lam_fn]} if n > 1 else {1: [lam_fn, mu_fn]}
     if n > 1:
@@ -1118,23 +1072,24 @@ def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
     return IntegrandDescriptor(params, extra_unary=extra).build()
 
 
-def _eval_an_aflt(case: IdentityCase) -> VerificationReport:
+def _eval_an_aflt(case: IdentityCase) -> Evaluation:
+    """The integral over the density's normalizer is compared with the
+    closed form of the interpolation-function average."""
     params = case.paramset
     lam, mu = case.shapes
     ctx = SymbolContext(params.nomes, params.t)
     cache = TableCache(seed=case.seed)
-    plain = case.family == "an_hua_kadell"
-    integrand = _aflt_integrand(params, lam, mu, ctx, cache, plain_mu=plain)
-    res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-    res.value = res.value / an_selberg_rhs(params)
-    rhs = aflt_rhs(params, lam, mu, ctx)
+    hua = case.family == "an_hua_kadell"
+    integrand = _aflt_integrand(params, lam, mu, ctx, cache, plain_mu=hua)
     notes = ""
-    if case.family == "an_hua_kadell":
+    if hua:
         notes = (
             "verified as the t_(2n+2) t_(2n+3) = t specialisation; the printed "
             "corollary's t_(n+1) is read as t_(2n+1)"
         )
-    return _finish(case, res, rhs, params=params, notes=notes)
+    return Evaluation(
+        aflt_rhs(params, lam, mu, ctx), integrand, norm=an_selberg_rhs(params), notes=notes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1176,20 +1131,16 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             checks += _interp_pole_entries(mu, t6, ctx)
             if abs(d) < 0.1 or _margins_ok(checks):
                 continue
-            return IdentityCase(
-                id=f"prop_xselberg-base-k0{k0}-{mu}-s{seed}",
-                family="prop_xselberg_base",
-                seed=seed,
-                grid=GridSpec((cfg.grid_1d,)),
-                tol=1e-6,
+            return _one_dim_case(
+                f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "prop_xselberg_base", seed, cfg, 1e-6,
                 params={
                     "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3,
                     "t4": t4, "t5": t5, "t6": t6, "d": d, "x1": x1,
                 },
                 shapes=(mu, ZERO),
-                extra={"variant": "base", "k0": k0, "budget": 4 * cfg.grid_1d},
+                extra={"variant": "base", "k0": k0},
             )
-        return _infeasible_case("prop_xselberg_base", seed, cfg, "no feasible base draw")
+        return _infeasible_case("prop_xselberg_base", seed, "no feasible base draw")
 
     # recursion variant: n = 2, (k0, k1, k2) = (0, 1, 1).  The recursed
     # kernel parameter obeys |d| = sqrt(|t|/T) with T = |t5 t6 t7 t8|,
@@ -1230,26 +1181,13 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             params={f"t{i + 1}": v for i, v in enumerate(ts)}
             | {"p": p, "q": q, "t": t, "c": c, "d": d, "x1": x1},
             shapes=(mu, ZERO),
-            extra={"variant": "recursion", "budget": cfg.grid_2d_rec**2},
+            extra={"variant": "recursion"},
+            budget=cfg.grid_2d_rec**2,
         )
-    return _infeasible_case("prop_xselberg_base", seed, cfg, "no feasible recursion draw")
+    return _infeasible_case("prop_xselberg_base", seed, "no feasible recursion draw")
 
 
-def _xselberg_mu_fn(mu, ts6, ctx, cache):
-    """Hybrid factor R*_mu(z; t4/t, t5/t; t tau, t6) of the rank-one
-    kernel-weighted integral with parameter list ts6 = (t1..t6)."""
-    t = ctx.t
-    tau = ts6[2] * ts6[3] * ts6[4] / t**2
-
-    def fn(z):
-        return interp_hybrid(
-            mu, (z,), (ts6[3] / t, ts6[4] / t), t * tau, ts6[5], ctx, cache
-        )
-
-    return fn
-
-
-def _eval_xselberg(case: IdentityCase) -> VerificationReport:
+def _eval_xselberg(case: IdentityCase) -> Evaluation:
     pr = case.params
     mu = case.shapes[0]
     p, q, t = pr["p"], pr["q"], pr["t"]
@@ -1260,18 +1198,14 @@ def _eval_xselberg(case: IdentityCase) -> VerificationReport:
 
     if case.extra["variant"] == "base":
         ts6 = tuple(pr[f"t{i}"] for i in range(1, 7))
-        mu_fn = _xselberg_mu_fn(mu, ts6, ctx, cache)
-        unaries = [
+        mu_fn = _hybrid_mu_fn(mu, ts6, ctx, cache)
+        integrand = _one_variable_integrand(
+            nomes,
             lambda z: kernel_k1(z, x1, d, ctx),
             mu_fn,
             vertex_unary_fn(ts6[2:], t, nomes),
-        ]
-        integrand = TorusFactorizedIntegrand(
-            nvars=1, unary=[(0, fn) for fn in unaries], prefactor=kappa(1, nomes)
         )
-        res = integrate_adaptive(integrand, case.grid, case.tol * 0.1, case.extra["budget"])
-        rhs = xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0)
-        return _finish(case, res, rhs)
+        return Evaluation(xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0), integrand)
 
     ts = tuple(pr[f"t{i}"] for i in range(1, 9))
     c = pr["c"]
@@ -1280,19 +1214,17 @@ def _eval_xselberg(case: IdentityCase) -> VerificationReport:
     def kern_fn(z):
         return kernel_k1(z, x1, d, ctx)
 
-    mu_fn = _xselberg_mu_fn(mu, ts[2:], ctx, cache)
+    mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
     descriptor = IntegrandDescriptor(
         params,
         extra_unary={1: [kern_fn], 2: [mu_fn]},
         drop_vertex_params={1: (0, 1)},
     )
-    res = integrate_adaptive(descriptor.build(), case.grid, case.tol * 0.1, case.extra["budget"])
-
     pref_args = [c * d * t * x1 / ts[2], c * d * t / (x1 * ts[2])]
     pref_args += [c * d * t * x1 / ts[3], c * d * t / (x1 * ts[3])]
     rhs = elliptic_gamma_multi(pref_args, nomes)
     rhs *= xselberg_rhs(1, (1,), (x1,), ts[2:], c * d, mu, ctx, 1.0)
-    return _finish(case, res, rhs)
+    return Evaluation(rhs, descriptor.build())
 
 
 # ---------------------------------------------------------------------------
@@ -1357,12 +1289,13 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
             params={f"t{i + 1}": v for i, v in enumerate(ts)}
             | {"p": p, "q": q, "t": t, "c": c},
             shapes=(lam, mu),
-            extra={"budget": cfg.grid_2d_rec**2, "grid_1d": cfg.grid_1d},
+            extra={"grid_1d": cfg.grid_1d},
+            budget=cfg.grid_2d_rec**2,
         )
-    return _infeasible_case("equal_k_recursion", seed, cfg, "no feasible draw")
+    return _infeasible_case("equal_k_recursion", seed, "no feasible draw")
 
 
-def _eval_equal_k(case: IdentityCase) -> VerificationReport:
+def _eval_equal_k(case: IdentityCase) -> Evaluation:
     pr = case.params
     lam, mu = case.shapes
     p, q, t, c = pr["p"], pr["q"], pr["t"], pr["c"]
@@ -1375,13 +1308,8 @@ def _eval_equal_k(case: IdentityCase) -> VerificationReport:
     def lam_fn(z):
         return interp_nonskew(lam, (z,), ts[0] / c, ts[1] / c, ctx, cache)
 
-    tau2 = ts[4] * ts[5] * ts[6] / t**2
-
-    def mu_fn(z):
-        return interp_hybrid(mu, (z,), (ts[5] / t, ts[6] / t), t * tau2, ts[7], ctx, cache)
-
-    descriptor = IntegrandDescriptor(params, extra_unary={1: [lam_fn], 2: [mu_fn]})
-    res = integrate_adaptive(descriptor.build(), case.grid, case.tol * 0.1, case.extra["budget"])
+    mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
+    integrand = IntegrandDescriptor(params, extra_unary={1: [lam_fn], 2: [mu_fn]}).build()
 
     # Right side: prefactor times the rank-one integral with t3, t4 removed.
     pref_num = [ts[0] * ts[1] / c**2]
@@ -1395,20 +1323,13 @@ def _eval_equal_k(case: IdentityCase) -> VerificationReport:
     def lam1_fn(z):
         return interp_nonskew(lam, (z,), ts[0], ts[1], ctx, cache)
 
-    def mu1_fn(z):
-        return interp_hybrid(mu, (z,), (ts[5] / t, ts[6] / t), t * tau2, ts[7], ctx, cache)
-
     unary = vertex_unary_fn((ts[0], ts[1], ts[4], ts[5], ts[6], ts[7]), t, nomes)
-    inner = TorusFactorizedIntegrand(
-        nvars=1,
-        unary=[(0, unary), (0, lam1_fn), (0, mu1_fn)],
-        prefactor=kappa(1, nomes),
-    )
+    inner = _one_variable_integrand(nomes, unary, lam1_fn, mu_fn)
     inner_res = integrate_adaptive(
         inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 4 * case.extra["grid_1d"]
     )
     rhs *= inner_res.value
-    return _finish(case, res, rhs)
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -1446,60 +1367,40 @@ def _sample_kernel_consistency(seed: int, cfg, variant: str | None = None) -> Id
     )
 
 
-def _eval_kernel_consistency(case: IdentityCase) -> VerificationReport:
+def _eval_kernel_consistency(case: IdentityCase) -> Evaluation:
     pr = case.params
-    t0 = time.perf_counter()
     ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
     nomes = ctx.nomes
     c = pr["c"]
     x = (pr["x1"], pr["x2"])
     variant = case.extra["variant"]
     inner = case.extra["inner_grid"]
-    try:
-        if variant == "c_factor":
-            y = (pr["y1"], pr["y2"])
-            lhs = kernel_k2(x, y, c, ctx, inner_grid=inner)
-            gargs = []
-            for xi in x:
-                for yj in y:
-                    gargs += [c * xi * yj, c * xi / yj, c * yj / xi, c / (xi * yj)]
-            rhs = elliptic_gamma_multi(gargs, nomes)
-        elif variant == "spectral":
-            lam = Bipartition.of((1,), ())
-            a = pr["a"]
-            b = c**2 / (ctx.t * a)
-            y = tuple(a * z / c for z in spectral_vector(lam, 2, ctx.t, ctx.p, ctx.q))
-            lhs = kernel_k2(x, y, c, ctx, inner_grid=inner)
-            cache = TableCache(seed=case.seed)
-            rhs = interp_nonskew(lam, x, a, b, ctx, cache)
-            for i, xi in enumerate(x, start=1):
-                expo = 2 * lam.first[i - 1] * lam.second[i - 1]
-                rhs *= (ctx.pq / (a * b)) ** expo
-                rhs *= elliptic_gamma_multi([a * xi, a / xi, b * xi, b / xi], nomes)
-                rhs /= elliptic_gamma_multi([ctx.t**i, ctx.t ** (i - 1) * a * b], nomes)
-        else:
-            y = (pr["y1"], pr["y2"])
-            lhs = kernel_k2(x, y, c, ctx, inner_grid=inner, check_branch=False)
-            rhs = kernel_k2(y, x, c, ctx, inner_grid=inner, check_branch=False)
-    except ContourError as exc:
-        return _infeasible_report(case, str(exc))
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return VerificationReport(
-        id=case.id,
-        family=case.family,
-        status="pass" if rel <= case.tol else "fail",
-        seed=case.seed,
-        lhs=lhs,
-        rhs=rhs,
-        rel_err=rel,
-        doubling_estimate=0.0,
-        grid=f"inner {inner}",
-        tol=case.tol,
-        params=case.params,
-        shapes=_shapes_str(case),
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
-        notes=variant,
-    )
+    if variant == "c_factor":
+        y = (pr["y1"], pr["y2"])
+        lhs = kernel_k2(x, y, c, ctx, inner_grid=inner)
+        gargs = []
+        for xi in x:
+            for yj in y:
+                gargs += [c * xi * yj, c * xi / yj, c * yj / xi, c / (xi * yj)]
+        rhs = elliptic_gamma_multi(gargs, nomes)
+    elif variant == "spectral":
+        lam = Bipartition.of((1,), ())
+        a = pr["a"]
+        b = c**2 / (ctx.t * a)
+        y = tuple(a * z / c for z in spectral_vector(lam, 2, ctx.t, ctx.p, ctx.q))
+        lhs = kernel_k2(x, y, c, ctx, inner_grid=inner)
+        cache = TableCache(seed=case.seed)
+        rhs = interp_nonskew(lam, x, a, b, ctx, cache)
+        for i, xi in enumerate(x, start=1):
+            expo = 2 * lam.first[i - 1] * lam.second[i - 1]
+            rhs *= (ctx.pq / (a * b)) ** expo
+            rhs *= elliptic_gamma_multi([a * xi, a / xi, b * xi, b / xi], nomes)
+            rhs /= elliptic_gamma_multi([ctx.t**i, ctx.t ** (i - 1) * a * b], nomes)
+    else:
+        y = (pr["y1"], pr["y2"])
+        lhs = kernel_k2(x, y, c, ctx, inner_grid=inner, check_branch=False)
+        rhs = kernel_k2(y, x, c, ctx, inner_grid=inner, check_branch=False)
+    return Evaluation(rhs, lhs=lhs, grid=f"inner {inner}", notes=variant)
 
 
 # ---------------------------------------------------------------------------
@@ -1635,29 +1536,21 @@ def algebraic_checks(seed: int) -> list[tuple[str, float, float]]:
     return out
 
 
-def _eval_algebraic(case: IdentityCase) -> VerificationReport:
-    t0 = time.perf_counter()
+def _eval_algebraic(case: IdentityCase) -> Evaluation:
+    """lhs counts the identities, rhs those within tolerance; rel_err is
+    the worst residual in units of its tolerance, so the case passes when
+    it is at most case.tol = 1."""
     checks = algebraic_checks(case.seed)
     worst_name, worst_margin = "", 0.0
-    ok = True
     for name, res, tol in checks:
         margin = res / tol if tol > 0 else (math.inf if res > 0 else 0.0)
-        if res > tol:
-            ok = False
         if margin > worst_margin:
             worst_name, worst_margin = name, margin
-    return VerificationReport(
-        id=case.id,
-        family="algebraic_suite",
-        status="pass" if ok else "fail",
-        seed=case.seed,
-        lhs=len(checks),
+    return Evaluation(
         rhs=sum(1 for _, res, tol in checks if res <= tol),
-        rel_err=max(res / tol if tol else res for _, res, tol in checks),
-        doubling_estimate=0.0,
+        lhs=len(checks),
+        rel_err=worst_margin,
         grid="-",
-        tol=1.0,
-        runtime_ms=int((time.perf_counter() - t0) * 1000),
         notes=f"{len(checks)} identities; tightest: {worst_name} at {worst_margin:.2g}x tol",
     )
 
@@ -1683,7 +1576,7 @@ def _shapes_str(case: IdentityCase) -> str:
     return ";".join(str(s) for s in case.shapes)
 
 
-def _infeasible_case(family: str, seed: int, cfg, reason: str, note_id: str = "") -> IdentityCase:
+def _infeasible_case(family: str, seed: int, reason: str, note_id: str = "") -> IdentityCase:
     return IdentityCase(
         id=note_id or f"{family}-s{seed}",
         family=family,
@@ -1708,14 +1601,14 @@ def _infeasible_report(case: IdentityCase, reason: str) -> VerificationReport:
     )
 
 
-def _finish(case: IdentityCase, res, rhs: complex, params: ParamSet | None = None, notes: str = "") -> VerificationReport:
-    lhs = res.value
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+def _report(case: IdentityCase, ev: Evaluation, res: QuadResult) -> VerificationReport:
+    lhs = res.value if ev.norm is None else res.value / ev.norm
+    rhs = ev.rhs
+    rel = ev.rel_err if ev.rel_err is not None else abs(lhs - rhs) / max(abs(rhs), 1e-300)
     if res.budget_exhausted and rel > case.tol:
         status = "budget"
     else:
         status = "pass" if rel <= case.tol and np.isfinite(rel) else "fail"
-    pdict = dict(case.params)
     rep = VerificationReport(
         id=case.id,
         family=case.family,
@@ -1725,14 +1618,14 @@ def _finish(case: IdentityCase, res, rhs: complex, params: ParamSet | None = Non
         rhs=rhs,
         rel_err=rel,
         doubling_estimate=res.doubling_estimate,
-        grid="x".join(str(n) for n in case.grid.dims),
+        grid=ev.grid or "x".join(str(n) for n in case.grid.dims),
         tol=case.tol,
-        params=pdict,
+        params=dict(case.params),
         shapes=_shapes_str(case),
         runtime_ms=res.runtime_ms,
-        notes=notes,
+        notes=ev.notes,
     )
-    ps = params or case.paramset
+    ps = case.paramset
     if ps is not None:
         rep.n = ps.n
         rep.k = ps.k
@@ -1757,76 +1650,71 @@ class HarnessConfig:
     tol_2d: float = 1e-6
     tol_3d: float = 1e-4
     threads: int = 1
-    budget: int = 20_000_000
-    eps_tail: float = 1e-17
-    delta_margin: float = 0.05
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
-        cfg = cls()
+        if not isinstance(data, dict):
+            raise ValueError("a config file holds one JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(data) - set(types))
+        if unknown:
+            raise ValueError(
+                f"unknown config keys {', '.join(unknown)}; accepted: {', '.join(types)}"
+            )
         for key, val in data.items():
-            if hasattr(cfg, key):
-                setattr(cfg, key, val)
-        cfg.apply_globals()
-        return cfg
-
-    def apply_globals(self):
-        """Propagate the margin and tail threshold to the module-level
-        defaults the samplers and special functions read."""
-        global MARGIN
-        import ellsel.core as _core
-        import ellsel.densities as _densities
-
-        _densities.FEASIBILITY_MARGIN = self.delta_margin
-        MARGIN = 1.0 - self.delta_margin
-        _core.DEFAULT_EPS_TAIL = self.eps_tail
+            kinds = int if types[key] == "int" else (int, float)
+            if isinstance(val, bool) or not isinstance(val, kinds):
+                raise ValueError(f"config key {key} must be {types[key]}, got {val!r}")
+        return cls(**data)
 
 
-_SAMPLERS = {
-    "beta_k1": _sample_beta_k1,
-    "selberg_A1": _sample_selberg_A1,
-    "vdBult": _sample_vdbult,
-    "kernel_decomp": _sample_kernel_decomp,
-    "key_theorem": _sample_key_theorem,
-    "prop_RK": _sample_prop_rk,
-    "an_selberg": _sample_an_selberg,
-    "an_aflt": _sample_an_aflt,
-    "an_kadell": lambda seed, cfg, **kw: _sample_an_aflt(seed, cfg, family="an_kadell", **kw),
-    "an_hua_kadell": lambda seed, cfg, **kw: _sample_an_aflt(seed, cfg, family="an_hua_kadell", **kw),
-    "prop_xselberg_base": _sample_xselberg,
-    "equal_k_recursion": _sample_equal_k,
-    "kernel_consistency": _sample_kernel_consistency,
-    "algebraic_suite": _sample_algebraic,
+@dataclass(frozen=True)
+class Family:
+    """One identity family.  `sample(seed, cfg, **options)` draws a case
+    and `evaluate(case)` gives its Evaluation.  `residues`: the main
+    integrand is the bare density on case.contour, so residue terms apply.
+    `shapes_option`: the sampler option that `ellsel case --shapes` fills,
+    "mu" for one bipartition or "shapes" for a pair."""
+
+    sample: Callable[..., IdentityCase]
+    evaluate: Callable[[IdentityCase], Evaluation]
+    residues: bool = False
+    shapes_option: str | None = None
+
+
+FAMILY_TABLE = {
+    "beta_k1": Family(_sample_beta_k1, _eval_selberg, residues=True),
+    "selberg_A1": Family(_sample_selberg_A1, _eval_selberg, residues=True),
+    "vdBult": Family(_sample_vdbult, _eval_vdbult, shapes_option="mu"),
+    "kernel_decomp": Family(_sample_kernel_decomp, _eval_kernel_decomp),
+    "key_theorem": Family(_sample_key_theorem, _eval_key_theorem, shapes_option="mu"),
+    "prop_RK": Family(_sample_prop_rk, _eval_prop_rk, shapes_option="mu"),
+    "an_selberg": Family(_sample_an_selberg, _eval_an_selberg, residues=True),
+    "an_aflt": Family(
+        partial(_sample_an_aflt, family="an_aflt", tag=1), _eval_an_aflt, shapes_option="shapes"
+    ),
+    "an_kadell": Family(
+        partial(_sample_an_aflt, family="an_kadell", tag=2), _eval_an_aflt, shapes_option="shapes"
+    ),
+    "an_hua_kadell": Family(
+        partial(_sample_an_aflt, family="an_hua_kadell", tag=3),
+        _eval_an_aflt,
+        shapes_option="shapes",
+    ),
+    "prop_xselberg_base": Family(_sample_xselberg, _eval_xselberg),
+    "equal_k_recursion": Family(_sample_equal_k, _eval_equal_k),
+    "kernel_consistency": Family(_sample_kernel_consistency, _eval_kernel_consistency),
+    "algebraic_suite": Family(_sample_algebraic, _eval_algebraic),
 }
 
-_EVALUATORS = {
-    "beta_k1": _eval_selberg,
-    "selberg_A1": _eval_selberg,
-    "vdBult": _eval_vdbult,
-    "kernel_decomp": _eval_kernel_decomp,
-    "key_theorem": _eval_key_theorem,
-    "prop_RK": _eval_prop_rk,
-    "an_selberg": _eval_an_selberg,
-    "an_aflt": _eval_an_aflt,
-    "an_kadell": _eval_an_aflt,
-    "an_hua_kadell": _eval_an_aflt,
-    "prop_xselberg_base": _eval_xselberg,
-    "equal_k_recursion": _eval_equal_k,
-    "kernel_consistency": _eval_kernel_consistency,
-    "algebraic_suite": _eval_algebraic,
-}
-
-
-# Evaluators that integrate the bare density on case.contour, so that
-# residue terms apply to them.
-_DENSITY_EVALUATORS = (_eval_selberg, _eval_an_selberg)
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def sample_case(family: str, seed: int, cfg: HarnessConfig | None = None, **options) -> IdentityCase:
     cfg = cfg or HarnessConfig()
-    if family not in _SAMPLERS:
+    if family not in FAMILY_TABLE:
         raise KeyError(f"unknown family {family!r}; known: {', '.join(FAMILIES)}")
-    return _SAMPLERS[family](seed, cfg, **options)
+    return FAMILY_TABLE[family].sample(seed, cfg, **options)
 
 
 def params_options(family: str, params: ParamSet) -> dict:
@@ -1846,7 +1734,7 @@ def place_params(case: IdentityCase, params: ParamSet) -> None:
     feas = contour_feasibility(params)
     if not feas.ok:
         case.extra["infeasible"] = "; ".join(feas.violations)
-    elif feas.contour.residues and _EVALUATORS[case.family] not in _DENSITY_EVALUATORS:
+    elif feas.contour.residues and not FAMILY_TABLE[case.family].residues:
         case.extra["infeasible"] = (
             f"{case.family} is evaluated on the unit torus only; these parameters "
             f"need the contour {feas.contour.describe()}"
@@ -1856,12 +1744,21 @@ def place_params(case: IdentityCase, params: ParamSet) -> None:
 
 
 def run_case(case: IdentityCase) -> VerificationReport:
+    """Evaluate one case: the family's Evaluation, then the main integral
+    by adaptive quadrature on case.grid (runtime_ms times the quadrature;
+    for a family without one, the evaluation), then the status."""
     if "infeasible" in case.extra:
         return _infeasible_report(case, case.extra["infeasible"])
+    start = time.perf_counter()
     try:
-        return _EVALUATORS[case.family](case)
+        ev = FAMILY_TABLE[case.family].evaluate(case)
+        if ev.integrand is None:
+            res = QuadResult(ev.lhs, 0.0, 0, int((time.perf_counter() - start) * 1000))
+        else:
+            res = integrate_adaptive(ev.integrand, case.grid, case.tol * 0.1, case.budget)
     except (ContourError, InfeasibleError) as exc:
         return _infeasible_report(case, str(exc))
+    return _report(case, ev, res)
 
 
 SUITES = {
@@ -1902,11 +1799,9 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_json_dict() for r in reports], indent=2)
 
 
-def write_reports_csv(path, reports: list[VerificationReport]):
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for rep in reports:
-            writer.writerow(report_csv_row(rep))
+def reports_to_csv(reports: list[VerificationReport]) -> str:
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    writer.writerows(report_csv_row(rep) for rep in reports)
+    return out.getvalue()

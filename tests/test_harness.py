@@ -1,6 +1,7 @@
 """Tests for the verification harness: family execution, consistency
 chains, report schema, reproducibility and the CLI."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 from ellsel.core import NomePair
 from ellsel.binomials import TableCache
 from ellsel.densities import ParamSet, an_selberg_rhs, selberg_average_normalizer
+from ellsel.cli import _load_config
 from ellsel.harness import (
     FAMILIES,
+    SUITES,
     HarnessConfig,
     aflt_rhs,
     algebraic_checks,
@@ -59,6 +62,24 @@ class TestFamilies:
         assert "k=(0, 2)" in rep.notes
         assert "last violations" in rep.notes
         assert "vertex r=" in rep.notes
+
+    def test_rank_three_an_selberg_reported_infeasible(self):
+        # The an_selberg sampling windows cover ranks one and two only.
+        rep = run_case(sample_case("an_selberg", 0, CFG, n=3, k=(1, 1, 1)))
+        assert rep.status == "infeasible"
+        assert rep.id == "an_selberg-n3k111-s0"
+        assert "rank n=3 > 2" in rep.notes
+
+
+class TestRegistry:
+    def test_suite_families_registered(self):
+        for suite, entries in SUITES.items():
+            for family, _ in entries:
+                assert family in FAMILIES, (suite, family)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sampler_matches_family(self, family):
+        assert sample_case(family, 0, CFG).family == family
 
 
 class TestConsistencyChains:
@@ -299,7 +320,7 @@ class TestCli:
 
     def test_config_file(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"grid_1d": 128, "threads": 1, "delta_margin": 0.05}))
+        cfgfile.write_text(json.dumps({"grid_1d": 128, "threads": 1}))
         out = tmp_path / "rep.json"
         res = self.run_cli(
             "verify", "--suite", "integrals-1d", "--seeds", "1",
@@ -308,6 +329,34 @@ class TestCli:
         assert res.returncode == 0, res.stderr
         data = json.loads(out.read_text())
         assert any(r["grid"] == "128" for r in data)
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"grid_1d": 128, "eps_tail": 1e-13}, "unknown config keys eps_tail"),
+            ({"grid_1d": "128"}, "config key grid_1d must be int"),
+        ],
+    )
+    def test_bad_config_exit_3(self, tmp_path, config, message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        res = self.run_cli("verify", "--suite", "algebraic", "--seeds", "1", "--config", str(cfgfile))
+        assert res.returncode == 3
+        assert message in res.stderr
+
+    @pytest.mark.parametrize("family", ["beta_k1", "equal_k_recursion", "kernel_decomp"])
+    def test_shapes_for_family_without_shapes_exit_3(self, family):
+        res = self.run_cli("case", "--family", family, "--shapes", "1|0")
+        assert res.returncode == 3
+        assert f"family {family} takes no --shapes" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_threads_flag_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("ELLSEL_THREADS", "2")
+        args = argparse.Namespace(config=None, grid=None, tol=None, threads=3)
+        assert _load_config(args).threads == 3
+        args.threads = None
+        assert _load_config(args).threads == 2
 
     def test_threads_env_override(self, tmp_path):
         out = tmp_path / "rep.json"
