@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ellsel.partitions import Bipartition, sub_bipartitions
+from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, cplus_bi, delta0_bi
 
 COND_CAP = 1e8
@@ -103,23 +103,19 @@ def solve_binomial_table(
     neq = max(OVERSAMPLE * nunk, 2)
 
     def make_rows(count):
+        # one (c, d) pair per row, drawn in row order from the table's rng;
+        # then each symbol is evaluated once over all rows
+        c, d = np.array([_draw_pair(rng) for _ in range(count)]).T
+        e = a * pq / (b * c * d)
+        args = [d, e, c / b]
+        full_rhs = delta0_bi(lam, a, [b * d, b * e, c], ctx)
+        t_zero = delta0_bi(ZERO, a / b, args, ctx) * val_zero
+        t_full = delta0_bi(lam, a / b, args, ctx) * val_full
         rows = np.empty((count, nunk), dtype=np.complex128)
-        rhs = np.empty(count, dtype=np.complex128)
-        scales = np.empty(count)
-        from ellsel.partitions import ZERO as _ZERO
-
-        for r in range(count):
-            c, d = _draw_pair(rng)
-            e = a * pq / (b * c * d)
-            full_rhs = delta0_bi(lam, a, [b * d, b * e, c], ctx)
-            t_zero = delta0_bi(_ZERO, a / b, [d, e, c / b], ctx) * val_zero
-            t_full = delta0_bi(lam, a / b, [d, e, c / b], ctx) * val_full
-            scale = abs(full_rhs) + abs(t_zero) + abs(t_full)
-            for col, mu in enumerate(interior):
-                rows[r, col] = delta0_bi(mu, a / b, [d, e, c / b], ctx)
-            rhs[r] = full_rhs - t_zero - t_full
-            scales[r] = scale
-        return rows, rhs, scales
+        for col, mu in enumerate(interior):
+            rows[:, col] = delta0_bi(mu, a / b, args, ctx)
+        scales = np.abs(full_rhs) + np.abs(t_zero) + np.abs(t_full)
+        return rows, full_rhs - t_zero - t_full, scales
 
     last_cond = math.inf
     for attempt in range(MAX_RESAMPLE):

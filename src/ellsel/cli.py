@@ -19,7 +19,7 @@ import os
 import sys
 
 from ellsel.core import NomePair, elliptic_gamma, theta
-from ellsel.densities import ParamSet
+from ellsel.densities import InfeasibleError, ParamSet
 from ellsel.harness import (
     FAMILIES,
     FAMILY_TABLE,
@@ -33,6 +33,7 @@ from ellsel.harness import (
     run_suite,
     sample_case,
 )
+from ellsel.kernel import ContourError
 from ellsel.partitions import parse_bipartition
 from ellsel.quadrature import GridSpec, convergence_table, write_convergence_csv
 
@@ -214,17 +215,20 @@ def _cmd_eval(args) -> int:
 
 def _cmd_convergence(args) -> int:
     case = _sampled_case(args)
-    if "infeasible" in case.extra:
-        print(f"infeasible: {case.extra['infeasible']}", file=sys.stderr)
+    # Rows tabulate the family's main integral, as run_case integrates it;
+    # for a density family that is the torus part plus its residue terms.
+    reason = case.extra.get("infeasible")
+    if reason is None:
+        try:
+            integrand = FAMILY_TABLE[case.family].evaluate(case).integrand
+        except (ContourError, InfeasibleError) as exc:
+            reason = str(exc)
+    if reason is not None:
+        print(f"infeasible: {reason}", file=sys.stderr)
         return 2
-    if case.paramset is None:
-        print("convergence tables are provided for the density families", file=sys.stderr)
+    if integrand is None:
+        print(f"family {case.family} has no main integral to tabulate", file=sys.stderr)
         return 3
-    from ellsel.densities import IntegrandDescriptor
-
-    # Rows tabulate the whole contour integral: torus part plus residue
-    # terms, each level on one per-dimension grid size.
-    integrand = IntegrandDescriptor(case.paramset).build_on(case.contour)
     if case.contour.residues:
         print(f"contour: {case.contour.describe()}", file=sys.stderr)
     start = GridSpec(tuple(max(8, n // 8) for n in case.grid.dims))

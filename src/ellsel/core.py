@@ -72,6 +72,8 @@ def theta(z, p: complex, eps_tail: float = DEFAULT_EPS_TAIL):
     if abs(p) >= 1.0:
         raise DomainError(f"theta requires |p| < 1, got |p|={abs(p):.4g}")
     arr, scalar = _as_complex_array(z)
+    if arr.size == 0:
+        return np.empty_like(arr)
     if np.any(arr == 0):
         raise DomainError("theta argument must be nonzero")
     if p == 0:
@@ -167,6 +169,8 @@ def _log_gamma(z, nomes: NomePair):
     the other one, then the annulus series is summed.
     """
     arr, scalar = _as_complex_array(z)
+    if arr.size == 0:
+        return np.empty_like(arr), scalar
     if np.any(arr == 0):
         raise DomainError("gamma argument must be nonzero")
     if nomes.p == 0 or nomes.q == 0:

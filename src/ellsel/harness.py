@@ -1006,6 +1006,10 @@ def _sample_an_aflt(
 ) -> IdentityCase:
     """Sampler shared by an_aflt, an_kadell and an_hua_kadell; tag keeps
     their random streams apart."""
+    if n > 2:
+        return _infeasible_case(
+            family, seed, f"no sampling windows exist for rank n={n} > 2", f"{family}-n{n}-s{seed}"
+        )
     rng = np.random.default_rng([seed, 108, n, tag])
     hua = family == "an_hua_kadell"
     if shapes is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ellsel.core import NomePair, PoleError, elliptic_gamma_multi, theta
+from ellsel.core import DomainError, NomePair, PoleError, elliptic_gamma_multi, theta
 from ellsel.partitions import Bipartition, Partition
 
 
@@ -45,23 +45,42 @@ class SymbolContext:
         raise ValueError(f"series role must be 'p' or 'q', got {series!r}")
 
 
-def _cell_product(lam: Partition, z, exponents, ctx: SymbolContext, series: str):
+def _c0_exponents(i, j, lam, conj):
+    return j - 1, 1 - i
+
+
+def _cell_thetas(lam: Partition, z, ctx: SymbolContext, series: str, exponents=_c0_exponents):
+    """theta(z base^be t^te) for every cell (i, j) of lam, with (be, te)
+    = exponents(i, j, lam, lam'), from one theta call on the whole stack
+    of arguments z.  The cells run along a new leading axis."""
     base, nome = ctx.roles(series)
     conj = lam.conjugate()
-    result = np.ones_like(np.asarray(z, dtype=np.complex128))
-    scalar = np.asarray(z).ndim == 0
-    for (i, j) in lam.cells():
-        be, te = exponents(i, j, lam, conj)
-        try:
-            result = result * theta(z * base**be * ctx.t**te, nome, ctx.nomes.eps_tail)
-        except Exception as exc:
-            raise type(exc)(f"cell (i={i}, j={j}): {exc}") from exc
-    return complex(result) if scalar else result
+    cells = list(lam.cells())
+    z = np.asarray(z, dtype=np.complex128)
+    shifts = np.array(
+        [base**be * ctx.t**te for be, te in (exponents(i, j, lam, conj) for i, j in cells)],
+        dtype=np.complex128,
+    )
+    args = shifts.reshape((len(cells),) + (1,) * z.ndim) * z
+    if not cells:  # no theta factors to evaluate
+        return args
+    try:
+        return theta(args, nome, ctx.nomes.eps_tail)
+    except DomainError as exc:  # a zero argument: name its first cell
+        zero = np.any((args == 0).reshape(len(cells), z.size), axis=1)
+        i, j = cells[int(np.argmax(zero))]
+        raise DomainError(f"cell (i={i}, j={j}): {exc}") from exc
+
+
+def _cell_product(lam: Partition, z, exponents, ctx: SymbolContext, series: str):
+    z = np.asarray(z, dtype=np.complex128)
+    result = np.prod(_cell_thetas(lam, z, ctx, series, exponents), axis=0)
+    return complex(result) if z.ndim == 0 else result
 
 
 def c0(lam: Partition, z, ctx: SymbolContext, series: str = "q"):
     """C0_lam(z): product of theta(z q^(j-1) t^(1-i)) over the cells."""
-    return _cell_product(lam, z, lambda i, j, l, c: (j - 1, 1 - i), ctx, series)
+    return _cell_product(lam, z, _c0_exponents, ctx, series)
 
 
 def cplus(lam: Partition, z, ctx: SymbolContext, series: str = "q"):
@@ -93,30 +112,31 @@ def cminus_bi(lam: Bipartition, z, ctx: SymbolContext):
 def delta0(lam: Partition, a, bs, ctx: SymbolContext, series: str = "q"):
     """Well-poised ratio prod_i C0_lam(b_i) / C0_lam(pq a / b_i).
 
-    Accumulated cell by cell as a ratio of theta factors, which keeps
-    intermediate magnitudes near one even for long b-lists.
+    Taken as a product of per-cell theta ratios, which keeps the
+    intermediate magnitudes near one even for long b-lists.  The
+    numerator and denominator factors of every (argument, cell) pair come
+    from one theta call; a and the b_i broadcast against each other.
     """
-    base, nome = ctx.roles(series)
-    pq = ctx.pq
-    conj = lam.conjugate()
-    arrs = [np.asarray(b, dtype=np.complex128) for b in bs]
-    scalar = all(arr.ndim == 0 for arr in arrs)
-    result = 1.0 + 0.0j
-    for idx, b in enumerate(arrs):
-        for (i, j) in lam.cells():
-            e = base ** (j - 1) * ctx.t ** (1 - i)
-            num = theta(b * e, nome, ctx.nomes.eps_tail)
-            den = theta(pq * a / b * e, nome, ctx.nomes.eps_tail)
-            if np.any(den == 0):
-                raise PoleError(
-                    f"Delta0 denominator vanishes for argument index {idx} at cell ({i},{j})"
-                )
-            result = result * (num / den)
-        if np.any(np.asarray(result) == np.inf):
+    a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
+    nargs, ncells = len(bs), lam.size
+    bs = np.array(bs).reshape((nargs,) + a.shape)
+    num, den = _cell_thetas(lam, [bs, ctx.pq * a / bs], ctx, series).swapaxes(0, 1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        running = np.cumprod(np.prod(num / den, axis=0), axis=0)
+    # Report the first failure in (argument, cell) order.
+    vanishing = np.any((den == 0).reshape(ncells, nargs, a.size), axis=2)
+    overflow = np.any(np.isinf(running).reshape(nargs, a.size), axis=1)
+    cells = list(lam.cells())
+    for idx in range(nargs):
+        if vanishing[:, idx].any():
+            i, j = cells[int(np.argmax(vanishing[:, idx]))]
+            raise PoleError(
+                f"Delta0 denominator vanishes for argument index {idx} at cell ({i},{j})"
+            )
+        if overflow[idx]:
             raise OverflowError(f"Delta0 overflow at argument index {idx}")
-    if scalar and np.asarray(result).ndim == 0:
-        return complex(result)
-    return result
+    result = running[-1] if nargs else np.ones(a.shape, dtype=np.complex128)
+    return complex(result) if a.ndim == 0 else result
 
 
 def delta0_bi(lam: Bipartition, a, bs, ctx: SymbolContext):

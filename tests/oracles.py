@@ -85,3 +85,31 @@ def sub_partitions_brute(lam):
             if tuple(sorted(combo, reverse=True)) == combo:
                 out.add(trimmed)
     return sorted(out, key=lambda t: (sum(t), t))
+
+
+def cell_symbol_product(parts, z: complex, base: complex, nome: complex, t: complex, kind="c0"):
+    """C0, C+ or C- of the partition `parts` at a scalar z, as the literal
+    product over its cells (i, j) of theta(z base^e t^f; nome):
+    c0 (e, f) = (j-1, 1-i), plus (lam_i+j-1, 2-lam'_j-i), minus
+    (lam_i-j, lam'_j-i)."""
+    conj = conjugate_by_columns(parts)
+    result = 1.0 + 0.0j
+    for i, part in enumerate(parts, start=1):
+        for j in range(1, part + 1):
+            e, f = {
+                "c0": (j - 1, 1 - i),
+                "plus": (part + j - 1, 2 - conj[j - 1] - i),
+                "minus": (part - j, conj[j - 1] - i),
+            }[kind]
+            result *= theta_product(z * base**e * t**f, nome)
+    return result
+
+
+def delta0_product(parts, a: complex, bs, base: complex, nome: complex, t: complex) -> complex:
+    """Delta0 of `parts` at scalar a and b_i: prod_i C0(b_i) / C0(pq a / b_i),
+    with pq = base * nome."""
+    result = 1.0 + 0.0j
+    for b in bs:
+        num = cell_symbol_product(parts, b, base, nome, t)
+        result *= num / cell_symbol_product(parts, base * nome * a / b, base, nome, t)
+    return result

@@ -55,6 +55,12 @@ class TestTheta:
         for z, v in zip(zs, vals):
             assert rel_err(v, theta(complex(z), p)) < 1e-13
 
+    def test_empty_array(self):
+        # a batched caller can have no points at all
+        for p in (0.2, 0.0):
+            out = theta(np.empty((0, 3), dtype=np.complex128), p)
+            assert out.shape == (0, 3) and out.dtype == np.complex128
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             theta(0.0, 0.1)
@@ -122,6 +128,10 @@ class TestEllipticGamma:
         vals = elliptic_gamma(zs, nomes)
         for z, v in zip(zs, vals):
             assert rel_err(v, elliptic_gamma(complex(z), nomes)) < 1e-12
+
+    def test_empty_array(self):
+        out = elliptic_gamma(np.empty((2, 0)), NomePair(0.15, 0.25))
+        assert out.shape == (2, 0) and out.dtype == np.complex128
 
     def test_pole_error(self):
         nomes = NomePair(0.15, 0.25)

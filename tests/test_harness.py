@@ -71,6 +71,14 @@ class TestFamilies:
         assert "rank n=3 > 2" in rep.notes
 
 
+    def test_rank_three_an_aflt_reported_infeasible(self):
+        # no rank-three windows: refused at once, not after futile rank-2 draws
+        rep = run_case(sample_case("an_aflt", 0, CFG, n=3))
+        assert rep.status == "infeasible"
+        assert rep.id == "an_aflt-n3-s0"
+        assert rep.notes == "no sampling windows exist for rank n=3 > 2"
+
+
 class TestRegistry:
     def test_suite_families_registered(self):
         for suite, entries in SUITES.items():
@@ -313,6 +321,26 @@ class TestCli:
         res = self.run_cli("convergence", "--family", "an_aflt", "--params", str(pfile))
         assert res.returncode == 2
         assert "unit torus only" in res.stderr
+
+    def test_convergence_tabulates_family_integral(self, tmp_path):
+        # an_aflt's main integral carries the interpolation factors; the
+        # bare density would converge to the normalizer instead
+        case = sample_case("an_aflt", 0, CFG)
+        rep = run_case(case)
+        out = tmp_path / "conv.csv"
+        res = self.run_cli("convergence", "--family", "an_aflt", "--seed", "0", "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        last = out.read_text().splitlines()[-1].split(",")
+        value = complex(float(last[1]), float(last[2]))
+        norm = an_selberg_rhs(case.paramset)
+        expected = rep.lhs * norm
+        assert abs(value - expected) <= 1e-8 * abs(expected)
+        assert abs(value - norm) > 0.1 * abs(norm)
+
+    def test_convergence_refuses_family_without_main_integral(self):
+        res = self.run_cli("convergence", "--family", "algebraic_suite")
+        assert res.returncode == 3
+        assert "no main integral" in res.stderr
 
     def test_unknown_suite_exit_3(self):
         res = self.run_cli("verify", "--suite", "nonsense")

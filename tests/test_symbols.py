@@ -4,8 +4,10 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ellsel.core import NomePair, theta
+from ellsel.core import DomainError, NomePair, PoleError, theta
 from ellsel.partitions import Bipartition, Partition, sub_bipartitions
 from ellsel.symbols import (
     SymbolContext,
@@ -17,6 +19,7 @@ from ellsel.symbols import (
     delta0_bi,
     gamma_delta_bridge,
 )
+from oracles import all_partitions_up_to, cell_symbol_product, delta0_product
 
 CTX = SymbolContext(NomePair(0.1, 0.2), 0.25)
 
@@ -113,6 +116,177 @@ class TestDelta0:
                 one = delta0_bi(lam, a, [b], CTX)
                 two = delta0_bi(lam.swap(), a, [b], swapped)
                 assert rel_err(one, two) < 1e-12
+
+
+class TestDelta0Contract:
+    # p, q, t and pq a / b_i are powers of two, so the vanishing theta
+    # arguments below are exactly 1.
+    EXACT = SymbolContext(NomePair(0.25, 0.5), 0.5)
+
+    def test_pole_error_names_first_argument_and_cell(self):
+        lam, a = Partition((2,)), 1.0
+        pq, q = self.EXACT.pq, self.EXACT.q
+        # argument 1 vanishes at cell (1,2) only
+        with pytest.raises(PoleError, match=r"argument index 1 at cell \(1,2\)"):
+            delta0(lam, a, [0.3, pq * a * q], self.EXACT)
+        # argument 0 at cell (1,2) comes before argument 1 at cell (1,1)
+        with pytest.raises(PoleError, match=r"argument index 0 at cell \(1,2\)"):
+            delta0(lam, a, [pq * a * q, pq * a], self.EXACT)
+        # on a grid, one vanishing point is enough
+        grid = np.array([0.3, pq * a, 0.7])
+        with pytest.raises(PoleError, match=r"argument index 0 at cell \(1,1\)"):
+            delta0(lam, a, [grid], self.EXACT)
+
+    def test_overflow_error_names_argument_index(self):
+        # each factor is about 1e125: the running product leaves the
+        # double range at the third argument
+        b = 1e12
+        a = 0.5 * b / self.EXACT.pq
+        lam = Partition((1,))
+        assert abs(delta0(lam, a, [b, b], self.EXACT)) > 1e249
+        with pytest.raises(OverflowError, match="argument index 2"):
+            delta0(lam, a, [b, b, b, 0.5], self.EXACT)
+
+    def test_empty_partition_gives_one(self):
+        assert delta0(Partition(), 0.4, [0.3, 0.5 + 0.1j], CTX) == 1.0
+        assert delta0_bi(Bipartition(), 0.4, [0.3], CTX) == 1.0
+
+    def test_scalar_inputs_give_complex(self):
+        lam = Partition((2, 1))
+        bi = Bipartition.of((1,), (2,))
+        assert type(delta0(lam, 0.4, [0.3, np.complex128(0.5j)], CTX)) is complex
+        assert type(delta0(lam, 0.4, [], CTX)) is complex
+        assert type(delta0_bi(bi, 0.4 + 0.1j, [0.3], CTX)) is complex
+        for fn in (c0, cplus, cminus):
+            assert type(fn(lam, 0.6, CTX)) is complex
+            assert type(fn(Partition(), 0.6, CTX)) is complex
+
+    def test_empty_grid(self):
+        empty = np.empty(0, dtype=np.complex128)
+        assert delta0(Partition((2, 1)), 0.4, [empty, 0.3], CTX).shape == (0,)
+        assert c0(Partition((2, 1)), empty, CTX).shape == (0,)
+
+
+class TestCellProductContract:
+    def test_domain_error_names_cell(self):
+        # q = 0 kills the series base, so only cells with j >= 2 vanish
+        ctx = SymbolContext(NomePair(0.25, 0.0), 0.5)
+        with pytest.raises(DomainError, match=r"cell \(i=1, j=2\)"):
+            c0(Partition((2,)), 0.5, ctx)
+        with pytest.raises(DomainError, match=r"cell \(i=1, j=1\)"):
+            c0(Partition((2,)), np.array([0.5, 0.0]), ctx)
+
+
+def _roles(ctx, series):
+    """(series base, theta nome) of a role, read off the nome pair."""
+    return (ctx.q, ctx.p) if series == "q" else (ctx.p, ctx.q)
+
+
+ORACLE_SHAPES = [(1,), (3,), (1, 1), (2, 1), (2, 2), (3, 1)]
+
+
+class TestAgainstCellProductOracle:
+    """delta0, delta0_bi, c0, cplus and cminus against literal per-cell
+    products of tests/oracles.theta_product, point by point."""
+
+    A = np.array([0.45 + 0.1j, 0.6 - 0.2j, -0.5j])  # broadcast against the bs
+    B = np.array([0.3 - 0.6j, 0.75, 0.2 + 0.4j])
+    GRID = np.array([[0.7 + 0.2j, 0.35, -0.4 + 0.5j], [0.8j, 0.55 - 0.1j, 0.3 + 0.3j]])
+
+    @staticmethod
+    def pointwise(fn, *arrays):
+        out = np.empty(np.broadcast(*arrays).shape, dtype=np.complex128)
+        for idx, vals in zip(np.ndindex(out.shape), np.broadcast(*arrays)):
+            out[idx] = fn(*vals)
+        return out
+
+    def assert_close(self, got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("series", ["p", "q"])
+    @pytest.mark.parametrize("parts", ORACLE_SHAPES)
+    def test_delta0(self, parts, series):
+        base, nome = _roles(CTX, series)
+        lam = Partition(parts)
+        oracle = lambda a, *bs: delta0_product(parts, a, bs, base, nome, CTX.t)
+        cases = [
+            (0.45 + 0.1j, [0.7 - 0.2j, 0.35j]),  # scalar
+            (self.A, [self.B, 0.6 + 0.1j]),  # 1-d
+            (self.A, [self.GRID, 0.6 + 0.1j, self.GRID[::-1]]),  # 2-d, a broadcast
+        ]
+        for a, bs in cases:
+            self.assert_close(delta0(lam, a, bs, CTX, series), self.pointwise(oracle, a, *bs))
+
+    def test_delta0_bi(self):
+        for lam in [Bipartition.of((2,), (1,)), Bipartition.of((1, 1), (2, 1))]:
+            def oracle(a, b):
+                first = delta0_product(lam.first.parts, a, [b], CTX.p, CTX.q, CTX.t)
+                return first * delta0_product(lam.second.parts, a, [b], CTX.q, CTX.p, CTX.t)
+
+            for a, b in [(0.45 + 0.1j, 0.35j), (self.A, self.GRID)]:
+                self.assert_close(delta0_bi(lam, a, [b], CTX), self.pointwise(oracle, a, b))
+
+    @pytest.mark.parametrize("series", ["p", "q"])
+    @pytest.mark.parametrize("parts", ORACLE_SHAPES)
+    def test_cell_symbols(self, parts, series):
+        base, nome = _roles(CTX, series)
+        lam = Partition(parts)
+        for fn, kind in ((c0, "c0"), (cplus, "plus"), (cminus, "minus")):
+            oracle = lambda z: cell_symbol_product(parts, z, base, nome, CTX.t, kind)
+            for z in (0.45 + 0.1j, self.A, self.GRID):
+                self.assert_close(fn(lam, z, CTX, series), self.pointwise(oracle, z))
+
+
+def _complex(modulus):
+    return st.builds(
+        lambda r, phase: r * cmath.exp(2j * cmath.pi * phase),
+        modulus,
+        st.floats(0.0, 1.0),
+    )
+
+
+def _well_conditioned(lam, a, bs, ctx, series, cond=100.0, h=1e-7):
+    """Every theta factor of Delta0 changes by at most cond * h under a
+    relative change h of its argument, i.e. no argument sits near a zero
+    of theta, where rounding alone decides the value."""
+    base, nome = _roles(ctx, series)
+    for b in bs:
+        for z in (b, ctx.pq * a / b):
+            for i, j in lam.cells():
+                x = z * base ** (j - 1) * ctx.t ** (1 - i)
+                val = theta(x, nome)
+                if val == 0 or abs(theta(x * (1 + h), nome) / val - 1) > cond * h:
+                    return False
+    return True
+
+
+class TestDelta0Properties:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        parts=st.sampled_from(all_partitions_up_to(4)),
+        series=st.sampled_from(["p", "q"]),
+        p=_complex(st.floats(0.05, 0.9)),
+        q=_complex(st.floats(0.05, 0.9)),
+        t=_complex(st.floats(0.5, 0.95)),
+        a=_complex(st.floats(0.5, 2.0)),
+        bs=st.lists(_complex(st.floats(0.5, 2.0)), min_size=1, max_size=4),
+    )
+    def test_product_over_arguments_and_pointwise_arrays(self, parts, series, p, q, t, a, bs):
+        ctx = SymbolContext(NomePair(p, q), t)
+        lam = Partition(parts)
+        assume(_well_conditioned(lam, a, bs, ctx, series))
+        try:
+            whole = delta0(lam, a, bs, ctx, series)
+            each = [delta0(lam, a, [b], ctx, series) for b in bs]
+        except (PoleError, OverflowError):
+            assume(False)
+        # relative accuracy is lost once a value leaves the normal range
+        assume(all(1e-250 < abs(v) < 1e250 for v in [whole, *each]))
+        assert abs(whole - np.prod(each)) <= 1e-12 * abs(whole)
+        # one array call over all the b's equals the scalar calls
+        grid = delta0(lam, a, [np.array(bs)], ctx, series)
+        assert np.all(np.abs(grid - np.array(each)) <= 1e-12 * np.abs(np.array(each)))
 
 
 class TestGammaDeltaBridge:
