@@ -37,6 +37,15 @@ from ellsel.kernel import ContourError
 from ellsel.partitions import parse_bipartition
 from ellsel.quadrature import GridSpec, convergence_table, write_convergence_csv
 
+TOL_HELP = (
+    "override tol_1d, the tolerance of beta_k1, selberg_A1 at k=1 and one-variable "
+    "an_selberg; other one-variable families keep their fixed tolerances"
+)
+
+# Smallest accepted value of each integer flag: a smaller one would run
+# no case or an unusable grid.
+FLAG_MINIMA = {"grid": 2, "seeds": 1, "levels": 1}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", default="algebraic", choices=sorted(SUITES))
     ver.add_argument("--seeds", type=int, default=5)
     ver.add_argument("--grid", type=int, default=None, help="override 1-d grid size")
-    ver.add_argument("--tol", type=float, default=None, help="override 1-d tolerance")
+    ver.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     ver.add_argument("--threads", type=int, default=None)
     ver.add_argument("--out", default=None, help="report file (default stdout)")
     ver.add_argument("--format", default="json", choices=("json", "csv"))
@@ -61,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     case.add_argument("--shapes", default=None, help='bipartition pair "2,1|0;1|0"')
     case.add_argument("--seed", type=int, default=0)
     case.add_argument("--grid", type=int, default=None, help="override 1-d grid size")
-    case.add_argument("--tol", type=float, default=None, help="override 1-d tolerance")
+    case.add_argument("--tol", type=float, default=None, help=TOL_HELP)
 
     ev = sub.add_parser("eval", help="evaluate a special function")
     ev.add_argument("--fn", required=True, choices=("gamma", "theta", "binomial", "interp"))
@@ -95,14 +104,25 @@ def _kv_args(pairs) -> dict:
     return out
 
 
+def _check_flags(args):
+    """Reject numeric flags outside the values a run can use."""
+    for name, low in FLAG_MINIMA.items():
+        val = getattr(args, name, None)
+        if val is not None and val < low:
+            raise ValueError(f"--{name} must be at least {low}, got {val}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not tol > 0:
+        raise ValueError(f"--tol must be positive, got {tol}")
+
+
 def _load_config(args) -> HarnessConfig:
     cfg = HarnessConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = HarnessConfig.from_dict(json.load(fh))
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         cfg.grid_1d = args.grid
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         cfg.tol_1d = args.tol
     threads = getattr(args, "threads", None)
     env_threads = os.environ.get("ELLSEL_THREADS")
@@ -248,6 +268,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 3 if exc.code not in (0, None) else 0
     try:
+        _check_flags(args)
         if args.command == "list":
             for fam in FAMILIES:
                 print(fam)

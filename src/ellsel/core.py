@@ -248,23 +248,6 @@ def elliptic_gamma_multi(zs, nomes: NomePair) -> complex:
     return cmath.exp(total)
 
 
-def gamma_pm(a, z, nomes: NomePair):
-    """Gamma(a z) * Gamma(a / z); the plus-minus convention for one z."""
-    return elliptic_gamma(a * np.asarray(z), nomes) * elliptic_gamma(
-        a / np.asarray(z), nomes
-    )
-
-
-def pm_args(a, z):
-    """Expand a*z^± into the explicit pair of arguments."""
-    return (a * z, a / z)
-
-
-def pm2_args(a, z, w):
-    """Expand a*z^±*w^± into the explicit four arguments."""
-    return (a * z * w, a * z / w, a * w / z, a / (z * w))
-
-
 def elliptic_shifted_factorial(z: complex, n: int, nomes: NomePair) -> complex:
     """Elliptic shifted factorial (z;q,p)_n = Gamma(q^n z) / Gamma(z).
 

@@ -26,8 +26,6 @@ from ellsel.core import (
 from ellsel.quadrature import IntegrandSum, TorusFactorizedIntegrand
 
 FEASIBILITY_MARGIN = 0.05
-POLE_TOWER_FLOOR = 1e-6
-SAMPLER_CAP = 200
 
 
 class BalancingError(ValueError):
@@ -245,13 +243,14 @@ def selberg_average_normalizer(k: int, ts, t: complex, nomes: NomePair) -> compl
     return elliptic_gamma_multi(args, nomes)
 
 
-def an_selberg_rhs(params: ParamSet) -> complex:
-    """Closed form of the rank-n torus integral."""
-    n, t, c = params.n, params.t, params.c
-    ts = params.ts
-    kk = (0,) + params.k
+def an_selberg_gamma_args(n: int, ks, ts, t: complex, c: complex, first: int) -> list:
+    """Gamma arguments of the rank-n closed form over the Dynkin nodes
+    first..n: an_selberg_rhs takes every node, and the kernel-weighted
+    integral of the harness, whose node 1 carries the kernel, starts at
+    node 2."""
+    kk = (0,) + tuple(ks)
     args = []
-    for r in range(1, n + 1):
+    for r in range(first, n + 1):
         for i in range(1, kk[r] - kk[r - 1] + 1):
             args.append(t**i)
             args.append(t ** (i - 1) * c ** (2 * r - 2 * n) * ts[2 * r - 2] * ts[2 * r - 1])
@@ -259,18 +258,24 @@ def an_selberg_rhs(params: ParamSet) -> complex:
         for s in range(r + 1, 2 * n + 5):
             for i in range(1, kk[n] + 1):
                 args.append(t ** (i - 1) * ts[r - 1] * ts[s - 1])
-    for r in range(1, n + 1):
+    for r in range(first, n + 1):
         for s in range(r + 1, n + 1):
             for i in range(1, kk[r] - kk[r - 1] + 1):
                 args.append(t**i * ts[2 * r - 2] / ts[2 * s - 2])
                 args.append(t**i * ts[2 * r - 1] / ts[2 * s - 2])
                 args.append(t**i * ts[2 * r - 2] / ts[2 * s - 1])
                 args.append(t**i * ts[2 * r - 1] / ts[2 * s - 1])
-    for r in range(1, n + 1):
+    for r in range(first, n + 1):
         for s in range(2 * n + 1, 2 * n + 5):
             for i in range(1, kk[r] - kk[r - 1] + 1):
                 args.append(t ** (i - 1) * ts[2 * r - 2] * ts[s - 1])
                 args.append(t ** (i - 1) * ts[2 * r - 1] * ts[s - 1])
+    return args
+
+
+def an_selberg_rhs(params: ParamSet) -> complex:
+    """Closed form of the rank-n torus integral."""
+    args = an_selberg_gamma_args(params.n, params.k, params.ts, params.t, params.c, 1)
     return elliptic_gamma_multi(args, params.nomes)
 
 
@@ -373,15 +378,6 @@ def vertex_pair_fn(t: complex, nomes: NomePair):
     return fn
 
 
-def dixon_pair_fn(nomes: NomePair):
-    pq = nomes.pq
-
-    def fn(w):
-        return elliptic_gamma(pq / w, nomes) * elliptic_gamma(pq * w, nomes)
-
-    return fn
-
-
 def edge_pair_fn(cval: complex, nomes: NomePair):
     def fn(w):
         return elliptic_gamma(cval * w, nomes) * elliptic_gamma(cval / w, nomes)
@@ -392,18 +388,12 @@ def edge_pair_fn(cval: complex, nomes: NomePair):
 @dataclass
 class IntegrandDescriptor:
     """Composable description of a BC-symmetric integrand: per-level
-    density factors plus arbitrary extra univariate/multivariate factors
-    (interpolation functions, kernels) keyed by level."""
+    density factors plus extra univariate factors (interpolation
+    functions, kernels) keyed by level."""
 
     params: ParamSet
-    dixon_levels: tuple[int, ...] = ()
     extra_unary: dict = field(default_factory=dict)  # level -> [fn(z)]
-    extra_blocks: list = field(default_factory=list)  # (level, fn(*cols))
     drop_vertex_params: dict = field(default_factory=dict)  # level -> indices
-    prefactor: complex = 1.0
-
-    def dimension_vector(self) -> tuple[int, ...]:
-        return self.params.k
 
     def build(self, pinned: ResidueTerm | None = None) -> TorusFactorizedIntegrand:
         """The torus integrand.  With pinned, the integrand of that
@@ -423,7 +413,7 @@ class IntegrandDescriptor:
 
         unary = []
         pairs = []
-        pref = complex(self.prefactor)
+        pref = 1.0 + 0.0j
         for r in range(1, n + 1):
             lvars = var_of_level[r - 1]
             if pinned is not None and r == pinned.level:
@@ -443,12 +433,8 @@ class IntegrandDescriptor:
             ts_r = list(params.vertex_params(r))
             for idx in sorted(self.drop_vertex_params.get(r, ()), reverse=True):
                 del ts_r[idx]
-            if r in set(self.dixon_levels):
-                ufn = dixon_unary_fn(ts_r, nomes)
-                pfn = dixon_pair_fn(nomes)
-            else:
-                ufn = vertex_unary_fn(ts_r, params.t, nomes)
-                pfn = vertex_pair_fn(params.t, nomes)
+            ufn = vertex_unary_fn(ts_r, params.t, nomes)
+            pfn = vertex_pair_fn(params.t, nomes)
             pref *= kappa(len(lvars), nomes)
             for v in lvars:
                 unary.append((v, ufn))
@@ -464,13 +450,7 @@ class IntegrandDescriptor:
                 for v in lvars:
                     unary.append((v, fn))
 
-        blocks = []
-        for level, fn in self.extra_blocks:
-            blocks.append((tuple(var_of_level[level - 1]), fn))
-
-        return TorusFactorizedIntegrand(
-            nvars=counter, unary=unary, pairs=pairs, blocks=blocks, prefactor=pref
-        )
+        return TorusFactorizedIntegrand(nvars=counter, unary=unary, pairs=pairs, prefactor=pref)
 
     def build_on(self, contour: Contour):
         """Integrand of the contour: the torus integrand alone, or an
@@ -486,20 +466,12 @@ class IntegrandDescriptor:
         2 residue_constant."""
         r = term.level
         params, nomes = self.params, self.params.nomes
-        if (
-            params.k[r - 1] != 1
-            or self.drop_vertex_params.get(r)
-            or self.extra_unary.get(r)
-            or any(level == r for level, _ in self.extra_blocks)
-        ):
+        if params.k[r - 1] != 1 or self.drop_vertex_params.get(r) or self.extra_unary.get(r):
             raise ValueError(
                 f"a residue term on level {r} needs one variable and no factor beyond the density"
             )
         rest = [v for i, v in enumerate(params.vertex_params(r)) if i != term.index]
-        if r in set(self.dixon_levels):
-            ufn = dixon_unary_fn(rest, nomes)
-        else:
-            ufn = vertex_unary_fn(rest, params.t, nomes)
+        ufn = vertex_unary_fn(rest, params.t, nomes)
         # ufn drops both Gamma(u z) and Gamma(u/z); Gamma(u z) stays in h.
         value = complex(ufn(np.array([term.base]))[0])
         value *= complex(elliptic_gamma(term.base**2, nomes))
@@ -507,7 +479,7 @@ class IntegrandDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility and sampling.
+# Feasibility.
 # ---------------------------------------------------------------------------
 
 
@@ -624,58 +596,3 @@ def contour_feasibility(params: ParamSet) -> Feasibility:
     if left:
         return Feasibility(False, left)
     return Feasibility(True, [], Contour(tuple(terms.values())))
-
-
-def sample_an_params(
-    n: int,
-    k: tuple[int, ...],
-    rng,
-    windows: dict | None = None,
-    accept=None,
-    cap: int = SAMPLER_CAP,
-) -> ParamSet:
-    """Rejection sampler: draw t, the four shared parameters and one
-    member of each vertex pair; the partner is solved from the balancing
-    relation; draws failing feasibility (or the extra accept hook) are
-    rejected up to the cap."""
-    w = {
-        "p": (0.15, 0.3),
-        "q": (0.15, 0.3),
-        "t": (0.2, 0.45),
-        "odd": (0.3, 0.6),
-        "shared": (0.3, 0.6),
-    }
-    if windows:
-        w.update(windows)
-
-    def draw(lohi):
-        lo, hi = lohi
-        return rng.uniform(lo, hi) * cmath.exp(2j * math.pi * rng.uniform())
-
-    kk = (0,) + tuple(k)
-    last = None
-    for _ in range(cap):
-        p, q, t = draw(w["p"]), draw(w["q"]), draw(w["t"])
-        shared = [draw(w["shared"]) for _ in range(4)]
-        ts: list[complex] = []
-        ok = True
-        for r in range(1, n + 1):
-            odd = draw(w["odd"])
-            expo = kk[r] - kk[r - 1] + kk[n] - 2
-            partner = p * q / (t**expo * odd * math.prod(shared))
-            ts.extend([odd, partner])
-        ts.extend(shared)
-        try:
-            params = ParamSet(n=n, k=tuple(k), p=p, q=q, t=t, ts=tuple(ts))
-        except (ValueError, BalancingError):
-            continue
-        last = params
-        if not feasibility_check(params).ok:
-            continue
-        if accept is not None and not accept(params):
-            continue
-        return params
-    raise InfeasibleError(
-        f"no torus-feasible draw for n={n}, k={k} after {cap} tries"
-        + (f" (last violations: {feasibility_check(last).violations[:3]})" if last else "")
-    )

@@ -32,6 +32,7 @@ from ellsel.densities import (
     IntegrandDescriptor,
     InfeasibleError,
     ParamSet,
+    an_selberg_gamma_args,
     an_selberg_rhs,
     contour_feasibility,
     feasibility_check,
@@ -184,7 +185,7 @@ def _unit(rng) -> complex:
     return cmath.exp(2j * math.pi * rng.uniform())
 
 
-def interp_b_window(mu: Bipartition, ctx: SymbolContext, margin=MARGIN):
+def interp_b_window(mu: Bipartition, ctx: SymbolContext):
     """Admissible modulus window for the pole-carrying parameter b of an
     interpolation factor living on a unit-circle variable: every inward
     pole tower member must stay below the margin."""
@@ -194,9 +195,9 @@ def interp_b_window(mu: Bipartition, ctx: SymbolContext, margin=MARGIN):
         # towers scale either like b (second kind) or like 1/b (first);
         # pole_map was called with b = 1 so the location is the scale.
         if "b^-1" in label:
-            lo = max(lo, abs(loc) / margin)
+            lo = max(lo, abs(loc) / MARGIN)
         else:
-            hi = min(hi, margin / abs(loc))
+            hi = min(hi, MARGIN / abs(loc))
     return lo, hi
 
 
@@ -260,8 +261,7 @@ def xselberg_rhs(
     """Closed form of the kernel-weighted rank-n integral; the history
     index k_0 enters only through d, which is passed explicitly."""
     t = ctx.t
-    kk = (0,) + tuple(ks)
-    k1, kn = ks[0], ks[-1]
+    kn = ks[-1]
     tau = ts[2 * n] * ts[2 * n + 1] * ts[2 * n + 2] / t**2
     a_m = t**kn * tau / ts[2 * n + 3]
     val = 1.0 + 0.0j
@@ -277,30 +277,7 @@ def xselberg_rhs(
             gargs += [cval ** (n - 1) * d * t * xi / ts[r - 1], cval ** (n - 1) * d * t / (xi * ts[r - 1])]
         for r in range(2 * n + 1, 2 * n + 5):
             gargs += [cval ** (n - 1) * d * ts[r - 1] * xi, cval ** (n - 1) * d * ts[r - 1] / xi]
-    for r in range(2, n + 1):
-        for i in range(1, kk[r] - kk[r - 1] + 1):
-            gargs.append(t**i)
-            gargs.append(t ** (i - 1) * cval ** (2 * r - 2 * n) * ts[2 * r - 2] * ts[2 * r - 1])
-    for r in range(2 * n + 1, 2 * n + 5):
-        for s in range(r + 1, 2 * n + 5):
-            for i in range(1, kn + 1):
-                gargs.append(t ** (i - 1) * ts[r - 1] * ts[s - 1])
-    for r in range(2, n + 1):
-        for s in range(r + 1, n + 1):
-            for i in range(1, kk[r] - kk[r - 1] + 1):
-                gargs += [
-                    t**i * ts[2 * r - 2] / ts[2 * s - 2],
-                    t**i * ts[2 * r - 1] / ts[2 * s - 2],
-                    t**i * ts[2 * r - 2] / ts[2 * s - 1],
-                    t**i * ts[2 * r - 1] / ts[2 * s - 1],
-                ]
-    for r in range(2, n + 1):
-        for s in range(2 * n + 1, 2 * n + 5):
-            for i in range(1, kk[r] - kk[r - 1] + 1):
-                gargs += [
-                    t ** (i - 1) * ts[2 * r - 2] * ts[s - 1],
-                    t ** (i - 1) * ts[2 * r - 1] * ts[s - 1],
-                ]
+    gargs += an_selberg_gamma_args(n, ks, ts, t, cval, 2)
     val *= elliptic_gamma_multi(gargs, ctx.nomes)
     return _mu_delta_tail(val, mu, a_m, tau, n, ks, ts, ctx)
 
@@ -796,7 +773,7 @@ def _window_for(windows: dict, key: str, index: int):
     return spec
 
 
-def _sample_an_paramset(
+def sample_an_params(
     n: int,
     k: tuple[int, ...],
     rng,
@@ -806,11 +783,14 @@ def _sample_an_paramset(
     cap: int = 400,
     corrected: bool = False,
 ) -> tuple[ParamSet, Contour]:
-    """Rank-n sampler with optional constraint t_(2n+2) t_(2n+3) = t;
-    returns the draw and its contour.  With corrected, a draw need only
-    be feasible on the residue-corrected contour; otherwise the contour
-    is the unit torus.  When no draw is accepted, the error names the
-    conditions the last draw violated."""
+    """Rank-n rejection sampler: draw p, q, t, the four shared parameters
+    and one member of each vertex pair, and solve the partner from the
+    balancing relation; returns the draw and its contour.  windows maps
+    "p", "q", "t", "odd" and "shared" to a modulus window, or to one
+    window per position.  hua imposes t_(2n+2) t_(2n+3) = t.  With
+    corrected, a draw need only be feasible on the residue-corrected
+    contour; otherwise the contour is the unit torus.  When no draw is
+    accepted, the error names the conditions the last draw violated."""
     check = contour_feasibility if corrected else feasibility_check
     kk = (0,) + tuple(k)
     last: list[str] = []
@@ -885,7 +865,7 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
         if n == 1:
             params, contour = _sample_rank1(k[0], rng), Contour()
         else:
-            params, contour = _sample_an_paramset(
+            params, contour = sample_an_params(
                 n, k, rng, windows, accept=tight, corrected=corrected
             )
     except InfeasibleError as exc:
@@ -1039,7 +1019,7 @@ def _sample_an_aflt(
                 "odd": [(0.6, 0.78), (0.1, 0.2)],
                 "shared": [(0.78, 0.86), (0.78, 0.86), (0.78, 0.86), (0.3, 0.44)],
             }
-            params, _ = _sample_an_paramset(2, k, rng, base, hua=hua, accept=accept)
+            params, _ = sample_an_params(2, k, rng, base, hua=hua, accept=accept)
     except InfeasibleError as exc:
         return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
     grid_n = cfg.grid_1d if n == 1 else cfg.grid_2d_aflt

@@ -26,18 +26,7 @@ from ellsel.binomials import BinomialQuery, TableCache, binomial
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi
 
-
-@dataclass
-class InterpSpec:
-    """Arguments of one interpolation-function evaluation."""
-
-    lam: Bipartition
-    a: complex
-    b: complex
-    ctx: SymbolContext
-    variables: tuple = ()
-    nu: Bipartition = ZERO
-    kind: str = "nonskew"  # nonskew | skew | hybrid
+TOWER_FLOOR = 1e-6
 
 
 def interp_nonskew(lam: Bipartition, xs, a, b, ctx: SymbolContext, cache: TableCache | None = None):
@@ -254,13 +243,8 @@ class PoleMap:
     inward: list = field(default_factory=list)  # (location, label)
     outward: list = field(default_factory=list)
 
-    def all_locations(self):
-        return [loc for loc, _ in self.inward] + [loc for loc, _ in self.outward]
 
-
-def pole_map(
-    mu: Bipartition, b: complex, ctx: SymbolContext, floor: float = 1e-6
-) -> PoleMap:
+def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> PoleMap:
     """Poles of R*_mu(..; a, b) (plain or hybrid) in each variable,
     under an integrand that also carries the univariate factor
     Gamma(b z^+-) (as all the densities here do).
@@ -272,7 +256,7 @@ def pole_map(
     one of the two theta-denominator zeros); the contour induced by the
     kernel derivation must enclose it, which no unit torus can do while
     keeping its reciprocal outside.  Towers are truncated once the shift
-    factor drops below floor."""
+    factor drops below TOWER_FLOOR."""
     p, q, t = ctx.p, ctx.q, ctx.t
     pm = PoleMap()
 
@@ -291,7 +275,7 @@ def pole_map(
             for ell in range(1, comp[j - 1] + 1):
                 for n in range(201):
                     shift = s ** (n + 1) * o**ell
-                    if abs(shift) < floor and n > 0:
+                    if abs(shift) < TOWER_FLOOR and n > 0:
                         break
                     loc = t ** (1 - j) / b * shift
                     label = f"{tag}: b^-1 t^(1-{j}) {s_name}^{n + 1} {o_name}^{ell}"
@@ -299,7 +283,7 @@ def pole_map(
                     pm.outward.append((1.0 / loc, label + " (reciprocal)"))
                 for n in range(201):
                     shift = s**n * o ** (-ell)
-                    if abs(shift) < floor and n > 0:
+                    if abs(shift) < TOWER_FLOOR and n > 0:
                         break
                     loc = b * t ** (j - 1) * shift
                     label = f"{tag}: b t^({j}-1) {s_name}^{n} {o_name}^-{ell}"

@@ -6,32 +6,19 @@ density on the unit circle)."""
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 
 from ellsel.core import elliptic_gamma, elliptic_gamma_multi
 from ellsel.densities import FEASIBILITY_MARGIN, dixon_unary_fn, kappa
 from ellsel.quadrature import GridSpec, TorusFactorizedIntegrand, integrate_torus
 from ellsel.symbols import SymbolContext
 
+# Largest relative difference kernel_k2 allows between the values on
+# the two branches of t^(1/2).
+BRANCH_TOL = 1e-9
+
 
 class ContourError(RuntimeError):
     """Inner contour of the branching rule is not torus-feasible."""
-
-
-@dataclass
-class KernelSpec:
-    cval: complex
-    x: tuple
-    y: tuple
-    ctx: SymbolContext
-    inner_grid: int = 128
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("kernel needs alphabets of equal length")
-        if len(self.x) > 2:
-            raise ValueError("direct evaluation is implemented for k <= 2")
 
 
 def kernel_k0() -> complex:
@@ -51,13 +38,11 @@ def kernel_k1(x1, y1, cval: complex, ctx: SymbolContext):
     return num / (elliptic_gamma(ctx.t, nomes) * elliptic_gamma(cval**2, nomes))
 
 
-def branching_pole_report(spec: KernelSpec, rt: complex) -> list[str]:
+def branching_pole_report(x, y, cval: complex, ctx: SymbolContext, rt: complex) -> list[str]:
     """Violations of the inner-contour conditions on the unit circle for
     the two-pair branching integral (the self-referential pq/t condition
     drops for a one-dimensional inner integral)."""
     hi = 1.0 - FEASIBILITY_MARGIN
-    c = spec.cval
-    x, y = spec.x, spec.y
     bad = []
 
     def check(val, label):
@@ -67,11 +52,11 @@ def branching_pole_report(spec: KernelSpec, rt: complex) -> list[str]:
     for i, xi in enumerate(x):
         check(rt * xi, f"t^(1/2) x{i + 1}")
         check(rt / xi, f"t^(1/2) / x{i + 1}")
-    check(c / rt * y[0], "c t^(-1/2) y1")
-    check(c / rt / y[0], "c t^(-1/2) / y1")
-    pq = spec.ctx.pq
-    check(pq * y[1] / (c * rt), "pq y2 / (c t^(1/2))")
-    check(pq / (y[1] * c * rt), "pq / (y2 c t^(1/2))")
+    check(cval / rt * y[0], "c t^(-1/2) y1")
+    check(cval / rt / y[0], "c t^(-1/2) / y1")
+    pq = ctx.pq
+    check(pq * y[1] / (cval * rt), "pq y2 / (c t^(1/2))")
+    check(pq / (y[1] * cval * rt), "pq / (y2 c t^(1/2))")
     return bad
 
 
@@ -82,7 +67,6 @@ def kernel_k2(
     ctx: SymbolContext,
     inner_grid: int = 128,
     check_branch: bool = True,
-    branch_tol: float = 1e-9,
 ) -> complex:
     """Two-pair kernel via the branching rule: a one-dimensional inner
     integral of the one-pair kernel against a six-parameter Dixon
@@ -99,7 +83,7 @@ def kernel_k2(
     if check_branch:
         other = _kernel_k2_branch(x, y, cval, ctx, -rt, inner_grid)
         rel = abs(val - other) / max(abs(val), 1e-300)
-        if rel > branch_tol:
+        if rel > BRANCH_TOL:
             raise AssertionError(
                 f"branching value depends on the t^(1/2) branch: rel diff {rel:.3g}"
             )
@@ -107,8 +91,7 @@ def kernel_k2(
 
 
 def _kernel_k2_branch(x, y, cval, ctx, rt, inner_grid) -> complex:
-    spec = KernelSpec(cval, tuple(x), tuple(y), ctx, inner_grid)
-    bad = branching_pole_report(spec, rt)
+    bad = branching_pole_report(x, y, cval, ctx, rt)
     if bad:
         raise ContourError("; ".join(bad))
     nomes = ctx.nomes

@@ -83,7 +83,7 @@ class QuadResult:
 class TorusFactorizedIntegrand:
     """Integrand of the form
 
-        prefactor * prod(unary) * prod(pair factors) * prod(blocks)
+        prefactor * prod(unary) * prod(pair factors)
 
     over nvars torus variables.  Pair factors between variables i and j
     are fn_prod(z_i z_j) * fn_ratio(z_i / z_j); on a shared uniform grid
@@ -95,7 +95,6 @@ class TorusFactorizedIntegrand:
     nvars: int
     unary: list = field(default_factory=list)  # (var, fn)
     pairs: list = field(default_factory=list)  # (vi, vj, fn_prod, fn_ratio)
-    blocks: list = field(default_factory=list)  # (vars tuple, fn(*columns))
     prefactor: complex = 1.0
 
     def values(self, n: int, phase: float) -> np.ndarray:
@@ -131,17 +130,6 @@ class TorusFactorizedIntegrand:
                 total *= mat.reshape(
                     tuple(n if k in axes else 1 for k in range(self.nvars))
                 )
-
-        for bvars, fn in self.blocks:
-            grids = np.meshgrid(*[z] * len(bvars), indexing="ij")
-            flat = fn(*[g.reshape(-1) for g in grids])
-            mat = np.asarray(flat, dtype=np.complex128).reshape((n,) * len(bvars))
-            expand = [1] * self.nvars
-            for bv in bvars:
-                expand[bv] = n
-            if list(bvars) != sorted(bvars):
-                mat = np.transpose(mat, axes=tuple(np.argsort(bvars)))
-            total *= mat.reshape(tuple(expand))
         return total
 
 

@@ -16,11 +16,11 @@ from ellsel.densities import (
     dixon_density,
     feasibility_check,
     kappa,
-    sample_an_params,
     selberg_average_normalizer,
     selberg_edge_density,
     selberg_vertex_density,
 )
+from ellsel.harness import sample_an_params
 from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
 
 NOMES = NomePair(0.15, 0.2)
@@ -168,7 +168,7 @@ class TestAnDensity:
 
     def test_n2_composition(self):
         rng = np.random.default_rng(7)
-        params = sample_an_params(2, (1, 1), rng, windows=N2_WINDOWS)
+        params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
         z1, z2 = (cmath.exp(0.8j),), (cmath.exp(2.0j),)
         lhs = an_density((z1, z2), params)
         rhs = (
@@ -180,7 +180,7 @@ class TestAnDensity:
 
     def test_descriptor_matches_point_density(self):
         rng = np.random.default_rng(8)
-        params = sample_an_params(2, (1, 1), rng, windows=N2_WINDOWS)
+        params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
         integrand = IntegrandDescriptor(params).build()
         n, phase = 8, 0.37
         tensor = integrand.values(n, phase)
@@ -199,6 +199,14 @@ N2_WINDOWS = {
     "t": (0.2, 0.3),
     "odd": (0.42, 0.55),
     "shared": (0.72, 0.8),
+}
+
+WIDE_WINDOWS = {
+    "p": (0.15, 0.3),
+    "q": (0.15, 0.3),
+    "t": (0.2, 0.45),
+    "odd": (0.3, 0.6),
+    "shared": (0.3, 0.6),
 }
 
 
@@ -247,7 +255,7 @@ class TestSampler:
     def test_n2_k11_feasible_draws(self):
         rng = np.random.default_rng(13)
         for _ in range(3):
-            params = sample_an_params(2, (1, 1), rng, windows=N2_WINDOWS)
+            params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
             assert feasibility_check(params).ok
             assert params.balancing_residual(1) < 1e-13
             assert params.balancing_residual(2) < 1e-13
@@ -260,4 +268,4 @@ class TestSampler:
 
         rng = np.random.default_rng(14)
         with pytest.raises(InfeasibleError):
-            sample_an_params(2, (1, 2), rng, cap=60)
+            sample_an_params(2, (1, 2), rng, WIDE_WINDOWS, cap=60)

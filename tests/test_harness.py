@@ -12,7 +12,7 @@ import pytest
 from ellsel.core import NomePair
 from ellsel.binomials import TableCache
 from ellsel.densities import ParamSet, an_selberg_rhs, selberg_average_normalizer
-from ellsel.cli import _load_config
+from ellsel.cli import _load_config, main
 from ellsel.harness import (
     FAMILIES,
     SUITES,
@@ -209,6 +209,15 @@ class TestReports:
         reports = run_suite("integrals-1d", 1, cfg)
         assert [r.id for r in reports] == sorted(r.id for r in reports)
         assert all(r.status == "pass" for r in reports)
+        serial = run_suite("integrals-1d", 1, HarnessConfig(threads=1))
+
+        def without_runtime(reps):
+            data = json.loads(reports_to_json(reps))
+            for rep in data:
+                del rep["runtime_ms"]
+            return data
+
+        assert without_runtime(reports) == without_runtime(serial)
 
 
 class TestParamSetRoundTrip:
@@ -378,6 +387,30 @@ class TestCli:
         assert res.returncode == 3
         assert f"family {family} takes no --shapes" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["verify", "--grid", "0"], "--grid"),
+            (["verify", "--grid", "1"], "--grid"),
+            (["verify", "--tol", "0"], "--tol"),
+            (["verify", "--tol", "-1"], "--tol"),
+            (["verify", "--seeds", "0"], "--seeds"),
+            (["verify", "--seeds", "-2"], "--seeds"),
+            (["case", "--family", "beta_k1", "--grid", "0"], "--grid"),
+            (["case", "--family", "beta_k1", "--tol", "0"], "--tol"),
+            (["convergence", "--family", "beta_k1", "--levels", "0"], "--levels"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_3(self, capsys, argv, flag):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be" in err
+
+    def test_tol_reaches_only_tol_1d_families(self):
+        cfg = HarnessConfig(tol_1d=1e-12)
+        assert sample_case("beta_k1", 0, cfg).tol == 1e-12
+        assert sample_case("vdBult", 0, cfg).tol == 1e-8
 
     def test_threads_flag_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("ELLSEL_THREADS", "2")

@@ -102,20 +102,6 @@ class TestFactorizedIntegrand:
         b = integrate_torus(direct, grid)
         assert abs(a.value - b.value) < 1e-13 * max(1.0, abs(b.value))
 
-    def test_block_factor(self):
-        def blk(z1, z2):
-            return np.exp(0.2 * z1 * z2)
-
-        fact = TorusFactorizedIntegrand(nvars=2, blocks=[((0, 1), blk)])
-
-        def direct(pts):
-            return np.exp(0.2 * pts[:, 0] * pts[:, 1])
-
-        grid = GridSpec((16, 16), phase_offset=0.4)
-        a = integrate_torus(fact, grid)
-        b = integrate_torus(direct, grid)
-        assert abs(a.value - b.value) < 1e-14
-
     def test_nonfinite_sample_reported(self):
         def f(pts):
             vals = np.ones(len(pts), dtype=complex)
