@@ -43,8 +43,8 @@ TOL_HELP = (
 )
 
 # Smallest accepted value of each integer flag: a smaller one would run
-# no case or an unusable grid.
-FLAG_MINIMA = {"grid": 2, "seeds": 1, "levels": 1}
+# no case, an unusable grid or no worker.
+FLAG_MINIMA = {"grid": 2, "seeds": 1, "levels": 1, "threads": 1}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,6 +130,8 @@ def _load_config(args) -> HarnessConfig:
         cfg.threads = threads
     elif env_threads is not None:
         cfg.threads = int(env_threads)
+        if cfg.threads < 1:
+            raise ValueError(f"ELLSEL_THREADS must be at least 1, got {env_threads}")
     return cfg
 
 

@@ -7,6 +7,13 @@ threshold away from poles and zeros.  Arguments of any magnitude are
 reduced into a safe annulus with the quasi-periodicity of theta and the
 shift equation Gamma(q*z) = theta_p(z) * Gamma(z) before a series is
 summed, so no special care is needed at the call sites.
+
+theta multiplies its truncated product as one table of factors per
+block of points, reduced down the term axis, so a call costs a fixed
+number of numpy passes whatever the nome: callers pass a few dozen
+points at a time, where per-pass overhead, not arithmetic, is the cost.
+The table is capped at THETA_TABLE_ENTRIES entries, so long arrays
+stream through it in blocks and memory does not grow with the call.
 """
 
 from __future__ import annotations
@@ -23,6 +30,9 @@ DEFAULT_EPS_TAIL = 1e-17
 # of the elliptic gamma function.  Double precision cannot resolve
 # closer approaches, so callers needing those must cancel upstream.
 POLE_EXCLUSION = 1e-10
+
+# Largest factor table theta builds at once, in complex entries (512 KiB).
+THETA_TABLE_ENTRIES = 1 << 15
 
 
 class DomainError(ValueError):
@@ -68,6 +78,11 @@ def theta(z, p: complex, eps_tail: float = DEFAULT_EPS_TAIL):
     """Modified theta function (z;p)_inf (p/z;p)_inf.
 
     Quasi-periodic: theta(p*z) = -theta(z)/z.  Accepts scalar or array z.
+    z is reduced into the annulus |p|^(1/2) <= |w| <= |p|^(-1/2), where
+    nterms factors (1 - p^k w)(1 - p^(k+1)/w) reach the tail threshold.
+    They are evaluated as an (nterms, block) table and multiplied down
+    axis 0, with block = THETA_TABLE_ENTRIES // nterms points at a time,
+    so the table stays bounded when one call passes thousands of points.
     """
     if abs(p) >= 1.0:
         raise DomainError(f"theta requires |p| < 1, got |p|={abs(p):.4g}")
@@ -94,25 +109,25 @@ def theta(z, p: complex, eps_tail: float = DEFAULT_EPS_TAIL):
         nterms += 1
     nterms += 1  # guard term
 
-    result = np.ones_like(w)
-    pk = 1.0 + 0.0j
-    for _ in range(nterms):
-        result *= (1.0 - w * pk) * (1.0 - p * pk / w)
-        pk *= p
-    result *= pref
+    pk = (p ** np.arange(nterms))[:, None]
+    ppk = p * pk
+    flat = w.reshape(-1)
+    result = np.empty_like(flat)
+    block = max(1, THETA_TABLE_ENTRIES // nterms)
+    for lo in range(0, flat.size, block):
+        wb = flat[lo : lo + block]
+        table = 1.0 - pk * wb
+        table *= 1.0 - ppk * (1.0 / wb)
+        result[lo : lo + block] = table.prod(axis=0)
+    result = result.reshape(w.shape) * pref
     return complex(result) if scalar else result
 
 
 def _series_coefficients(p: complex, q: complex, nterms: int) -> np.ndarray:
     """Coefficients 1/(m (1-p^m)(1-q^m)) for m = 1..nterms."""
-    coeffs = np.empty(nterms + 1, dtype=np.complex128)
-    coeffs[0] = 0.0
-    pm = 1.0 + 0.0j
-    qm = 1.0 + 0.0j
-    for m in range(1, nterms + 1):
-        pm *= p
-        qm *= q
-        coeffs[m] = 1.0 / (m * (1.0 - pm) * (1.0 - qm))
+    m = np.arange(1, nterms + 1)
+    coeffs = np.zeros(nterms + 1, dtype=np.complex128)
+    coeffs[1:] = 1.0 / (m * (1.0 - p**m) * (1.0 - q**m))
     return coeffs
 
 

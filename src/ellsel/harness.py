@@ -1649,6 +1649,8 @@ class HarnessConfig:
             kinds = int if types[key] == "int" else (int, float)
             if isinstance(val, bool) or not isinstance(val, kinds):
                 raise ValueError(f"config key {key} must be {types[key]}, got {val!r}")
+        if data.get("threads", 1) < 1:
+            raise ValueError(f"config key threads must be at least 1, got {data['threads']}")
         return cls(**data)
 
 

@@ -113,3 +113,40 @@ def delta0_product(parts, a: complex, bs, base: complex, nome: complex, t: compl
         num = cell_symbol_product(parts, b, base, nome, t)
         result *= num / cell_symbol_product(parts, base * nome * a / b, base, nome, t)
     return result
+
+
+def theta_mp(z: complex, p: complex, dps: int = 40) -> complex:
+    """theta(z; p) as (z;p)_inf (p/z;p)_inf, both q-Pochhammer symbols
+    evaluated by mpmath at dps significant digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z, p = mpmath.mpc(z), mpmath.mpc(p)
+        return complex(mpmath.qp(z, p) * mpmath.qp(p / z, p))
+
+
+def gamma_mp(z: complex, p: complex, q: complex, dps: int = 40, eps: float = 1e-20) -> complex:
+    """Elliptic gamma by the literal double product
+    prod_{i,j>=0} (1 - p^(i+1) q^(j+1) / z) / (1 - p^i q^j z) at dps digits,
+    truncated over the index set {(i,j): |p^i q^j| * max(|z|, 1/|z|) >= eps}.
+    The dropped factors move the value by at most
+    2 eps (rows + 1/(1-|p|)) / (1-|q|), below 1e-15 for |p|, |q| <= 0.9."""
+    import mpmath
+
+    cut = eps / max(abs(z), 1 / abs(z))
+    ap, aq = abs(p), abs(q)
+    with mpmath.workdps(dps):
+        z, p, q = mpmath.mpc(z), mpmath.mpc(p), mpmath.mpc(q)
+        pq_z = p * q / z
+        num = den = mpmath.mpc(1)
+        pi, api = mpmath.mpc(1), 1.0
+        while api >= cut:
+            w, aw = pi, api
+            while aw >= cut:
+                num *= 1 - pq_z * w
+                den *= 1 - w * z
+                w *= q
+                aw *= aq
+            pi *= p
+            api *= ap
+        return complex(num / den)

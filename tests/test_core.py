@@ -4,8 +4,11 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellsel.core import (
+    THETA_TABLE_ENTRIES,
     DomainError,
     NomePair,
     PoleError,
@@ -14,11 +17,38 @@ from ellsel.core import (
     elliptic_shifted_factorial,
     theta,
 )
-from oracles import gamma_double_product, theta_product
+from oracles import gamma_double_product, gamma_mp, theta_mp, theta_product
 
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+def _complex(modulus):
+    return st.builds(
+        lambda r, phase: r * cmath.exp(2j * cmath.pi * phase),
+        modulus,
+        st.floats(0.0, 1.0),
+    )
+
+
+# |z| in e^-6 .. e^6 with any phase: a dozen or more annuli at the larger nomes
+_far_z = st.builds(
+    lambda logr, phase: cmath.exp(logr + 2j * cmath.pi * phase),
+    st.floats(-6.0, 6.0),
+    st.floats(0.0, 1.0),
+)
+
+
+def _well_conditioned(f, z, cond=100.0, h=1e-7):
+    """f changes by at most cond * h under a relative change h of z, and
+    its value is a normal float: away from zeros and poles, where rounding
+    of the argument alone decides the value, and away from over/underflow."""
+    try:
+        val, moved = f(z), f(z * (1 + h))
+    except PoleError:
+        return False
+    return 1e-250 < abs(val) < 1e250 and abs(moved / val - 1) <= cond * h
 
 
 class TestTheta:
@@ -66,6 +96,67 @@ class TestTheta:
             theta(0.0, 0.1)
         with pytest.raises(DomainError):
             theta(0.5, 1.2)
+
+    def test_zero_nome_is_one_minus_z(self):
+        zs = np.array([0.5, 2.0 + 1.0j, -3.0j])
+        assert np.array_equal(theta(zs, 0.0), 1.0 - zs)
+        val = theta(0.5 + 0.5j, 0)
+        assert type(val) is complex and val == 0.5 - 0.5j
+
+
+class TestThetaBlocks:
+    """Arrays longer than one factor table are evaluated block by block."""
+
+    P = 0.9 * cmath.exp(0.7j)
+    # |p| = 0.9 needs over 300 product factors, so a block holds fewer
+    # than THETA_TABLE_ENTRIES // 300 points and this many span three.
+    NPTS = 2 * (THETA_TABLE_ENTRIES // 300) + 3
+
+    def points(self, seed):
+        rng = np.random.default_rng(seed)
+        return np.exp(rng.uniform(-1.5, 1.5, self.NPTS) + 2j * np.pi * rng.uniform(size=self.NPTS))
+
+    def test_long_array_matches_scalars(self):
+        zs = self.points(0)
+        vals = theta(zs, self.P)
+        for z, v in zip(zs, vals):
+            assert rel_err(v, theta(complex(z), self.P)) <= 1e-13
+
+    def test_cell_stack_keeps_shape(self):
+        stack = self.points(1)[: 3 * 4 * 18].reshape(3, 4, 18)
+        vals = theta(stack, self.P)
+        assert vals.shape == (3, 4, 18)
+        assert np.array_equal(vals, theta(stack.ravel(), self.P).reshape(3, 4, 18))
+
+    def test_exact_zero_past_first_block(self):
+        zs = self.points(2)
+        mid = self.NPTS - 2
+        zs[mid] = 1.0
+        vals = theta(zs, self.P)
+        assert vals[mid] == 0
+        assert np.count_nonzero(vals) == self.NPTS - 1
+
+
+class TestMpmathOracles:
+    """40-digit mpmath oracles from the literal definitions, over |p|, |q|
+    up to 0.9 with complex phases and |z| across e^-6 .. e^6.  Draws where
+    the function is ill-conditioned or leaves the normal float range are
+    rejected: there the double-precision argument alone limits accuracy."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(p=_complex(st.floats(0.05, 0.9)), z=_far_z)
+    def test_theta(self, p, z):
+        pytest.importorskip("mpmath")
+        assume(_well_conditioned(lambda x: theta(x, p), z))
+        assert rel_err(theta(z, p), theta_mp(z, p)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(p=_complex(st.floats(0.05, 0.9)), q=_complex(st.floats(0.05, 0.9)), z=_far_z)
+    def test_elliptic_gamma(self, p, q, z):
+        pytest.importorskip("mpmath")
+        nomes = NomePair(p, q)
+        assume(_well_conditioned(lambda x: elliptic_gamma(x, nomes), z))
+        assert rel_err(elliptic_gamma(z, nomes), gamma_mp(z, p, q)) <= 1e-12
 
 
 class TestEllipticGamma:

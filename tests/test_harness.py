@@ -372,6 +372,8 @@ class TestCli:
         [
             ({"grid_1d": 128, "eps_tail": 1e-13}, "unknown config keys eps_tail"),
             ({"grid_1d": "128"}, "config key grid_1d must be int"),
+            ({"threads": 0}, "config key threads must be at least 1, got 0"),
+            ({"threads": -2}, "config key threads must be at least 1, got -2"),
         ],
     )
     def test_bad_config_exit_3(self, tmp_path, config, message):
@@ -400,12 +402,20 @@ class TestCli:
             (["case", "--family", "beta_k1", "--grid", "0"], "--grid"),
             (["case", "--family", "beta_k1", "--tol", "0"], "--tol"),
             (["convergence", "--family", "beta_k1", "--levels", "0"], "--levels"),
+            (["verify", "--threads", "0"], "--threads"),
+            (["verify", "--threads", "-1"], "--threads"),
         ],
     )
     def test_bad_numeric_flag_exit_3(self, capsys, argv, flag):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"error: {flag} must be" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_env_below_one_exit_3(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("ELLSEL_THREADS", value)
+        assert main(["verify", "--suite", "algebraic", "--seeds", "1"]) == 3
+        assert f"error: ELLSEL_THREADS must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_tol_reaches_only_tol_1d_families(self):
         cfg = HarnessConfig(tol_1d=1e-12)
