@@ -26,6 +26,11 @@ COND_CAP = 1e8
 MAX_RESAMPLE = 5
 OVERSAMPLE = 2
 HOLDOUT = 5
+# Largest term-cancellation ratio (total term magnitude over the result)
+# at which jackson_check accepts a (c, d) draw as generic.
+MAX_CANCELLATION = 1e3
+# Draws jackson_check and draw_generic_ab try before settling.
+GENERIC_TRIES = 60
 
 
 class ConditioningError(ArithmeticError):
@@ -184,35 +189,33 @@ class TableCache:
         return table
 
 
-@dataclass
-class BinomialQuery:
-    lam: Bipartition
-    mu: Bipartition
-    a: complex
-    b: complex
-    ctx: SymbolContext
-    bracket: tuple = ()
-
-
-def binomial(query: BinomialQuery, cache: TableCache | None = None) -> complex:
-    """Bracketed elliptic binomial <lam over mu>_[a,b](v1..vk).
+def binomial(
+    lam: Bipartition,
+    mu: Bipartition,
+    a: complex,
+    b: complex,
+    ctx: SymbolContext,
+    cache: TableCache | None = None,
+    bracket: tuple = (),
+) -> complex:
+    """Bracketed elliptic binomial <lam over mu>_[a,b](v1..vk), with the
+    bracket variables v1..vk; unbracketed when bracket is empty.
 
     Zero whenever mu is not contained in lam; exactly the Kronecker
     delta at b = 1.
     """
-    lam, mu = query.lam, query.mu
     if not lam.contains(mu):
         return 0.0
-    if query.b == 1:
+    if b == 1:
         # the bracketed coefficient trivialises outright: the bracket
         # ratio is identically one at b = 1, so skip it for exactness
         return 1.0 if lam == mu else 0.0
     cache = cache if cache is not None else TableCache()
-    base = cache.get(lam, query.a, query.b, query.ctx)[mu]
-    if not query.bracket or base == 0.0:
+    base = cache.get(lam, a, b, ctx)[mu]
+    if not bracket or base == 0.0:
         return base
-    num = delta0_bi(lam, query.a, list(query.bracket), query.ctx)
-    den = delta0_bi(mu, query.a / query.b, list(query.bracket), query.ctx)
+    num = delta0_bi(lam, a, list(bracket), ctx)
+    den = delta0_bi(mu, a / b, list(bracket), ctx)
     return base * num / den
 
 
@@ -245,11 +248,11 @@ def _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache):
         if not mu.contains(nu):
             continue
         term = delta0_bi(mu, a / b, [d, e], ctx)
-        term *= binomial(BinomialQuery(lam, mu, a, b, ctx), cache)
-        term *= binomial(BinomialQuery(mu, nu, a / b, c / b, ctx), cache)
+        term *= binomial(lam, mu, a, b, ctx, cache)
+        term *= binomial(mu, nu, a / b, c / b, ctx, cache)
         lhs += term
         total += abs(term)
-    rhs = binomial(BinomialQuery(lam, nu, a, c, ctx, bracket=(b * d, b * e)), cache)
+    rhs = binomial(lam, nu, a, c, ctx, cache, bracket=(b * d, b * e))
     residual = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     ratio = total / max(abs(rhs), 1e-300)
     return residual, ratio
@@ -263,37 +266,33 @@ def jackson_check(
     ctx: SymbolContext,
     rng,
     cache: TableCache | None = None,
-    max_ratio: float = 1e3,
-    tries: int = 60,
 ) -> float:
     """Jackson residual at a generically positioned (c, d) pair.
 
     Draws are rejected while the term-cancellation ratio exceeds
-    max_ratio: the identity is exact, but double precision cannot
+    MAX_CANCELLATION: the identity is exact, but double precision cannot
     witness it through arbitrarily violent cancellation, and such draws
     are exactly the non-generic ones the theory excludes anyway.
     """
     cache = cache if cache is not None else TableCache()
     best = math.inf
-    for _ in range(tries):
+    for _ in range(GENERIC_TRIES):
         c, d = _draw_pair(rng)
         res, ratio = _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache)
-        if ratio <= max_ratio:
+        if ratio <= MAX_CANCELLATION:
             return res
         best = min(best, res)
     return best
 
 
-def draw_generic_ab(
-    lam: Bipartition, ctx: SymbolContext, rng, tries: int = 60
-) -> tuple[complex, complex]:
+def draw_generic_ab(lam: Bipartition, ctx: SymbolContext, rng) -> tuple[complex, complex]:
     """Draw (a, b) with both table endpoints at a generic magnitude.
 
     A per-box geometric mean outside [1e-2, 1e2] signals proximity to a
     vanishing locus, where relative tolerances become meaningless."""
     boxes = max(lam.size, 1)
     a = b = 0.5 + 0.0j
-    for _ in range(tries):
+    for _ in range(GENERIC_TRIES):
         a, b = _draw_pair(rng)
         z = abs(endpoint_zero(lam, a, b, ctx)) ** (1.0 / boxes)
         f = abs(endpoint_full(lam, a, b, ctx)) ** (1.0 / boxes)

@@ -209,7 +209,7 @@ def _cmd_eval(args) -> int:
         nomes = NomePair(_parse_complex(kv["p"]), _parse_complex(kv["q"]))
         print(elliptic_gamma(_parse_complex(kv["z"]), nomes))
         return 0
-    from ellsel.binomials import BinomialQuery, binomial
+    from ellsel.binomials import binomial
     from ellsel.interpolation import interp_nonskew
     from ellsel.symbols import SymbolContext
 
@@ -218,14 +218,15 @@ def _cmd_eval(args) -> int:
         _parse_complex(kv["t"]),
     )
     if args.fn == "binomial":
-        query = BinomialQuery(
-            parse_bipartition(kv["lam"]),
-            parse_bipartition(kv["mu"]),
-            _parse_complex(kv["a"]),
-            _parse_complex(kv["b"]),
-            ctx,
+        print(
+            binomial(
+                parse_bipartition(kv["lam"]),
+                parse_bipartition(kv["mu"]),
+                _parse_complex(kv["a"]),
+                _parse_complex(kv["b"]),
+                ctx,
+            )
         )
-        print(binomial(query))
         return 0
     xs = tuple(_parse_complex(tok) for tok in kv["x"].split(";"))
     val = interp_nonskew(

@@ -2,8 +2,8 @@
 shifted factorials.
 
 All evaluators accept either Python complex scalars or numpy arrays of
-complex values and are exact to roughly 100x the configured tail
-threshold away from poles and zeros.  Arguments of any magnitude are
+complex values and are exact to roughly 100x the tail threshold
+EPS_TAIL away from poles and zeros.  Arguments of any magnitude are
 reduced into a safe annulus with the quasi-periodicity of theta and the
 shift equation Gamma(q*z) = theta_p(z) * Gamma(z) before a series is
 summed, so no special care is needed at the call sites.
@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_EPS_TAIL = 1e-17
+# Modulus below which a term of an infinite product or series counts as
+# negligible and the truncation stops.
+EPS_TAIL = 1e-17
 
 # Relative distance below which an argument counts as sitting on a pole
 # of the elliptic gamma function.  Double precision cannot resolve
@@ -45,12 +47,10 @@ class PoleError(ArithmeticError):
 
 @dataclass(frozen=True)
 class NomePair:
-    """The pair of nomes (p, q) with |p|, |q| < 1 plus the tail threshold
-    used to truncate infinite products/series."""
+    """The pair of nomes (p, q) with |p|, |q| < 1."""
 
     p: complex
     q: complex
-    eps_tail: float = DEFAULT_EPS_TAIL
 
     def __post_init__(self):
         if abs(self.p) >= 1.0 or abs(self.q) >= 1.0:
@@ -58,15 +58,13 @@ class NomePair:
                 f"nomes must satisfy |p|,|q| < 1, got |p|={abs(self.p):.4g}, "
                 f"|q|={abs(self.q):.4g}"
             )
-        if not (0.0 < self.eps_tail <= 1e-12):
-            raise DomainError(f"eps_tail must lie in (0, 1e-12], got {self.eps_tail}")
 
     @property
     def pq(self) -> complex:
         return self.p * self.q
 
     def swapped(self) -> "NomePair":
-        return NomePair(self.q, self.p, self.eps_tail)
+        return NomePair(self.q, self.p)
 
 
 def _as_complex_array(z):
@@ -74,7 +72,7 @@ def _as_complex_array(z):
     return arr, (arr.ndim == 0)
 
 
-def theta(z, p: complex, eps_tail: float = DEFAULT_EPS_TAIL):
+def theta(z, p: complex):
     """Modified theta function (z;p)_inf (p/z;p)_inf.
 
     Quasi-periodic: theta(p*z) = -theta(z)/z.  Accepts scalar or array z.
@@ -105,7 +103,7 @@ def theta(z, p: complex, eps_tail: float = DEFAULT_EPS_TAIL):
 
     wmax = max(float(np.max(np.abs(w))), float(np.max(1.0 / np.abs(w))))
     nterms = 1
-    while abs(p) ** nterms * wmax >= eps_tail:
+    while abs(p) ** nterms * wmax >= EPS_TAIL:
         nterms += 1
     nterms += 1  # guard term
 
@@ -141,7 +139,7 @@ def _log_gamma_annulus(w: np.ndarray, nomes: NomePair) -> np.ndarray:
     rate = max(float(np.max(np.abs(w))), float(np.max(np.abs(u))))
     if rate >= 0.995:
         raise DomainError("gamma series argument too close to the unit circle")
-    nterms = max(8, int(math.log(nomes.eps_tail) / math.log(rate)) + 2)
+    nterms = max(8, int(math.log(EPS_TAIL) / math.log(rate)) + 2)
     coeffs = _series_coefficients(nomes.p, nomes.q, nterms)
     total = np.zeros_like(w)
     wm = np.ones_like(w)
@@ -211,12 +209,12 @@ def _log_gamma(z, nomes: NomePair):
         mask = m > j
         if np.any(mask):
             args = np.where(mask, w * step**j, 0.5)
-            logg = logg + np.where(mask, _safe_log(theta(args, other, nomes.eps_tail)), 0.0)
+            logg = logg + np.where(mask, _safe_log(theta(args, other)), 0.0)
     for j in range(1, -mmin + 1):
         mask = -m >= j
         if np.any(mask):
             args = np.where(mask, w * step ** (-j), 0.5)
-            logg = logg - np.where(mask, _safe_log(theta(args, other, nomes.eps_tail)), 0.0)
+            logg = logg - np.where(mask, _safe_log(theta(args, other)), 0.0)
     return (complex(logg) if scalar else logg), scalar
 
 
@@ -277,13 +275,13 @@ def elliptic_shifted_factorial(z: complex, n: int, nomes: NomePair) -> complex:
     return val
 
 
-def qpochhammer_inf(a: complex, q: complex, eps_tail: float = DEFAULT_EPS_TAIL) -> complex:
-    """(a;q)_inf truncated when |a q^k| falls below eps_tail."""
+def qpochhammer_inf(a: complex, q: complex) -> complex:
+    """(a;q)_inf truncated when |a q^k| falls below EPS_TAIL."""
     if abs(q) >= 1.0:
         raise DomainError("qpochhammer_inf requires |q| < 1")
     result = 1.0 + 0.0j
     term = complex(a)
-    while abs(term) >= eps_tail:
+    while abs(term) >= EPS_TAIL:
         result *= 1.0 - term
         term *= q
     result *= 1.0 - term  # guard term

@@ -26,6 +26,9 @@ from ellsel.core import (
 from ellsel.quadrature import IntegrandSum, TorusFactorizedIntegrand
 
 FEASIBILITY_MARGIN = 0.05
+# Modulus every inward pole of an integrand on the unit torus must stay
+# below.
+INWARD_CAP = 1.0 - FEASIBILITY_MARGIN
 
 
 class BalancingError(ValueError):
@@ -36,12 +39,15 @@ class InfeasibleError(RuntimeError):
     """No feasible parameter draw found."""
 
 
+def _pp_qq(nomes: NomePair) -> complex:
+    """(p;p)_inf (q;q)_inf."""
+    return qpochhammer_inf(nomes.p, nomes.p) * qpochhammer_inf(nomes.q, nomes.q)
+
+
 def kappa(k: int, nomes: NomePair) -> complex:
     """(p;p)_inf^k (q;q)_inf^k / (2^k k!), the torus-measure constant
     with the (2 pi i)^-k factor folded into the quadrature weight."""
-    pp = qpochhammer_inf(nomes.p, nomes.p, nomes.eps_tail)
-    qq = qpochhammer_inf(nomes.q, nomes.q, nomes.eps_tail)
-    return (pp * qq) ** k / (2**k * math.factorial(k))
+    return _pp_qq(nomes) ** k / (2**k * math.factorial(k))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +292,7 @@ def an_selberg_rhs(params: ParamSet) -> complex:
 
 def residue_constant(nomes: NomePair) -> complex:
     """lim_{x->1} (1 - x) Gamma(x; p, q) = 1 / ((p;p)_inf (q;q)_inf)."""
-    pp = qpochhammer_inf(nomes.p, nomes.p, nomes.eps_tail)
-    qq = qpochhammer_inf(nomes.q, nomes.q, nomes.eps_tail)
-    return 1.0 / (pp * qq)
+    return 1.0 / _pp_qq(nomes)
 
 
 @dataclass(frozen=True)
@@ -329,39 +333,35 @@ class Contour:
 # ---------------------------------------------------------------------------
 
 
-def vertex_unary_fn(ts, t: complex, nomes: NomePair):
-    """Univariate part of the vertex density: Gamma(t) prod_r
-    Gamma(t_r z^+-) / Gamma(z^+-2), vectorised over z.
+def _unary_fn(ts, head: complex, nomes: NomePair):
+    """head prod_r Gamma(t_r z^+-) / Gamma(z^+-2), vectorised over z.
 
     The reciprocal gammas are evaluated through the reflection formula
     1/Gamma(w) = Gamma(pq/w), which turns the would-be poles at grid
     coincidences into the exact zeros they really are."""
-    gamma_t = elliptic_gamma(t, nomes)
     params = tuple(ts)
     pq = nomes.pq
 
     def fn(z):
-        num = np.full_like(z, gamma_t, dtype=np.complex128)
+        num = np.full_like(z, head, dtype=np.complex128)
         for tr in params:
             num *= elliptic_gamma(tr * z, nomes) * elliptic_gamma(tr / z, nomes)
         num *= elliptic_gamma(pq / z**2, nomes) * elliptic_gamma(pq * z**2, nomes)
         return num
 
     return fn
+
+
+def vertex_unary_fn(ts, t: complex, nomes: NomePair):
+    """Univariate part of the vertex density: Gamma(t) prod_r
+    Gamma(t_r z^+-) / Gamma(z^+-2), vectorised over z."""
+    return _unary_fn(ts, elliptic_gamma(t, nomes), nomes)
 
 
 def dixon_unary_fn(ts, nomes: NomePair):
-    params = tuple(ts)
-    pq = nomes.pq
-
-    def fn(z):
-        num = np.ones_like(z, dtype=np.complex128)
-        for tr in params:
-            num *= elliptic_gamma(tr * z, nomes) * elliptic_gamma(tr / z, nomes)
-        num *= elliptic_gamma(pq / z**2, nomes) * elliptic_gamma(pq * z**2, nomes)
-        return num
-
-    return fn
+    """Univariate part of the Dixon density: the vertex factor without
+    Gamma(t)."""
+    return _unary_fn(ts, 1.0, nomes)
 
 
 def vertex_pair_fn(t: complex, nomes: NomePair):
@@ -490,21 +490,30 @@ class Feasibility:
     contour: Contour = field(default_factory=Contour)
 
 
-def _tower_violations(params: ParamSet, extra_poles=(), pinned: ResidueTerm | None = None):
+def margin_violations(poles) -> list[str]:
+    """A message for each (value, label) pair whose modulus is at least
+    INWARD_CAP: the value, an inward pole of a unit-torus integrand,
+    sits in or beyond the margin band around the circle."""
+    bad = []
+    for value, label in poles:
+        if abs(value) >= INWARD_CAP:
+            bad.append(f"{label}: |{value:.4g}| = {abs(value):.4g} >= {INWARD_CAP}")
+    return bad
+
+
+def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
     """(message, tower) per violated condition, where tower is the
     (level, index) of a vertex parameter and None otherwise.  With
     pinned, the conditions of that residue term's integrand: its level
     has no variable left, and each neighbouring level with variables
     carries the towers c u and c / u."""
-    delta = FEASIBILITY_MARGIN
-    hi = 1.0 - delta
-    lo = 1.0 + delta
+    lo = 1.0 + FEASIBILITY_MARGIN
     nomes = params.nomes
     violations = []
 
     def require_inside(value, label, tower=None):
-        if abs(value) >= hi:
-            violations.append((f"{label}: |{value:.4g}| = {abs(value):.4g} >= {hi}", tower))
+        for text in margin_violations(((value, label),)):
+            violations.append((text, tower))
 
     def require_outside(value, label, tower=None):
         if abs(value) <= lo:
@@ -527,23 +536,17 @@ def _tower_violations(params: ParamSet, extra_poles=(), pinned: ResidueTerm | No
                 label = f"edge r={r} parameter {name}"
                 require_inside(base, label)
                 require_outside(1.0 / base, label + " (reciprocal)")
-    for loc, label in extra_poles:
-        if abs(loc) < 1.0:
-            require_inside(loc, label)
-        else:
-            require_outside(loc, label)
     return violations
 
 
-def feasibility_check(params: ParamSet, extra_poles=()) -> Feasibility:
-    """Torus feasibility with margin: every inward pole sequence must
-    stay inside modulus 1 - delta and every reciprocal outside 1 + delta,
-    with all contours the unit circle.  Only tower bases need checking:
-    the p^i q^j shifts move members strictly inward.
-
-    extra_poles: iterable of (location, label) pairs for integrand
-    factors beyond the density (interpolation functions, kernels)."""
-    violations = [text for text, _ in _tower_violations(params, extra_poles)]
+def feasibility_check(params: ParamSet) -> Feasibility:
+    """Torus feasibility of the density with margin: every inward pole
+    sequence must stay inside modulus 1 - delta and every reciprocal
+    outside 1 + delta, with all contours the unit circle.  Only tower
+    bases need checking: the p^i q^j shifts move members strictly
+    inward.  Factors beyond the density (interpolation functions,
+    kernels) are checked by their callers with margin_violations."""
+    violations = [text for text, _ in _tower_violations(params)]
     return Feasibility(not violations, violations)
 
 
@@ -558,7 +561,7 @@ def _residue_obstruction(params: ParamSet, level: int, index: int) -> str:
     if abs(u) <= lo:
         return f"base within the margin band, |u| <= {lo}"
     for name, nome in (("p", params.p), ("q", params.q)):
-        if abs(u * nome) >= 1.0 - FEASIBILITY_MARGIN:
+        if margin_violations([(u * nome, name)]):
             return f"its {name}-shift crosses too, |u {name}| = {abs(u * nome):.4g}"
     return ""
 

@@ -24,10 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from ellsel.binomials import BinomialQuery, TableCache, binomial, jackson_check
+from ellsel.binomials import TableCache, binomial, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
-    FEASIBILITY_MARGIN,
+    INWARD_CAP,
     Contour,
     IntegrandDescriptor,
     InfeasibleError,
@@ -37,6 +37,7 @@ from ellsel.densities import (
     contour_feasibility,
     feasibility_check,
     kappa,
+    margin_violations,
     selberg_average_normalizer,
     vertex_unary_fn,
 )
@@ -63,8 +64,6 @@ from ellsel.quadrature import (
     integrate_adaptive,
 )
 from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
-
-MARGIN = 1.0 - FEASIBILITY_MARGIN
 
 
 @dataclass
@@ -189,15 +188,14 @@ def interp_b_window(mu: Bipartition, ctx: SymbolContext):
     """Admissible modulus window for the pole-carrying parameter b of an
     interpolation factor living on a unit-circle variable: every inward
     pole tower member must stay below the margin."""
-    pm = pole_map(mu, 1.0 + 0.0j, ctx)
     lo, hi = 0.0, math.inf
-    for loc, label in pm.inward:
+    for loc, label in pole_map(mu, 1.0 + 0.0j, ctx):
         # towers scale either like b (second kind) or like 1/b (first);
         # pole_map was called with b = 1 so the location is the scale.
         if "b^-1" in label:
-            lo = max(lo, abs(loc) / MARGIN)
+            lo = max(lo, abs(loc) / INWARD_CAP)
         else:
-            hi = min(hi, MARGIN / abs(loc))
+            hi = min(hi, INWARD_CAP / abs(loc))
     return lo, hi
 
 
@@ -205,21 +203,6 @@ def _draw_in_window(rng, lo, hi) -> complex | None:
     if lo >= hi:
         return None
     return _draw(rng, lo, hi)
-
-
-def _margins_ok(values) -> list[str]:
-    """values: iterable of (complex, label); each must have modulus
-    below the margin (inward) -- reciprocals are implied."""
-    bad = []
-    for val, label in values:
-        if abs(val) >= MARGIN:
-            bad.append(f"{label}: modulus {abs(val):.4g} >= {MARGIN}")
-    return bad
-
-
-def _interp_pole_entries(mu: Bipartition, b: complex, ctx: SymbolContext):
-    pm = pole_map(mu, b, ctx)
-    return [(loc, label) for loc, label in pm.inward]
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +454,8 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
             (t4, "t4"),
             (c, "c x^+-"),
         ]
-        checks += _interp_pole_entries(mu, t2, ctx)
-        bad = _margins_ok(checks)
+        checks += pole_map(mu, t2, ctx)
+        bad = margin_violations(checks)
         if bad:
             reason = bad[0]
             continue
@@ -533,7 +516,7 @@ def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> Identit
             (c, "c x^+-"),
             (d, "d y^+-"),
         ]
-        if _margins_ok(checks):
+        if margin_violations(checks):
             continue
         return _one_dim_case(
             f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8,
@@ -618,8 +601,8 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
         c = cmath.sqrt(p * q / (t1 * t2 * t3 * t4))
         x1 = _unit(rng)
         checks = [(t, "t"), (t1, "t1"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (c, "c x^+-")]
-        checks += _interp_pole_entries(mu, t2, ctx)
-        if abs(c) < 0.1 or _margins_ok(checks):
+        checks += pole_map(mu, t2, ctx)
+        if abs(c) < 0.1 or margin_violations(checks):
             continue
         return _one_dim_case(
             f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8,
@@ -684,8 +667,8 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
         c = cmath.sqrt(p * q / (t2 * t3 * t4 * t5))
         x1 = _unit(rng)
         checks = [(t, "t"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (c, "c x^+-")]
-        checks += _interp_pole_entries(mu, t2, ctx)
-        if abs(c) < 0.1 or _margins_ok(checks):
+        checks += pole_map(mu, t2, ctx)
+        if abs(c) < 0.1 or margin_violations(checks):
             continue
         return _one_dim_case(
             f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8,
@@ -721,7 +704,7 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     for nu in sub_bipartitions(mu):
-        coeff = binomial(BinomialQuery(mu, nu, t1 / t2, c**2, ctx, bracket=bracket), cache)
+        coeff = binomial(mu, nu, t1 / t2, c**2, ctx, cache, bracket=bracket)
         if coeff == 0.0:
             continue
         total += coeff * interp_nonskew(nu, (x1,), t1 / c, c * t2, ctx, cache)
@@ -969,9 +952,8 @@ def _an_interp_accept(lam, mu, n):
     def accept(params: ParamSet) -> bool:
         ctx = SymbolContext(params.nomes, params.t)
         b_lam = params.c ** (1 - n) * params.ts[1]
-        entries = _interp_pole_entries(lam, b_lam, ctx)
-        entries += _interp_pole_entries(mu, params.ts[2 * n + 3], ctx)
-        return not _margins_ok(entries)
+        poles = pole_map(lam, b_lam, ctx) + pole_map(mu, params.ts[2 * n + 3], ctx)
+        return not margin_violations(poles)
 
     return accept
 
@@ -1112,8 +1094,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             t2 = d**2 * t**k0 / t1
             x1 = _unit(rng)
             checks = [(t, "t"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (d, "d x^+-")]
-            checks += _interp_pole_entries(mu, t6, ctx)
-            if abs(d) < 0.1 or _margins_ok(checks):
+            checks += pole_map(mu, t6, ctx)
+            if abs(d) < 0.1 or margin_violations(checks):
                 continue
             return _one_dim_case(
                 f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "prop_xselberg_base", seed, cfg, 1e-6,
@@ -1152,8 +1134,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (t7, "t7"), (t8, "t8"),
             (d, "d x^+-"), (c * d, "c d (recursed kernel)"),
         ]
-        checks += _interp_pole_entries(mu, t8, ctx)
-        if abs(d) < 0.08 or _margins_ok(checks):
+        checks += pole_map(mu, t8, ctx)
+        if abs(d) < 0.08 or margin_violations(checks):
             continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
         return IdentityCase(
@@ -1254,10 +1236,10 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
             (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (t7, "t7"), (t8, "t8"),
             (t1, "t1 (rank-one side)"), (t2, "t2 (rank-one side)"),
         ]
-        checks += _interp_pole_entries(lam, b_lam_level, ctx)
-        checks += _interp_pole_entries(lam, t2, ctx)
-        checks += _interp_pole_entries(mu, t8, ctx)
-        if not (lo2 <= abs(t2) <= hi2) or _margins_ok(checks):
+        checks += pole_map(lam, b_lam_level, ctx)
+        checks += pole_map(lam, t2, ctx)
+        checks += pole_map(mu, t8, ctx)
+        if not (lo2 <= abs(t2) <= hi2) or margin_violations(checks):
             continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
         try:
@@ -1430,7 +1412,7 @@ def algebraic_checks(seed: int) -> list[tuple[str, float, float]]:
     out.append(("binomial_table_residual", table.residual, 1e-9))
 
     mu_b1 = sub_bipartitions(lam)[1]
-    b1 = binomial(BinomialQuery(lam, mu_b1, ga, 1.0, ctx, bracket=(0.5,)), cache)
+    b1 = binomial(lam, mu_b1, ga, 1.0, ctx, cache, bracket=(0.5,))
     out.append(("binomial_b1_delta", abs(b1 - (1.0 if mu_b1 == lam else 0.0)), 0.0))
 
     tab_t = cache.get(lam, ga, ctx.t, ctx)
@@ -1466,16 +1448,13 @@ def algebraic_checks(seed: int) -> list[tuple[str, float, float]]:
     # cancellation ratio bounded so double precision can witness the
     # identity (same policy as the Jackson checks).
     for _ in range(40):
-        res, ratio = branching_residual(
-            lam2, ZERO, vs, w, _draw(rng, 0.4, 0.9), a, b, ctx, cache, with_ratio=True
-        )
+        res, ratio = branching_residual(lam2, ZERO, vs, w, _draw(rng, 0.4, 0.9), a, b, ctx, cache)
         if ratio <= 50:
             break
     out.append(("skew_branching", res, 1e-8))
     for _ in range(40):
         res, ratio = hybrid_branching_residual(
-            lam2, (_unit(rng),), _draw(rng, 0.4, 0.9), _draw(rng, 0.4, 0.9), a, b, ctx, cache,
-            with_ratio=True,
+            lam2, (_unit(rng),), _draw(rng, 0.4, 0.9), _draw(rng, 0.4, 0.9), a, b, ctx, cache
         )
         if ratio <= 50:
             break
@@ -1649,8 +1628,13 @@ class HarnessConfig:
             kinds = int if types[key] == "int" else (int, float)
             if isinstance(val, bool) or not isinstance(val, kinds):
                 raise ValueError(f"config key {key} must be {types[key]}, got {val!r}")
-        if data.get("threads", 1) < 1:
-            raise ValueError(f"config key threads must be at least 1, got {data['threads']}")
+            if key.startswith("tol_"):
+                if not (math.isfinite(val) and val > 0):
+                    raise ValueError(f"config key {key} must be positive and finite, got {val}")
+                continue
+            low = 2 if key.startswith("grid_") else 1
+            if val < low:
+                raise ValueError(f"config key {key} must be at least {low}, got {val}")
         return cls(**data)
 
 

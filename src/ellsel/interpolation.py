@@ -18,11 +18,10 @@ which is what the quadrature grids rely on.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ellsel.binomials import BinomialQuery, TableCache, binomial
+from ellsel.binomials import TableCache, binomial
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi
 
@@ -49,7 +48,7 @@ def interp_nonskew(lam: Bipartition, xs, a, b, ctx: SymbolContext, cache: TableC
         args.append(pq / (t * b * np.asarray(x)))
     total = 0.0
     for mu in sub_bipartitions(lam):
-        coeff = binomial(BinomialQuery(lam, mu, big_a, big_b, ctx, bracket=(w0,)), cache)
+        coeff = binomial(lam, mu, big_a, big_b, ctx, cache, bracket=(w0,))
         if coeff == 0.0:
             continue
         total = total + coeff * delta0_bi(mu, pq / (t * b**2), args, ctx)
@@ -87,12 +86,10 @@ def interp_skew(
     for mu in sub_bipartitions(lam):
         if not mu.contains(nu):
             continue
-        outer = binomial(BinomialQuery(lam, mu, a / b, a * b / pq, ctx), cache)
+        outer = binomial(lam, mu, a / b, a * b / pq, ctx, cache)
         if outer == 0.0:
             continue
-        inner = binomial(
-            BinomialQuery(mu, nu, pq / b**2, pq * V / (a * b), ctx), cache
-        )
+        inner = binomial(mu, nu, pq / b**2, pq * V / (a * b), ctx, cache)
         if inner == 0.0:
             continue
         total = total + delta0_bi(mu, pq / b**2, args, ctx) * outer * inner
@@ -107,13 +104,12 @@ def interp_hybrid(
     b,
     ctx: SymbolContext,
     cache: TableCache | None = None,
-    branch: int = +1,
     check_branch: bool = False,
 ):
     """Hybrid interpolation function R*_lam(x_1..x_k; v_1..v_2l; a, b).
 
-    branch picks the square root of t; the value is branch independent,
-    which check_branch asserts by evaluating both."""
+    Evaluated on the principal square root of t; the value is branch
+    independent, which check_branch asserts by evaluating both."""
     if len(vs) % 2 != 0:
         raise ValueError("hybrid variables come in pairs")
     cache = cache if cache is not None else TableCache()
@@ -122,11 +118,10 @@ def interp_hybrid(
     vprod = 1.0 + 0.0j
     for v in vs:
         vprod *= complex(v)
-    val = _hybrid_branch(lam, xs, vs, a, b, ctx, cache, branch * cmath.sqrt(t), vprod, k, ell)
+    rt = cmath.sqrt(t)
+    val = _hybrid_branch(lam, xs, vs, a, b, ctx, cache, rt, vprod, k, ell)
     if check_branch:
-        other = _hybrid_branch(
-            lam, xs, vs, a, b, ctx, cache, -branch * cmath.sqrt(t), vprod, k, ell
-        )
+        other = _hybrid_branch(lam, xs, vs, a, b, ctx, cache, -rt, vprod, k, ell)
         scale = max(float(np.max(np.abs(np.asarray(val)))), 1e-300)
         diff = float(np.max(np.abs(np.asarray(val) - np.asarray(other))))
         if diff > 1e-8 * scale:
@@ -162,14 +157,12 @@ def branching_residual(
     b: complex,
     ctx: SymbolContext,
     cache: TableCache | None = None,
-    with_ratio: bool = False,
-):
-    """Relative residual of the skew branching rule: peeling the pair
+) -> tuple[float, float]:
+    """(residual, ratio) of the skew branching rule: peeling the pair
     (w1, w2) off the bracket list equals a binomial-weighted sum of skew
-    values at the shifted parameter a/(w1 w2).
-
-    with_ratio also returns the cancellation ratio (total term magnitude
-    over the result), the measure of how much precision survives."""
+    values at the shifted parameter a/(w1 w2).  residual is relative;
+    ratio is the cancellation ratio (total term magnitude over the
+    result), the measure of how much precision survives."""
     cache = cache if cache is not None else TableCache()
     lhs = interp_skew(lam, nu, tuple(vs) + (w1, w2), a, b, ctx, cache)
     rhs = 0.0
@@ -177,19 +170,14 @@ def branching_residual(
     for mu in sub_bipartitions(lam):
         if not mu.contains(nu):
             continue
-        coeff = binomial(
-            BinomialQuery(lam, mu, a / b, w1 * w2, ctx, bracket=(a / w1, a / w2)), cache
-        )
+        coeff = binomial(lam, mu, a / b, w1 * w2, ctx, cache, bracket=(a / w1, a / w2))
         if coeff == 0.0:
             continue
         term = coeff * interp_skew(mu, nu, vs, a / (w1 * w2), b, ctx, cache)
         rhs += term
         total += abs(term)
     scale = max(abs(rhs), abs(lhs), 1e-300)
-    residual = abs(lhs - rhs) / scale
-    if with_ratio:
-        return residual, total / scale
-    return residual
+    return abs(lhs - rhs) / scale, total / scale
 
 
 def hybrid_branching_residual(
@@ -201,10 +189,10 @@ def hybrid_branching_residual(
     b: complex,
     ctx: SymbolContext,
     cache: TableCache | None = None,
-    with_ratio: bool = False,
-):
-    """Relative residual of the hybrid branching rule: R*_lam(x; v1, v2;
-    a t, b) expands over binomials times plain R*_mu(x; a/(v1 v2), b)."""
+) -> tuple[float, float]:
+    """(residual, ratio) of the hybrid branching rule, as for
+    branching_residual: R*_lam(x; v1, v2; a t, b) expands over binomials
+    times plain R*_mu(x; a/(v1 v2), b)."""
     cache = cache if cache is not None else TableCache()
     k = len(xs)
     t, pq = ctx.t, ctx.pq
@@ -213,15 +201,13 @@ def hybrid_branching_residual(
     total = 0.0
     for mu in sub_bipartitions(lam):
         coeff = binomial(
-            BinomialQuery(
-                lam,
-                mu,
-                t**k * a / b,
-                t * v1 * v2,
-                ctx,
-                bracket=(t**k * a / v1, t**k * a / v2, pq * a / (t * b * v1 * v2)),
-            ),
+            lam,
+            mu,
+            t**k * a / b,
+            t * v1 * v2,
+            ctx,
             cache,
+            bracket=(t**k * a / v1, t**k * a / v2, pq * a / (t * b * v1 * v2)),
         )
         if coeff == 0.0:
             continue
@@ -229,25 +215,16 @@ def hybrid_branching_residual(
         rhs += term
         total += abs(term)
     scale = max(abs(rhs), abs(lhs), 1e-300)
-    residual = abs(lhs - rhs) / scale
-    if with_ratio:
-        return residual, total / scale
-    return residual
+    return abs(lhs - rhs) / scale, total / scale
 
 
-@dataclass
-class PoleMap:
-    """Pole locations of an interpolation factor in each variable:
-    sequences converging to zero plus their diverging reciprocals."""
-
-    inward: list = field(default_factory=list)  # (location, label)
-    outward: list = field(default_factory=list)
-
-
-def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> PoleMap:
-    """Poles of R*_mu(..; a, b) (plain or hybrid) in each variable,
-    under an integrand that also carries the univariate factor
-    Gamma(b z^+-) (as all the densities here do).
+def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
+    """Inward poles of R*_mu(..; a, b) (plain or hybrid) in each
+    variable, as (location, label) pairs, under an integrand that also
+    carries the univariate factor Gamma(b z^+-) (as all the densities
+    here do).  The reciprocal of each inward pole is a pole too, so the
+    unit circle separates the two families when every inward pole lies
+    inside it.
 
     Component 1 contributes b^-1 t^(1-j) q^(N+1) p^l and b t^(j-1) q^N p^-l
     towers (l up to the row length); component 2 swaps p and q.  Rows
@@ -258,15 +235,14 @@ def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> PoleMap:
     keeping its reciprocal outside.  Towers are truncated once the shift
     factor drops below TOWER_FLOOR."""
     p, q, t = ctx.p, ctx.q, ctx.t
-    pm = PoleMap()
+    inward = []
 
     for i in range(1, min(mu.first.length, mu.second.length) + 1):
         for l1 in range(1, mu.first[i - 1] + 1):
             for l2 in range(1, mu.second[i - 1] + 1):
                 loc = b * t ** (i - 1) * p ** (-l1) * q ** (-l2)
                 label = f"cross row {i}: b t^({i}-1) p^-{l1} q^-{l2}"
-                pm.inward.append((loc, label))
-                pm.outward.append((1.0 / loc, label + " (reciprocal)"))
+                inward.append((loc, label))
 
     def add_towers(comp, s, o, s_name, o_name, tag):
         # s climbs the tower (powers N, N+1, ...); o carries the finite
@@ -279,17 +255,15 @@ def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> PoleMap:
                         break
                     loc = t ** (1 - j) / b * shift
                     label = f"{tag}: b^-1 t^(1-{j}) {s_name}^{n + 1} {o_name}^{ell}"
-                    pm.inward.append((loc, label))
-                    pm.outward.append((1.0 / loc, label + " (reciprocal)"))
+                    inward.append((loc, label))
                 for n in range(201):
                     shift = s**n * o ** (-ell)
                     if abs(shift) < TOWER_FLOOR and n > 0:
                         break
                     loc = b * t ** (j - 1) * shift
                     label = f"{tag}: b t^({j}-1) {s_name}^{n} {o_name}^-{ell}"
-                    pm.inward.append((loc, label))
-                    pm.outward.append((1.0 / loc, label + " (reciprocal)"))
+                    inward.append((loc, label))
 
     add_towers(mu.first, q, p, "q", "p", "comp1")
     add_towers(mu.second, p, q, "p", "q", "comp2")
-    return pm
+    return inward

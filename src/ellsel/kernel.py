@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 
 from ellsel.core import elliptic_gamma, elliptic_gamma_multi
-from ellsel.densities import FEASIBILITY_MARGIN, dixon_unary_fn, kappa
+from ellsel.densities import dixon_unary_fn, kappa, margin_violations
 from ellsel.quadrature import GridSpec, TorusFactorizedIntegrand, integrate_torus
 from ellsel.symbols import SymbolContext
 
@@ -42,22 +42,16 @@ def branching_pole_report(x, y, cval: complex, ctx: SymbolContext, rt: complex) 
     """Violations of the inner-contour conditions on the unit circle for
     the two-pair branching integral (the self-referential pq/t condition
     drops for a one-dimensional inner integral)."""
-    hi = 1.0 - FEASIBILITY_MARGIN
-    bad = []
-
-    def check(val, label):
-        if abs(val) >= hi:
-            bad.append(f"{label}: modulus {abs(val):.4g} >= {hi}")
-
+    poles = []
     for i, xi in enumerate(x):
-        check(rt * xi, f"t^(1/2) x{i + 1}")
-        check(rt / xi, f"t^(1/2) / x{i + 1}")
-    check(cval / rt * y[0], "c t^(-1/2) y1")
-    check(cval / rt / y[0], "c t^(-1/2) / y1")
+        poles += [(rt * xi, f"t^(1/2) x{i + 1}"), (rt / xi, f"t^(1/2) / x{i + 1}")]
+    poles += [(cval / rt * y[0], "c t^(-1/2) y1"), (cval / rt / y[0], "c t^(-1/2) / y1")]
     pq = ctx.pq
-    check(pq * y[1] / (cval * rt), "pq y2 / (c t^(1/2))")
-    check(pq / (y[1] * cval * rt), "pq / (y2 c t^(1/2))")
-    return bad
+    poles += [
+        (pq * y[1] / (cval * rt), "pq y2 / (c t^(1/2))"),
+        (pq / (y[1] * cval * rt), "pq / (y2 c t^(1/2))"),
+    ]
+    return margin_violations(poles)
 
 
 def kernel_k2(

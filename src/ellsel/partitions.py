@@ -161,10 +161,6 @@ def parse_bipartition(text: str) -> Bipartition:
     return Bipartition(parse_partition(left), parse_partition(right))
 
 
-def format_bipartition(bp: Bipartition) -> str:
-    return str(bp)
-
-
 def spectral_vector(lam: Bipartition, n: int, t: complex, p: complex, q: complex):
     """Spectral vector with entries p^lam1_i q^lam2_i t^(n-i), i = 1..n."""
     if lam.max_length > n:

@@ -39,17 +39,16 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-dimension point counts plus the common phase offset.
+    """Per-dimension point counts; every circle is sampled at a phase
+    offset of a quarter step of the first dimension.
 
-    The default offset of a quarter grid step avoids sampling exactly at
-    z = 1 (where several densities have removable structure) AND keeps
-    the subgrid error estimate alive: at a half-step offset the N vs N/2
-    difference vanishes identically for every integrand with the
-    inversion symmetry c_m = c_(-m), which all BC-symmetric densities
-    have."""
+    That offset avoids sampling exactly at z = 1 (where several densities
+    have removable structure) AND keeps the subgrid error estimate alive:
+    at a half-step offset the N vs N/2 difference vanishes identically
+    for every integrand with the inversion symmetry c_m = c_(-m), which
+    all BC-symmetric densities have."""
 
     dims: tuple[int, ...]
-    phase_offset: float | None = None
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -62,12 +61,10 @@ class GridSpec:
 
     @property
     def phase(self) -> float:
-        if self.phase_offset is not None:
-            return self.phase_offset
         return 0.5 * math.pi / self.dims[0]
 
     def doubled(self) -> "GridSpec":
-        return GridSpec(tuple(2 * n for n in self.dims), self.phase_offset, self.budget)
+        return GridSpec(tuple(2 * n for n in self.dims), self.budget)
 
 
 @dataclass
@@ -160,9 +157,7 @@ def _integrate_sum(f: IntegrandSum, grid: GridSpec) -> QuadResult:
             value += complex(part.prefactor)
             evals += 1
             continue
-        res = integrate_torus(
-            part, GridSpec(grid.dims[: part.nvars], grid.phase_offset, grid.budget)
-        )
+        res = integrate_torus(part, GridSpec(grid.dims[: part.nvars], grid.budget))
         value += res.value
         abs_err += res.doubling_estimate * abs(res.value)
         evals += res.evals
@@ -185,7 +180,7 @@ def integrate_torus(f, grid: GridSpec) -> QuadResult:
     """Trapezoid approximation of (1/(2 pi i))^d times the contour
     integral of f over the product of unit circles with measure dz/z.
 
-    Deterministic for a fixed grid and offset: summation is numpy's
+    Deterministic for a fixed grid: summation is numpy's
     pairwise reduction over a fixed-shape tensor, independent of any
     thread count.
     """
@@ -230,10 +225,9 @@ def integrate_adaptive(
     target_rel or the budget is hit; the best result is returned either
     way, flagged when the budget ran out.
 
-    An explicit phase offset is honoured at every level; the default
-    offset re-resolves per level so the subgrid estimator never lands on
-    its symmetric blind spot."""
-    grid = GridSpec(start.dims, start.phase_offset, max_budget)
+    Each level samples at its own quarter-step offset, so the subgrid
+    estimator never lands on its symmetric blind spot."""
+    grid = GridSpec(start.dims, max_budget)
     total_evals = 0
     t0 = time.perf_counter()
     while True:
@@ -245,7 +239,7 @@ def integrate_adaptive(
         if math.prod(next_dims) > max_budget:
             result.budget_exhausted = True
             break
-        grid = GridSpec(next_dims, grid.phase_offset, max_budget)
+        grid = GridSpec(next_dims, max_budget)
     result.evals = total_evals
     result.runtime_ms = int((time.perf_counter() - t0) * 1000)
     return result

@@ -65,7 +65,7 @@ def _cell_thetas(lam: Partition, z, ctx: SymbolContext, series: str, exponents=_
     if not cells:  # no theta factors to evaluate
         return args
     try:
-        return theta(args, nome, ctx.nomes.eps_tail)
+        return theta(args, nome)
     except DomainError as exc:  # a zero argument: name its first cell
         zero = np.any((args == 0).reshape(len(cells), z.size), axis=1)
         i, j = cells[int(np.argmax(zero))]

@@ -7,7 +7,6 @@ import pytest
 
 from ellsel.core import NomePair
 from ellsel.binomials import (
-    BinomialQuery,
     TableCache,
     binomial,
     draw_generic_ab,
@@ -71,13 +70,13 @@ class TestBinomialOp:
     def test_b_equals_one_is_delta(self):
         lam = Bipartition.of((2,), (1,))
         for mu in sub_bipartitions(lam):
-            val = binomial(BinomialQuery(lam, mu, 0.45, 1.0, CTX, bracket=(0.7,)))
+            val = binomial(lam, mu, 0.45, 1.0, CTX, bracket=(0.7,))
             assert val == (1.0 if mu == lam else 0.0)
 
     def test_triangularity_exact(self):
         lam = Bipartition.of((1,), (1,))
         mu = Bipartition.of((2,), ())
-        assert binomial(BinomialQuery(lam, mu, 0.4, 0.6, CTX)) == 0.0
+        assert binomial(lam, mu, 0.4, 0.6, CTX) == 0.0
 
     def test_strip_vanishing_at_b_t(self):
         # b = t kills every mu that is not a componentwise strip of lam.
@@ -101,8 +100,8 @@ class TestBinomialOp:
         a, b, w, v = rand_c(rng), rand_c(rng), rand_c(rng), rand_c(rng)
         cache = TableCache()
         pair = (v, w, CTX.pq * a / (b * w))
-        lhs = binomial(BinomialQuery(lam, mu, a, b, CTX, bracket=pair), cache)
-        base = binomial(BinomialQuery(lam, mu, a, b, CTX, bracket=(v,)), cache)
+        lhs = binomial(lam, mu, a, b, CTX, cache, bracket=pair)
+        base = binomial(lam, mu, a, b, CTX, cache, bracket=(v,))
         ratio = delta0_bi(lam, a, [w], CTX) / delta0_bi(lam, a, [b * w], CTX)
         assert rel_err(lhs, base * ratio) < 1e-9
 
@@ -154,11 +153,7 @@ class TestMatrixInverse:
         m2 = np.zeros((n, n), dtype=complex)
         for i, lam_i in enumerate(subs):
             for j, mu_j in enumerate(subs):
-                m1[i, j] = binomial(
-                    BinomialQuery(lam_i, mu_j, a / b, a * b / pq, CTX), cache
-                )
-                m2[i, j] = binomial(
-                    BinomialQuery(lam_i, mu_j, pq / b**2, pq / (a * b), CTX), cache
-                )
+                m1[i, j] = binomial(lam_i, mu_j, a / b, a * b / pq, CTX, cache)
+                m2[i, j] = binomial(lam_i, mu_j, pq / b**2, pq / (a * b), CTX, cache)
         prod = m1 @ m2
         assert np.max(np.abs(prod - np.eye(n))) < 1e-8

@@ -16,6 +16,7 @@ from ellsel.densities import (
     dixon_density,
     feasibility_check,
     kappa,
+    margin_violations,
     selberg_average_normalizer,
     selberg_edge_density,
     selberg_vertex_density,
@@ -137,14 +138,12 @@ class TestParamSet:
         assert abs(params.c**2 - params.p * params.q / params.t) < 1e-15
 
     def test_infeasible_draw_diagnosed(self):
-        params = make_balanced_n1(seed=5)
-        # An outward pole inside the 1 + delta margin must be flagged.
-        bad = feasibility_check(params, extra_poles=[(1.02 + 0j, "test pole")])
-        assert not bad.ok
-        assert any("test pole" in v for v in bad.violations)
-        # A vertex parameter pushed past 1 - delta must also be flagged.
-        wide = feasibility_check(params, extra_poles=[(0.97 + 0j, "inward pole")])
-        assert any("inward pole" in v for v in wide.violations)
+        # Poles of factors beyond the density go through margin_violations:
+        # an inward pole in the margin band or across the circle is named.
+        poles = [(0.97 + 0j, "inward pole"), (1.02 + 0j, "test pole"), (0.9 + 0j, "clear pole")]
+        bad = margin_violations(poles)
+        assert len(bad) == 2
+        assert "inward pole" in bad[0] and "test pole" in bad[1]
 
     def test_large_vertex_parameter_named_in_diagnostics(self):
         # Scale t1 past the unit circle (and t2 inversely, preserving the

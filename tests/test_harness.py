@@ -3,6 +3,7 @@ chains, report schema, reproducibility and the CLI."""
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -234,6 +235,7 @@ class TestCli:
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
 
     def test_list(self):
@@ -374,6 +376,12 @@ class TestCli:
             ({"grid_1d": "128"}, "config key grid_1d must be int"),
             ({"threads": 0}, "config key threads must be at least 1, got 0"),
             ({"threads": -2}, "config key threads must be at least 1, got -2"),
+            ({"tol_1d": -1}, "config key tol_1d must be positive and finite, got -1"),
+            ({"tol_2d": 0}, "config key tol_2d must be positive and finite, got 0"),
+            ({"tol_3d": float("inf")}, "config key tol_3d must be positive and finite, got inf"),
+            ({"tol_1d": float("nan")}, "config key tol_1d must be positive and finite, got nan"),
+            ({"grid_2d": 1}, "config key grid_2d must be at least 2, got 1"),
+            ({"grid_1d": 0}, "config key grid_1d must be at least 2, got 0"),
         ],
     )
     def test_bad_config_exit_3(self, tmp_path, config, message):

@@ -8,7 +8,6 @@ from ellsel.partitions import (
     Bipartition,
     Partition,
     bipartition_strip,
-    format_bipartition,
     horizontal_strip,
     parse_bipartition,
     spectral_vector,
@@ -115,7 +114,7 @@ class TestBipartition:
 
     def test_text_roundtrip(self):
         for text in ("2,1|1", "0|0", "3|0", "0|1,1"):
-            assert format_bipartition(parse_bipartition(text)) == text
+            assert str(parse_bipartition(text)) == text
 
     def test_strip_componentwise(self):
         lam = Bipartition.of((2,), (1,))

@@ -36,7 +36,7 @@ class TestLaurentExactness:
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
-        grid = GridSpec((64,), phase_offset=0.3)
+        grid = GridSpec((64,))
 
         def f(pts):
             z = pts[:, 0]
@@ -97,7 +97,7 @@ class TestFactorizedIntegrand:
             z1, z2 = pts[:, 0], pts[:, 1]
             return 2.0 * g(z1) * g(z2) * h(z1 * z2) * h(z1 / z2)
 
-        grid = GridSpec((32, 32), phase_offset=0.17)
+        grid = GridSpec((32, 32))
         a = integrate_torus(fact, grid)
         b = integrate_torus(direct, grid)
         assert abs(a.value - b.value) < 1e-13 * max(1.0, abs(b.value))
