@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -111,8 +112,8 @@ def _check_flags(args):
         if val is not None and val < low:
             raise ValueError(f"--{name} must be at least {low}, got {val}")
     tol = getattr(args, "tol", None)
-    if tol is not None and not tol > 0:
-        raise ValueError(f"--tol must be positive, got {tol}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
 
 
 def _load_config(args) -> HarnessConfig:

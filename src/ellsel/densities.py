@@ -60,7 +60,8 @@ def _gamma_pm(a, z, nomes):
     return elliptic_gamma(a * z, nomes) * elliptic_gamma(a / z, nomes)
 
 
-def _gamma_pm2(a, z, w, nomes):
+def gamma_pm2(a, z, w, nomes):
+    """Gamma(a z^+- w^+-); z or w may be an array."""
     return (
         elliptic_gamma(a * z * w, nomes)
         * elliptic_gamma(a * z / w, nomes)
@@ -75,7 +76,7 @@ def selberg_vertex_density(z, ts, t: complex, nomes: NomePair) -> complex:
     val = kappa(k, nomes)
     for i in range(k):
         for j in range(i + 1, k):
-            val *= _gamma_pm2(t, z[i], z[j], nomes) / _gamma_pm2(1.0, z[i], z[j], nomes)
+            val *= gamma_pm2(t, z[i], z[j], nomes) / gamma_pm2(1.0, z[i], z[j], nomes)
     gamma_t = elliptic_gamma(t, nomes)
     for zi in z:
         num = gamma_t
@@ -92,7 +93,7 @@ def dixon_density(z, ts, nomes: NomePair) -> complex:
     val = kappa(k, nomes)
     for i in range(k):
         for j in range(i + 1, k):
-            val /= _gamma_pm2(1.0, z[i], z[j], nomes)
+            val /= gamma_pm2(1.0, z[i], z[j], nomes)
     for zi in z:
         num = 1.0
         for tr in ts:
@@ -107,7 +108,7 @@ def selberg_edge_density(z, w, cval: complex, nomes: NomePair) -> complex:
     val = 1.0
     for zi in z:
         for wj in w:
-            val *= _gamma_pm2(cval, zi, wj, nomes)
+            val *= gamma_pm2(cval, zi, wj, nomes)
     return val
 
 
@@ -440,12 +441,12 @@ class IntegrandDescriptor:
                 unary.append((v, ufn))
             for i, vi in enumerate(lvars):
                 for vj in lvars[i + 1 :]:
-                    pairs.append((vi, vj, pfn, pfn))
+                    pairs.append((vi, vj, pfn))
             if r < n and var_of_level[r]:
                 efn = edge_pair_fn(params.c, nomes)
                 for vi in lvars:
                     for vj in var_of_level[r]:
-                        pairs.append((vi, vj, efn, efn))
+                        pairs.append((vi, vj, efn))
             for fn in self.extra_unary.get(r, ()):
                 for v in lvars:
                     unary.append((v, fn))
@@ -507,17 +508,12 @@ def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
     pinned, the conditions of that residue term's integrand: its level
     has no variable left, and each neighbouring level with variables
     carries the towers c u and c / u."""
-    lo = 1.0 + FEASIBILITY_MARGIN
     nomes = params.nomes
     violations = []
 
     def require_inside(value, label, tower=None):
         for text in margin_violations(((value, label),)):
             violations.append((text, tower))
-
-    def require_outside(value, label, tower=None):
-        if abs(value) <= lo:
-            violations.append((f"{label}: |{value:.4g}| = {abs(value):.4g} <= {lo}", tower))
 
     n, t, c = params.n, params.t, params.c
     require_inside(t, "contour scaling t*C_r")
@@ -530,22 +526,21 @@ def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
         for idx, base in enumerate(params.vertex_params(r)):
             label = f"vertex r={r} parameter {idx + 1}"
             require_inside(base, label, (r, idx))
-            require_outside(1.0 / base, label + " (reciprocal)", (r, idx))
         if pinned is not None and abs(r - pinned.level) == 1 and params.k[r - 1]:
             for name, base in (("c u", c * pinned.base), ("c / u", c / pinned.base)):
                 label = f"edge r={r} parameter {name}"
                 require_inside(base, label)
-                require_outside(1.0 / base, label + " (reciprocal)")
     return violations
 
 
 def feasibility_check(params: ParamSet) -> Feasibility:
     """Torus feasibility of the density with margin: every inward pole
-    sequence must stay inside modulus 1 - delta and every reciprocal
-    outside 1 + delta, with all contours the unit circle.  Only tower
-    bases need checking: the p^i q^j shifts move members strictly
-    inward.  Factors beyond the density (interpolation functions,
-    kernels) are checked by their callers with margin_violations."""
+    sequence must stay inside modulus 1 - delta with all contours the
+    unit circle, which puts every reciprocal outside 1/(1 - delta) >
+    1 + delta.  Only tower bases need checking: the p^i q^j shifts move
+    members strictly inward.  Factors beyond the density (interpolation
+    functions, kernels) are checked by their callers with
+    margin_violations."""
     violations = [text for text, _ in _tower_violations(params)]
     return Feasibility(not violations, violations)
 

@@ -36,6 +36,7 @@ from ellsel.densities import (
     an_selberg_rhs,
     contour_feasibility,
     feasibility_check,
+    gamma_pm2,
     kappa,
     margin_violations,
     selberg_average_normalizer,
@@ -78,7 +79,7 @@ class IdentityCase:
     shapes: tuple[Bipartition, Bipartition] | None = None
     extra: dict = field(default_factory=dict)
     contour: Contour = field(default_factory=Contour)  # density families only
-    budget: int = 0  # evaluation cap of the main integral's adaptive quadrature
+    doublings: int = 0  # grid doublings the main integral's quadrature may take
 
 
 @dataclass
@@ -361,7 +362,7 @@ def _one_dim_case(case_id: str, family: str, seed: int, cfg, tol: float, **field
         seed=seed,
         grid=GridSpec((cfg.grid_1d,)),
         tol=tol,
-        budget=4 * cfg.grid_1d,
+        doublings=2,
         **fields,
     )
 
@@ -383,7 +384,6 @@ def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
         grid=grid,
         tol=tol,
         paramset=params,
-        budget=math.prod(grid.dims),
     )
 
 
@@ -548,19 +548,10 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(b * c**2 * d, y1), nomes
         )
     else:
-
-        def edge_fn(z):
-            return (
-                elliptic_gamma(c * z * x1, nomes)
-                * elliptic_gamma(c * z / x1, nomes)
-                * elliptic_gamma(c * x1 / z, nomes)
-                * elliptic_gamma(c / (z * x1), nomes)
-            )
-
         unaries = [
             lambda z: kernel_k1(z, y1, d, ctx),
             vertex_unary_fn((b, t / (b * d**2)), t, nomes),
-            edge_fn,
+            lambda z: gamma_pm2(c, z, x1, nomes),
         ]
         rhs = kernel_k1(x1, y1, c * d, ctx)
         rhs *= elliptic_gamma_multi(
@@ -861,7 +852,6 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
         grid=GridSpec(dims),
         tol=tol,
         paramset=params,
-        budget=math.prod(dims),
         contour=contour,
     )
 
@@ -1014,7 +1004,6 @@ def _sample_an_aflt(
         tol=tol,
         paramset=params,
         shapes=(lam, mu),
-        budget=grid_n**n,
     )
 
 
@@ -1148,7 +1137,6 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             | {"p": p, "q": q, "t": t, "c": c, "d": d, "x1": x1},
             shapes=(mu, ZERO),
             extra={"variant": "recursion"},
-            budget=cfg.grid_2d_rec**2,
         )
     return _infeasible_case("prop_xselberg_base", seed, "no feasible recursion draw")
 
@@ -1256,7 +1244,6 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
             | {"p": p, "q": q, "t": t, "c": c},
             shapes=(lam, mu),
             extra={"grid_1d": cfg.grid_1d},
-            budget=cfg.grid_2d_rec**2,
         )
     return _infeasible_case("equal_k_recursion", seed, "no feasible draw")
 
@@ -1291,9 +1278,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
 
     unary = vertex_unary_fn((ts[0], ts[1], ts[4], ts[5], ts[6], ts[7]), t, nomes)
     inner = _one_variable_integrand(nomes, unary, lam1_fn, mu_fn)
-    inner_res = integrate_adaptive(
-        inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 4 * case.extra["grid_1d"]
-    )
+    inner_res = integrate_adaptive(inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 2)
     rhs *= inner_res.value
     return Evaluation(rhs, integrand)
 
@@ -1329,7 +1314,7 @@ def _sample_kernel_consistency(seed: int, cfg, variant: str | None = None) -> Id
         grid=GridSpec((cfg.grid_1d,)),
         tol=1e-6,
         params=params,
-        extra={"variant": variant, "inner_grid": cfg.grid_1d},
+        extra={"variant": variant},
     )
 
 
@@ -1340,7 +1325,7 @@ def _eval_kernel_consistency(case: IdentityCase) -> Evaluation:
     c = pr["c"]
     x = (pr["x1"], pr["x2"])
     variant = case.extra["variant"]
-    inner = case.extra["inner_grid"]
+    inner = case.grid.dims[0]
     if variant == "c_factor":
         y = (pr["y1"], pr["y2"])
         lhs = kernel_k2(x, y, c, ctx, inner_grid=inner)
@@ -1564,7 +1549,7 @@ def _infeasible_report(case: IdentityCase, reason: str) -> VerificationReport:
     )
 
 
-def _report(case: IdentityCase, ev: Evaluation, res: QuadResult) -> VerificationReport:
+def _report(case: IdentityCase, ev: Evaluation, res: QuadResult, runtime_ms: int) -> VerificationReport:
     lhs = res.value if ev.norm is None else res.value / ev.norm
     rhs = ev.rhs
     rel = ev.rel_err if ev.rel_err is not None else abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -1585,7 +1570,7 @@ def _report(case: IdentityCase, ev: Evaluation, res: QuadResult) -> Verification
         tol=case.tol,
         params=dict(case.params),
         shapes=_shapes_str(case),
-        runtime_ms=res.runtime_ms,
+        runtime_ms=runtime_ms,
         notes=ev.notes,
     )
     ps = case.paramset
@@ -1723,12 +1708,13 @@ def run_case(case: IdentityCase) -> VerificationReport:
     try:
         ev = FAMILY_TABLE[case.family].evaluate(case)
         if ev.integrand is None:
-            res = QuadResult(ev.lhs, 0.0, 0, int((time.perf_counter() - start) * 1000))
+            res = QuadResult(ev.lhs, 0.0, 0)
         else:
-            res = integrate_adaptive(ev.integrand, case.grid, case.tol * 0.1, case.budget)
+            start = time.perf_counter()
+            res = integrate_adaptive(ev.integrand, case.grid, case.tol * 0.1, case.doublings)
     except (ContourError, InfeasibleError) as exc:
         return _infeasible_report(case, str(exc))
-    return _report(case, ev, res)
+    return _report(case, ev, res, int((time.perf_counter() - start) * 1000))
 
 
 SUITES = {

@@ -8,7 +8,7 @@ from __future__ import annotations
 import cmath
 
 from ellsel.core import elliptic_gamma, elliptic_gamma_multi
-from ellsel.densities import dixon_unary_fn, kappa, margin_violations
+from ellsel.densities import dixon_unary_fn, gamma_pm2, kappa, margin_violations
 from ellsel.quadrature import GridSpec, TorusFactorizedIntegrand, integrate_torus
 from ellsel.symbols import SymbolContext
 
@@ -29,12 +29,7 @@ def kernel_k1(x1, y1, cval: complex, ctx: SymbolContext):
     """Gamma(c x1^+- y1^+-) / (Gamma(t) Gamma(c^2)); either argument may
     be an array."""
     nomes = ctx.nomes
-    num = (
-        elliptic_gamma(cval * x1 * y1, nomes)
-        * elliptic_gamma(cval * x1 / y1, nomes)
-        * elliptic_gamma(cval * y1 / x1, nomes)
-        * elliptic_gamma(cval / (x1 * y1), nomes)
-    )
+    num = gamma_pm2(cval, x1, y1, nomes)
     return num / (elliptic_gamma(ctx.t, nomes) * elliptic_gamma(cval**2, nomes))
 
 

@@ -2,7 +2,9 @@
 
 The integrands here are analytic and periodic on the torus, so the
 equispaced trapezoid rule converges exponentially; no adaptive meshes
-are needed, only grid doubling with a subgrid-based error estimate.
+are needed.  One ladder of grids, the start grid and its doublings up
+to MAX_POINTS, serves both the adaptive integrator and the convergence
+table; each grid carries a subgrid-based error estimate.
 
 The 1/(2*pi*i)^d normalisation of all contour measures dz/z lives in
 the quadrature weight (each circle contributes a plain mean over its
@@ -26,21 +28,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-DEFAULT_BUDGET = 20_000_000
+MAX_POINTS = 20_000_000
 
 
 class BudgetError(RuntimeError):
-    """Requested grid exceeds the configured evaluation budget."""
+    """Requested grid has more than MAX_POINTS points."""
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-dimension point counts; every circle is sampled at a phase
-    offset of a quarter step of the first dimension.
+    """Per-dimension point counts, at most MAX_POINTS in all; every
+    circle is sampled at a phase offset of a quarter step of the first
+    dimension.
 
     That offset avoids sampling exactly at z = 1 (where several densities
     have removable structure) AND keeps the subgrid error estimate alive:
@@ -49,22 +52,28 @@ class GridSpec:
     all BC-symmetric densities have."""
 
     dims: tuple[int, ...]
-    budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if not self.dims or any(n < 2 for n in self.dims):
             raise ValueError(f"grid dims must all be >= 2, got {self.dims}")
-        if math.prod(self.dims) > self.budget:
-            raise BudgetError(
-                f"grid {self.dims} exceeds evaluation budget {self.budget}"
-            )
+        if math.prod(self.dims) > MAX_POINTS:
+            raise BudgetError(f"grid {self.dims} exceeds {MAX_POINTS} points")
 
     @property
     def phase(self) -> float:
         return 0.5 * math.pi / self.dims[0]
 
-    def doubled(self) -> "GridSpec":
-        return GridSpec(tuple(2 * n for n in self.dims), self.budget)
+
+def doubling_ladder(start: GridSpec) -> Iterator[GridSpec]:
+    """start, then start with every dimension doubled, and so on while
+    the grid has at most MAX_POINTS points."""
+    grid = start
+    while True:
+        yield grid
+        dims = tuple(2 * n for n in grid.dims)
+        if math.prod(dims) > MAX_POINTS:
+            return
+        grid = GridSpec(dims)
 
 
 @dataclass
@@ -72,7 +81,6 @@ class QuadResult:
     value: complex
     doubling_estimate: float
     evals: int
-    runtime_ms: int
     budget_exhausted: bool = False
 
 
@@ -82,16 +90,16 @@ class TorusFactorizedIntegrand:
 
         prefactor * prod(unary) * prod(pair factors)
 
-    over nvars torus variables.  Pair factors between variables i and j
-    are fn_prod(z_i z_j) * fn_ratio(z_i / z_j); on a shared uniform grid
-    both only ever see the N distinct circle points exp(i(2 pi s / N +
-    2 phase)) and exp(2 pi i s / N), which is what keeps the number of
+    over nvars torus variables.  The pair factor of variables i < j is
+    fn(z_i z_j) * fn(z_i / z_j); on a shared uniform grid fn only ever
+    sees the N distinct circle points exp(i(2 pi s / N + 2 phase)) and
+    exp(2 pi i s / N), which is what keeps the number of
     special-function evaluations linear in N.
     """
 
     nvars: int
     unary: list = field(default_factory=list)  # (var, fn)
-    pairs: list = field(default_factory=list)  # (vi, vj, fn_prod, fn_ratio)
+    pairs: list = field(default_factory=list)  # (vi, vj, fn) with vi < vj
     prefactor: complex = 1.0
 
     def values(self, n: int, phase: float) -> np.ndarray:
@@ -112,20 +120,11 @@ class TorusFactorizedIntegrand:
         if self.pairs:
             sum_idx = (idx[:, None] + idx[None, :]) % n
             diff_idx = (idx[:, None] - idx[None, :]) % n
-            for vi, vj, fn_prod, fn_ratio in self.pairs:
-                mat = np.ones((n, n), dtype=np.complex128)
-                if fn_prod is not None:
-                    mat *= fn_prod(circle_prod)[sum_idx]
-                if fn_ratio is not None:
-                    mat *= fn_ratio(circle_ratio)[diff_idx]
-                shape_ij = [1] * self.nvars
-                shape_ij[vi] = n
-                shape_ij[vj] = n
-                axes = sorted((vi, vj))
-                if (vi, vj) != (axes[0], axes[1]):
-                    mat = mat.T
+            for vi, vj, fn in self.pairs:
+                mat = fn(circle_prod)[sum_idx]
+                mat *= fn(circle_ratio)[diff_idx]
                 total *= mat.reshape(
-                    tuple(n if k in axes else 1 for k in range(self.nvars))
+                    tuple(n if k in (vi, vj) else 1 for k in range(self.nvars))
                 )
         return total
 
@@ -146,7 +145,6 @@ def _integrate_sum(f: IntegrandSum, grid: GridSpec) -> QuadResult:
     """Sum of the parts' trapezoid values; the doubling estimate bounds
     the whole sum, sum_i |value_i| * estimate_i / |sum|, so a large part
     cancelling against the others cannot hide its own error."""
-    start = time.perf_counter()
     if f.parts[0].nvars != len(grid.dims):
         raise ValueError(
             f"leading part has {f.parts[0].nvars} variables, grid has {len(grid.dims)}"
@@ -157,13 +155,12 @@ def _integrate_sum(f: IntegrandSum, grid: GridSpec) -> QuadResult:
             value += complex(part.prefactor)
             evals += 1
             continue
-        res = integrate_torus(part, GridSpec(grid.dims[: part.nvars], grid.budget))
+        res = integrate_torus(part, GridSpec(grid.dims[: part.nvars]))
         value += res.value
         abs_err += res.doubling_estimate * abs(res.value)
         evals += res.evals
     estimate = abs_err / max(abs(value), 1e-300)
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    return QuadResult(value, estimate, evals, runtime_ms)
+    return QuadResult(value, estimate, evals)
 
 
 def _callable_values(f: Callable, dims: tuple[int, ...], phase: float) -> np.ndarray:
@@ -186,7 +183,6 @@ def integrate_torus(f, grid: GridSpec) -> QuadResult:
     """
     if isinstance(f, IntegrandSum):
         return _integrate_sum(f, grid)
-    start = time.perf_counter()
     dims = grid.dims
     if isinstance(f, TorusFactorizedIntegrand):
         if len(set(dims)) != 1:
@@ -211,45 +207,35 @@ def integrate_torus(f, grid: GridSpec) -> QuadResult:
     else:
         estimate = math.inf
 
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    return QuadResult(value, estimate, npts, runtime_ms)
+    return QuadResult(value, estimate, npts)
 
 
-def integrate_adaptive(
-    f,
-    start: GridSpec,
-    target_rel: float,
-    max_budget: int = DEFAULT_BUDGET,
-) -> QuadResult:
-    """Double every dimension until the subgrid estimate meets
-    target_rel or the budget is hit; the best result is returned either
-    way, flagged when the budget ran out.
+def integrate_adaptive(f, start: GridSpec, target_rel: float, doublings: int) -> QuadResult:
+    """Walk the doubling ladder from start, at most `doublings` steps,
+    until the subgrid estimate meets target_rel.  The last grid's result
+    is returned either way, with evals summed over every grid, and
+    flagged budget_exhausted when the estimate was never met.
 
     Each level samples at its own quarter-step offset, so the subgrid
     estimator never lands on its symmetric blind spot."""
-    grid = GridSpec(start.dims, max_budget)
-    total_evals = 0
-    t0 = time.perf_counter()
-    while True:
+    evals = 0
+    for _, grid in zip(range(doublings + 1), doubling_ladder(start)):
         result = integrate_torus(f, grid)
-        total_evals += result.evals
+        evals += result.evals
         if result.doubling_estimate <= target_rel:
             break
-        next_dims = tuple(2 * n for n in grid.dims)
-        if math.prod(next_dims) > max_budget:
-            result.budget_exhausted = True
-            break
-        grid = GridSpec(next_dims, max_budget)
-    result.evals = total_evals
-    result.runtime_ms = int((time.perf_counter() - t0) * 1000)
+    else:
+        result.budget_exhausted = True
+    result.evals = evals
     return result
 
 
-def convergence_table(f, start: GridSpec, levels: int = 4) -> list[dict]:
-    """Doubling table; rows mirror the CSV schema."""
+def convergence_table(f, start: GridSpec, levels: int) -> list[dict]:
+    """One row per grid of the first `levels` of the doubling ladder;
+    rows mirror the CSV schema."""
     rows = []
-    grid = start
-    for _ in range(levels):
+    for _, grid in zip(range(levels), doubling_ladder(start)):
+        t0 = time.perf_counter()
         res = integrate_torus(f, grid)
         rows.append(
             {
@@ -258,13 +244,9 @@ def convergence_table(f, start: GridSpec, levels: int = 4) -> list[dict]:
                 "value_im": res.value.imag,
                 "doubling_estimate": res.doubling_estimate,
                 "evals": res.evals,
-                "runtime_ms": res.runtime_ms,
+                "runtime_ms": int((time.perf_counter() - t0) * 1000),
             }
         )
-        try:
-            grid = grid.doubled()
-        except BudgetError:
-            break
     return rows
 
 

@@ -229,7 +229,7 @@ class TestNormalizer:
     def test_selberg_k2_adaptive_converges_within_128(self):
         params = make_balanced_n1(k=2, seed=14)
         integrand = IntegrandDescriptor(params).build()
-        res = integrate_adaptive(integrand, GridSpec((32, 32)), 1e-6, max_budget=128 * 128)
+        res = integrate_adaptive(integrand, GridSpec((32, 32)), 1e-6, 2)
         assert not res.budget_exhausted
         rhs = selberg_average_normalizer(2, params.ts, params.t, params.nomes)
         assert rel_err(res.value, rhs) < 1e-6

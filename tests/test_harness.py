@@ -412,6 +412,8 @@ class TestCli:
             (["convergence", "--family", "beta_k1", "--levels", "0"], "--levels"),
             (["verify", "--threads", "0"], "--threads"),
             (["verify", "--threads", "-1"], "--threads"),
+            (["verify", "--tol", "inf"], "--tol"),
+            (["case", "--family", "beta_k1", "--tol", "inf"], "--tol"),
         ],
     )
     def test_bad_numeric_flag_exit_3(self, capsys, argv, flag):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from ellsel.quadrature import (
+    MAX_POINTS,
     BudgetError,
     GridSpec,
     IntegrandSum,
     TorusFactorizedIntegrand,
     convergence_table,
+    doubling_ladder,
     integrate_adaptive,
     integrate_torus,
     write_convergence_csv,
@@ -60,7 +62,7 @@ class TestAdaptive:
             assert b <= 0.2 * a
 
     def test_constant_terminates_at_start(self):
-        res = integrate_adaptive(lambda pts: np.ones(len(pts)), GridSpec((8,)), 1e-12)
+        res = integrate_adaptive(lambda pts: np.ones(len(pts)), GridSpec((8,)), 1e-12, 0)
         assert res.evals == 8
         assert not res.budget_exhausted
 
@@ -69,12 +71,18 @@ class TestAdaptive:
             z = pts[:, 0]
             return 1.0 / ((1.0 - 0.999 * z) * (1.0 - 0.999 / z))
 
-        res = integrate_adaptive(f, GridSpec((8,)), 1e-14, max_budget=64)
+        res = integrate_adaptive(f, GridSpec((8,)), 1e-14, 3)
+        assert res.evals == 8 + 16 + 32 + 64
         assert res.budget_exhausted
 
     def test_budget_error_on_oversized_grid(self):
         with pytest.raises(BudgetError):
             GridSpec((4096, 4096, 4096))
+
+    def test_ladder_stops_at_max_points(self):
+        dims = [grid.dims for grid in doubling_ladder(GridSpec((1024, 1024)))]
+        assert dims == [(1024, 1024), (2048, 2048), (4096, 4096)]
+        assert math.prod(dims[-1]) <= MAX_POINTS < math.prod(dims[-1]) * 4
 
 
 class TestFactorizedIntegrand:
@@ -89,7 +97,7 @@ class TestFactorizedIntegrand:
         fact = TorusFactorizedIntegrand(
             nvars=2,
             unary=[(0, g), (1, g)],
-            pairs=[(0, 1, h, h)],
+            pairs=[(0, 1, h)],
             prefactor=2.0,
         )
 
