@@ -36,7 +36,7 @@ from ellsel.harness import (
 )
 from ellsel.kernel import ContourError
 from ellsel.partitions import parse_bipartition
-from ellsel.quadrature import GridSpec, convergence_table, write_convergence_csv
+from ellsel.quadrature import BudgetError, GridSpec, convergence_table, write_convergence_csv
 
 TOL_HELP = (
     "override tol_1d, the tolerance of beta_k1, selberg_A1 at k=1 and one-variable "
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seeds", type=int, default=5)
     ver.add_argument("--grid", type=int, default=None, help="override 1-d grid size")
     ver.add_argument("--tol", type=float, default=None, help=TOL_HELP)
-    ver.add_argument("--threads", type=int, default=None)
+    ver.add_argument("--threads", type=int, default=None, help="worker processes for verify")
     ver.add_argument("--out", default=None, help="report file (default stdout)")
     ver.add_argument("--format", default="json", choices=("json", "csv"))
     ver.add_argument("--config", default=None, help="JSON config file")
@@ -130,7 +130,10 @@ def _load_config(args) -> HarnessConfig:
     if threads is not None:
         cfg.threads = threads
     elif env_threads is not None:
-        cfg.threads = int(env_threads)
+        try:
+            cfg.threads = int(env_threads)
+        except ValueError:
+            raise ValueError(f"ELLSEL_THREADS must be an integer, got {env_threads!r}") from None
         if cfg.threads < 1:
             raise ValueError(f"ELLSEL_THREADS must be at least 1, got {env_threads}")
     return cfg
@@ -284,7 +287,7 @@ def main(argv=None) -> int:
             "convergence": _cmd_convergence,
         }[args.command]
         return handler(args)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, ValueError, OSError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

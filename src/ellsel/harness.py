@@ -16,8 +16,8 @@ import csv
 import io
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
@@ -1597,7 +1597,7 @@ class HarnessConfig:
     tol_1d: float = 1e-9
     tol_2d: float = 1e-6
     tol_3d: float = 1e-4
-    threads: int = 1
+    threads: int = 1  # worker processes for run_suite; 1 runs its cases in this process
 
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
@@ -1735,19 +1735,44 @@ SUITES = {
 SUITES["all"] = [entry for name in ("algebraic", "integrals-1d", "integrals-2d", "kernel", "an", "xselberg") for entry in SUITES[name]]
 
 
+def pool_size(threads: int, jobs: int, cpus: int) -> int:
+    """Worker processes for a suite: no more than asked for, than there
+    are cases, or than there are CPUs to run them.  Below 2, no pool."""
+    return min(threads, jobs, cpus)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _run_job(job: tuple) -> VerificationReport:
+    family, seed, cfg, options = job
+    return run_case(sample_case(family, seed, cfg, **options))
+
+
 def run_suite(suite: str, seeds: int, cfg: HarnessConfig | None = None) -> list[VerificationReport]:
+    """Sample and run every case of suite at seeds 0..seeds-1, sorted by
+    id.  When pool_size allows more than one worker, each case is sampled
+    and run in a worker process; cases share no state, so the reports
+    are the same as in this process."""
     cfg = cfg or HarnessConfig()
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(SUITES)}")
-    cases = []
-    for family, options in SUITES[suite]:
-        for seed in range(seeds):
-            cases.append(sample_case(family, seed, cfg, **options))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            reports = list(pool.map(run_case, cases))
+    jobs = [(family, seed, cfg, options) for family, options in SUITES[suite] for seed in range(seeds)]
+    workers = pool_size(cfg.threads, len(jobs), _usable_cpus())
+    if workers > 1:
+        # Imported here: multiprocessing costs every other caller start-up time.
+        # The default start method, fork on Linux, hands workers the modules
+        # already imported; spawn re-imports them for every suite.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(_run_job, jobs))
     else:
-        reports = [run_case(case) for case in cases]
+        reports = [_run_job(job) for job in jobs]
     return sorted(reports, key=lambda r: r.id)
 
 

@@ -20,6 +20,7 @@ from ellsel.harness import (
     HarnessConfig,
     aflt_rhs,
     algebraic_checks,
+    pool_size,
     report_csv_row,
     reports_to_json,
     run_case,
@@ -28,6 +29,7 @@ from ellsel.harness import (
     xselberg_rhs,
 )
 from ellsel.partitions import ZERO, Bipartition
+from ellsel.quadrature import BudgetError
 from ellsel.symbols import SymbolContext, delta0_bi
 from ellsel.interpolation import interp_hybrid
 
@@ -219,6 +221,29 @@ class TestReports:
             return data
 
         assert without_runtime(reports) == without_runtime(serial)
+
+    def test_pool_reports_infeasible_cases_as_serial(self):
+        def without_runtime(reps):
+            return [{k: v for k, v in rep.items() if k != "runtime_ms"}
+                    for rep in json.loads(reports_to_json(reps))]
+
+        pooled = run_suite("integrals-1d", 6, HarnessConfig(threads=2))
+        serial = run_suite("integrals-1d", 6, HarnessConfig(threads=1))
+        assert without_runtime(pooled) == without_runtime(serial)
+        for reps in (pooled, serial):
+            assert {r.id: r.status for r in reps}["vdBult-s5"] == "infeasible"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_suite_raises_budget_error(self, threads):
+        with pytest.raises(BudgetError, match="exceeds 20000000 points"):
+            run_suite("integrals-1d", 1, HarnessConfig(grid_1d=30_000_000, threads=threads))
+
+    @pytest.mark.parametrize(
+        "threads,jobs,cpus,size",
+        [(500, 14, 2, 2), (2, 1, 2, 1), (2, 14, 1, 1), (1, 14, 8, 1), (3, 14, 8, 3)],
+    )
+    def test_pool_size(self, threads, jobs, cpus, size):
+        assert pool_size(threads, jobs, cpus) == size
 
 
 class TestParamSetRoundTrip:
@@ -426,6 +451,25 @@ class TestCli:
         monkeypatch.setenv("ELLSEL_THREADS", value)
         assert main(["verify", "--suite", "algebraic", "--seeds", "1"]) == 3
         assert f"error: ELLSEL_THREADS must be at least 1, got {value}" in capsys.readouterr().err
+
+    def test_threads_env_not_integer_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setenv("ELLSEL_THREADS", "abc")
+        assert main(["verify", "--suite", "algebraic", "--seeds", "1"]) == 3
+        assert "error: ELLSEL_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["case", "--family", "beta_k1", "--grid", "30000000"],
+            ["verify", "--suite", "integrals-1d", "--seeds", "1", "--grid", "30000000",
+             "--threads", "1"],
+            ["verify", "--suite", "integrals-1d", "--seeds", "1", "--grid", "30000000",
+             "--threads", "2"],
+        ],
+    )
+    def test_grid_over_max_points_exit_3(self, capsys, argv):
+        assert main(argv) == 3
+        assert "error: grid (30000000,) exceeds 20000000 points" in capsys.readouterr().err
 
     def test_tol_reaches_only_tol_1d_families(self):
         cfg = HarnessConfig(tol_1d=1e-12)
