@@ -26,21 +26,25 @@ from ellsel.harness import (
     FAMILY_TABLE,
     SUITES,
     HarnessConfig,
-    params_options,
-    place_params,
+    case_at,
+    evaluate_case,
     reports_to_csv,
     reports_to_json,
     run_case,
     run_suite,
     sample_case,
 )
-from ellsel.kernel import ContourError
 from ellsel.partitions import parse_bipartition
-from ellsel.quadrature import BudgetError, GridSpec, convergence_table, write_convergence_csv
+from ellsel.quadrature import BudgetError, GridSpec, convergence_csv, convergence_table
 
 TOL_HELP = (
     "override tol_1d, the tolerance of beta_k1, selberg_A1 at k=1 and one-variable "
     "an_selberg; other one-variable families keep their fixed tolerances"
+)
+PARAMS_HELP = (
+    "JSON ParamSet file, for "
+    + ", ".join(name for name, family in FAMILY_TABLE.items() if family.at)
+    + "; its n and k size the case"
 )
 
 # Smallest accepted value of each integer flag: a smaller one would run
@@ -67,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     case = sub.add_parser("case", help="run one family case")
     case.add_argument("--family", required=True, choices=FAMILIES)
-    case.add_argument("--params", default=None, help="JSON parameter file (rank-n families)")
+    case.add_argument("--params", default=None, help=PARAMS_HELP)
     case.add_argument("--shapes", default=None, help='bipartition pair "2,1|0;1|0"')
     case.add_argument("--seed", type=int, default=0)
     case.add_argument("--grid", type=int, default=None, help="override 1-d grid size")
@@ -79,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     conv = sub.add_parser("convergence", help="grid-doubling table for a family case")
     conv.add_argument("--family", required=True, choices=FAMILIES)
-    conv.add_argument("--params", default=None)
+    conv.add_argument("--params", default=None, help=PARAMS_HELP)
     conv.add_argument("--seed", type=int, default=0)
     conv.add_argument("--levels", type=int, default=4)
     conv.add_argument("--out", default=None)
@@ -139,14 +143,20 @@ def _load_config(args) -> HarnessConfig:
     return cfg
 
 
+def _write(text: str, out: str | None) -> None:
+    """text to the file out, or to stdout without one."""
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_reports(reports, args) -> int:
     as_csv = args.format == "csv" or str(args.out or "").endswith(".csv")
     text = reports_to_csv(reports) if as_csv else reports_to_json(reports)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        print(text, end="" if as_csv else "\n")
+    # a JSON report on stdout ends its line; in a file it does not
+    _write(text if as_csv or args.out else text + "\n", args.out)
     counts = {}
     for rep in reports:
         counts[rep.status] = counts.get(rep.status, 0) + 1
@@ -168,19 +178,15 @@ def _cmd_verify(args) -> int:
     return _emit_reports(reports, args)
 
 
-def _sampled_case(args, **options):
-    """The family's case at --seed; with --params, moved to the file's
-    parameter set on the contour that set needs."""
+def _case(args, **options):
+    """The family's case at --seed: its draw, or with --params the case
+    the family builds at the file's parameter set."""
     cfg = _load_config(args)
-    params = None
-    if args.params:
-        with open(args.params) as fh:
-            params = ParamSet.from_json(fh.read())
-        options.update(params_options(args.family, params))
-    case = sample_case(args.family, args.seed, cfg, **options)
-    if params:
-        place_params(case, params)
-    return case
+    if not args.params:
+        return sample_case(args.family, args.seed, cfg, **options)
+    with open(args.params) as fh:
+        params = ParamSet.from_json(fh.read())
+    return case_at(args.family, args.seed, cfg, params, **options)
 
 
 def _cmd_case(args) -> int:
@@ -197,7 +203,7 @@ def _cmd_case(args) -> int:
             )
         else:
             options["mu"] = parse_bipartition(parts[0])
-    rep = run_case(_sampled_case(args, **options))
+    rep = run_case(_case(args, **options))
     print(reports_to_json([rep]))
     return 0 if rep.status == "pass" else 2
 
@@ -241,17 +247,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    case = _sampled_case(args)
+    case = _case(args)
     # Rows tabulate the family's main integral, as run_case integrates it;
     # for a density family that is the torus part plus its residue terms.
-    reason = case.extra.get("infeasible")
-    if reason is None:
-        try:
-            integrand = FAMILY_TABLE[case.family].evaluate(case).integrand
-        except (ContourError, InfeasibleError) as exc:
-            reason = str(exc)
-    if reason is not None:
-        print(f"infeasible: {reason}", file=sys.stderr)
+    try:
+        integrand = evaluate_case(case).integrand
+    except InfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     if integrand is None:
         print(f"family {case.family} has no main integral to tabulate", file=sys.stderr)
@@ -260,11 +262,7 @@ def _cmd_convergence(args) -> int:
         print(f"contour: {case.contour.describe()}", file=sys.stderr)
     start = GridSpec(tuple(max(8, n // 8) for n in case.grid.dims))
     rows = convergence_table(integrand, start, levels=args.levels)
-    if args.out:
-        write_convergence_csv(args.out, rows)
-    else:
-        for row in rows:
-            print(row)
+    _write(convergence_csv(rows), args.out)
     return 0
 
 

@@ -504,10 +504,11 @@ def margin_violations(poles) -> list[str]:
 
 def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
     """(message, tower) per violated condition, where tower is the
-    (level, index) of a vertex parameter and None otherwise.  With
-    pinned, the conditions of that residue term's integrand: its level
-    has no variable left, and each neighbouring level with variables
-    carries the towers c u and c / u."""
+    (level, index) of a vertex parameter and None otherwise.  A level
+    with no variable (k_r = 0) has no vertex towers.  With pinned, the
+    conditions of that residue term's integrand: its level has no
+    variable left, and each neighbouring level with variables carries
+    the towers c u and c / u."""
     nomes = params.nomes
     violations = []
 
@@ -521,12 +522,12 @@ def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
         require_inside(c, "edge scaling c*C_r")
         require_inside(nomes.pq / t, "inner scaling (pq/t)*C_r")
     for r in range(1, n + 1):
-        if pinned is not None and r == pinned.level:
+        if not params.k[r - 1] or (pinned is not None and r == pinned.level):
             continue
         for idx, base in enumerate(params.vertex_params(r)):
             label = f"vertex r={r} parameter {idx + 1}"
             require_inside(base, label, (r, idx))
-        if pinned is not None and abs(r - pinned.level) == 1 and params.k[r - 1]:
+        if pinned is not None and abs(r - pinned.level) == 1:
             for name, base in (("c u", c * pinned.base), ("c / u", c / pinned.base)):
                 label = f"edge r={r} parameter {name}"
                 require_inside(base, label)
@@ -538,9 +539,9 @@ def feasibility_check(params: ParamSet) -> Feasibility:
     sequence must stay inside modulus 1 - delta with all contours the
     unit circle, which puts every reciprocal outside 1/(1 - delta) >
     1 + delta.  Only tower bases need checking: the p^i q^j shifts move
-    members strictly inward.  Factors beyond the density (interpolation
-    functions, kernels) are checked by their callers with
-    margin_violations."""
+    members strictly inward; a level without variables has no towers.
+    Factors beyond the density (interpolation functions, kernels) are
+    checked by their callers with margin_violations."""
     violations = [text for text, _ in _tower_violations(params)]
     return Feasibility(not violations, violations)
 

@@ -367,24 +367,52 @@ def _one_dim_case(case_id: str, family: str, seed: int, cfg, tol: float, **field
     )
 
 
+def _check_size(family: str, params: ParamSet, ok: bool, want: str) -> None:
+    """Refuse a parameter set of a size the family's identity does not cover."""
+    if not ok:
+        raise ValueError(f"family {family} takes {want}; got n={params.n}, k={params.k}")
+
+
+def _density_case(
+    case_id: str, family: str, seed: int, cfg, params: ParamSet, contour: Contour, doublings: int
+) -> IdentityCase:
+    """A case integrating the density of params on contour, sized by its
+    number of variables: grid_1d and tol_1d for one, grid_2d and tol_2d
+    for two, grid_3d and tol_3d for three.  More, or none, is infeasible."""
+    total = sum(params.k)
+    sizes = {1: (cfg.grid_1d, cfg.tol_1d), 2: (cfg.grid_2d, cfg.tol_2d), 3: (cfg.grid_3d, cfg.tol_3d)}
+    if total not in sizes:
+        reason = f"total dimension {total} beyond suite caps"
+        return _infeasible_case(family, seed, reason, case_id, paramset=params)
+    per_dim, tol = sizes[total]
+    return IdentityCase(
+        id=case_id, family=family, seed=seed, grid=GridSpec((per_dim,) * total), tol=tol,
+        paramset=params, contour=contour, doublings=doublings,
+    )
+
+
+def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
+    _check_size("beta_k1", params, params.k == (1,), "n=1, k=(1,)")
+    return _density_case(f"beta_k1-s{seed}", "beta_k1", seed, cfg, params, contour, doublings=2)
+
+
 def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
     params = _sample_rank1(1, np.random.default_rng([seed, 101]))
-    return _one_dim_case(f"beta_k1-s{seed}", "beta_k1", seed, cfg, cfg.tol_1d, paramset=params)
+    return _beta_k1_at(seed, cfg, params, Contour())
+
+
+def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
+    _check_size("selberg_A1", params, params.n == 1, "n=1")
+    case_id = f"selberg_A1-k{params.k[0]}-s{seed}"
+    return _density_case(case_id, "selberg_A1", seed, cfg, params, contour, doublings=0)
 
 
 def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
-    rng = np.random.default_rng([seed, 102, k])
-    params = _sample_rank1(k, rng)
-    grid = GridSpec((cfg.grid_1d,) if k == 1 else (cfg.grid_2d,) * k)
-    tol = cfg.tol_2d if k > 1 else cfg.tol_1d
-    return IdentityCase(
-        id=f"selberg_A1-k{k}-s{seed}",
-        family="selberg_A1",
-        seed=seed,
-        grid=grid,
-        tol=tol,
-        paramset=params,
-    )
+    try:
+        params = _sample_rank1(k, np.random.default_rng([seed, 102, k]))
+    except InfeasibleError as exc:
+        return _infeasible_case("selberg_A1", seed, str(exc), f"selberg_A1-k{k}-s{seed}")
+    return _selberg_A1_at(seed, cfg, params, Contour())
 
 
 # ---------------------------------------------------------------------------
@@ -811,17 +839,18 @@ def _tower_radius(v: complex, nomes: NomePair) -> float:
     return max(1.0 / abs(v), abs(v * nomes.p), abs(v * nomes.q))
 
 
+def _an_selberg_id(n: int, k: tuple[int, ...], seed: int) -> str:
+    return f"an_selberg-n{n}k{''.join(str(v) for v in k)}-s{seed}"
+
+
+def _an_selberg_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
+    case_id = _an_selberg_id(params.n, params.k, seed)
+    return _density_case(case_id, "an_selberg", seed, cfg, params, contour, doublings=0)
+
+
 def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) -> IdentityCase:
     rng = np.random.default_rng([seed, 107, n, *k])
-    kid = "".join(str(v) for v in k)
-    total = sum(k)
-    per_dim = {1: cfg.grid_1d, 2: cfg.grid_2d, 3: cfg.grid_3d}.get(total)
-    tol = {1: cfg.tol_1d, 2: cfg.tol_2d, 3: cfg.tol_3d}.get(total)
-    note_id = f"an_selberg-n{n}k{kid}-s{seed}"
-    if per_dim is None:
-        return _infeasible_case(
-            "an_selberg", seed, f"total dimension {total} beyond suite caps", note_id
-        )
+    note_id = _an_selberg_id(n, k, seed)
     if n > 2:
         return _infeasible_case(
             "an_selberg", seed, f"no sampling windows exist for rank n={n} > 2", note_id
@@ -844,16 +873,7 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
             )
     except InfeasibleError as exc:
         return _infeasible_case("an_selberg", seed, str(exc), note_id)
-    dims = (per_dim,) * total
-    return IdentityCase(
-        id=note_id,
-        family="an_selberg",
-        seed=seed,
-        grid=GridSpec(dims),
-        tol=tol,
-        paramset=params,
-        contour=contour,
-    )
+    return _an_selberg_at(seed, cfg, params, contour)
 
 
 def _eval_an_selberg(case: IdentityCase) -> Evaluation:
@@ -935,27 +955,63 @@ AFLT_N2_SHAPES = [
 ]
 
 
-def _an_interp_accept(lam, mu, n):
-    """Feasibility hook adding the interpolation pole towers of both
-    factors to the density margins."""
+def _interp_pole_violations(params: ParamSet, lam, mu) -> list[str]:
+    """The density margins broken by the interpolation pole towers of
+    the lam factor on level 1 and the mu factor on level n."""
+    ctx = SymbolContext(params.nomes, params.t)
+    factors = ((lam, params.c ** (1 - params.n) * params.ts[1]), (mu, params.ts[2 * params.n + 3]))
+    return [
+        f"interpolation pole of R_{shape} {text}"
+        for shape, b in factors
+        for text in margin_violations(pole_map(shape, b, ctx))
+    ]
 
-    def accept(params: ParamSet) -> bool:
-        ctx = SymbolContext(params.nomes, params.t)
-        b_lam = params.c ** (1 - n) * params.ts[1]
-        poles = pole_map(lam, b_lam, ctx) + pole_map(mu, params.ts[2 * n + 3], ctx)
-        return not margin_violations(poles)
 
-    return accept
+def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, Bipartition]:
+    """The (lam, mu) pair of a case: shapes when given, else the family's
+    pick for seed."""
+    if shapes is not None:
+        return shapes
+    if family == "an_kadell":
+        return AFLT_N1_SHAPES[seed % len(AFLT_N1_SHAPES)][0], ZERO
+    pool = AFLT_N1_SHAPES if n == 1 else AFLT_N2_SHAPES
+    return pool[seed % len(pool)]
 
 
-def _sample_an_aflt(
-    seed: int,
-    cfg,
-    n: int = 1,
-    family: str = "an_aflt",
-    shapes: tuple[Bipartition, Bipartition] | None = None,
-    tag: int = 1,
+def _aflt_at(
+    seed: int, cfg, params: ParamSet, contour: Contour, family: str, shapes=None
 ) -> IdentityCase:
+    """The interpolation-average case of family at params.  It runs on
+    the unit torus only, with one variable per level, and every
+    interpolation pole tower must keep the density's margin; otherwise
+    the case is infeasible, naming why."""
+    n = params.n
+    _check_size(family, params, n <= 2, "n=1 or n=2")
+    hua_gap = abs(params.ts[2 * n + 1] * params.ts[2 * n + 2] - params.t)
+    if family == "an_hua_kadell" and hua_gap > 1e-13 * abs(params.t):
+        raise ValueError(f"family {family} takes t_(2n+2) t_(2n+3) = t")
+    lam, mu = _aflt_shapes(family, n, seed, shapes)
+    grid = GridSpec(((cfg.grid_1d if n == 1 else cfg.grid_2d_aflt),) * n)
+    case = IdentityCase(
+        id=f"{family}-n{n}-{lam}-{mu}-s{seed}", family=family, seed=seed, grid=grid,
+        tol=1e-8 if n == 1 else 1e-5, paramset=params, shapes=(lam, mu),
+    )
+    if contour.residues:
+        case.extra["infeasible"] = (
+            f"{family} is evaluated on the unit torus only; these parameters "
+            f"need the contour {contour.describe()}"
+        )
+    elif params.k != (1,) * n:
+        case.extra["infeasible"] = (
+            f"{family} puts each interpolation factor on a single variable; "
+            f"it needs every k_r = 1, not k={params.k}"
+        )
+    elif poles := _interp_pole_violations(params, lam, mu):
+        case.extra["infeasible"] = "; ".join(poles)
+    return case
+
+
+def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag: int) -> IdentityCase:
     """Sampler shared by an_aflt, an_kadell and an_hua_kadell; tag keeps
     their random streams apart."""
     if n > 2:
@@ -964,17 +1020,11 @@ def _sample_an_aflt(
         )
     rng = np.random.default_rng([seed, 108, n, tag])
     hua = family == "an_hua_kadell"
-    if shapes is None:
-        if family == "an_kadell":
-            lam = AFLT_N1_SHAPES[seed % len(AFLT_N1_SHAPES)][0]
-            mu = ZERO
-        else:
-            pool = AFLT_N1_SHAPES if n == 1 else AFLT_N2_SHAPES
-            lam, mu = pool[seed % len(pool)]
-    else:
-        lam, mu = shapes
-    k = (1,) * n
-    accept = _an_interp_accept(lam, mu, n)
+    lam, mu = _aflt_shapes(family, n, seed, shapes)
+
+    def accept(params: ParamSet) -> bool:
+        return not _interp_pole_violations(params, lam, mu)
+
     try:
         if n == 1:
             params = _sample_aflt_n1_params(rng, lam, mu, hua, accept)
@@ -991,20 +1041,10 @@ def _sample_an_aflt(
                 "odd": [(0.6, 0.78), (0.1, 0.2)],
                 "shared": [(0.78, 0.86), (0.78, 0.86), (0.78, 0.86), (0.3, 0.44)],
             }
-            params, _ = sample_an_params(2, k, rng, base, hua=hua, accept=accept)
+            params, _ = sample_an_params(2, (1, 1), rng, base, hua=hua, accept=accept)
     except InfeasibleError as exc:
         return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
-    grid_n = cfg.grid_1d if n == 1 else cfg.grid_2d_aflt
-    tol = 1e-8 if n == 1 else 1e-5
-    return IdentityCase(
-        id=f"{family}-n{n}-{lam}-{mu}-s{seed}",
-        family=family,
-        seed=seed,
-        grid=GridSpec((grid_n,) * n),
-        tol=tol,
-        paramset=params,
-        shapes=(lam, mu),
-    )
+    return _aflt_at(seed, cfg, params, Contour(), family, (lam, mu))
 
 
 def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
@@ -1524,7 +1564,7 @@ def _shapes_str(case: IdentityCase) -> str:
     return ";".join(str(s) for s in case.shapes)
 
 
-def _infeasible_case(family: str, seed: int, reason: str, note_id: str = "") -> IdentityCase:
+def _infeasible_case(family: str, seed: int, reason: str, note_id: str = "", **fields) -> IdentityCase:
     return IdentityCase(
         id=note_id or f"{family}-s{seed}",
         family=family,
@@ -1532,40 +1572,32 @@ def _infeasible_case(family: str, seed: int, reason: str, note_id: str = "") -> 
         grid=GridSpec((8,)),
         tol=1.0,
         extra={"infeasible": reason},
+        **fields,
     )
 
 
-def _infeasible_report(case: IdentityCase, reason: str) -> VerificationReport:
-    return VerificationReport(
-        id=case.id,
-        family=case.family,
-        status="infeasible",
-        seed=case.seed,
-        grid="x".join(str(n) for n in case.grid.dims),
-        tol=case.tol,
-        params=case.params,
-        shapes=_shapes_str(case),
-        notes=reason,
-    )
-
-
-def _report(case: IdentityCase, ev: Evaluation, res: QuadResult, runtime_ms: int) -> VerificationReport:
-    lhs = res.value if ev.norm is None else res.value / ev.norm
-    rhs = ev.rhs
-    rel = ev.rel_err if ev.rel_err is not None else abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    if res.budget_exhausted and rel > case.tol:
-        status = "budget"
-    else:
-        status = "pass" if rel <= case.tol and np.isfinite(rel) else "fail"
+def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_ms: int) -> VerificationReport:
+    """The report of case from its Evaluation and the quadrature of its
+    main integral.  Without a quadrature result the case is infeasible,
+    and ev.notes says why."""
+    status, lhs, rel, estimate = "infeasible", 0.0, math.inf, math.inf
+    if res is not None:
+        lhs = res.value if ev.norm is None else res.value / ev.norm
+        rel = ev.rel_err if ev.rel_err is not None else abs(lhs - ev.rhs) / max(abs(ev.rhs), 1e-300)
+        estimate = res.doubling_estimate
+        if res.budget_exhausted and rel > case.tol:
+            status = "budget"
+        else:
+            status = "pass" if rel <= case.tol and np.isfinite(rel) else "fail"
     rep = VerificationReport(
         id=case.id,
         family=case.family,
         status=status,
         seed=case.seed,
         lhs=lhs,
-        rhs=rhs,
+        rhs=ev.rhs,
         rel_err=rel,
-        doubling_estimate=res.doubling_estimate,
+        doubling_estimate=estimate,
         grid=ev.grid or "x".join(str(n) for n in case.grid.dims),
         tol=case.tol,
         params=dict(case.params),
@@ -1626,36 +1658,36 @@ class HarnessConfig:
 @dataclass(frozen=True)
 class Family:
     """One identity family.  `sample(seed, cfg, **options)` draws a case
-    and `evaluate(case)` gives its Evaluation.  `residues`: the main
-    integrand is the bare density on case.contour, so residue terms apply.
-    `shapes_option`: the sampler option that `ellsel case --shapes` fills,
-    "mu" for one bipartition or "shapes" for a pair."""
+    and `evaluate(case)` gives its Evaluation.  `at(seed, cfg, params,
+    contour, **options)`, set for the families whose case is a ParamSet,
+    builds the case its sampler builds from a draw, at params on contour;
+    `ellsel case --params` runs it.  `shapes_option`: the option of both
+    that `ellsel case --shapes` fills, "mu" for one bipartition or
+    "shapes" for a pair."""
 
     sample: Callable[..., IdentityCase]
     evaluate: Callable[[IdentityCase], Evaluation]
-    residues: bool = False
+    at: Callable[..., IdentityCase] | None = None
     shapes_option: str | None = None
 
 
 FAMILY_TABLE = {
-    "beta_k1": Family(_sample_beta_k1, _eval_selberg, residues=True),
-    "selberg_A1": Family(_sample_selberg_A1, _eval_selberg, residues=True),
+    "beta_k1": Family(_sample_beta_k1, _eval_selberg, _beta_k1_at),
+    "selberg_A1": Family(_sample_selberg_A1, _eval_selberg, _selberg_A1_at),
     "vdBult": Family(_sample_vdbult, _eval_vdbult, shapes_option="mu"),
     "kernel_decomp": Family(_sample_kernel_decomp, _eval_kernel_decomp),
     "key_theorem": Family(_sample_key_theorem, _eval_key_theorem, shapes_option="mu"),
     "prop_RK": Family(_sample_prop_rk, _eval_prop_rk, shapes_option="mu"),
-    "an_selberg": Family(_sample_an_selberg, _eval_an_selberg, residues=True),
-    "an_aflt": Family(
-        partial(_sample_an_aflt, family="an_aflt", tag=1), _eval_an_aflt, shapes_option="shapes"
-    ),
-    "an_kadell": Family(
-        partial(_sample_an_aflt, family="an_kadell", tag=2), _eval_an_aflt, shapes_option="shapes"
-    ),
-    "an_hua_kadell": Family(
-        partial(_sample_an_aflt, family="an_hua_kadell", tag=3),
-        _eval_an_aflt,
-        shapes_option="shapes",
-    ),
+    "an_selberg": Family(_sample_an_selberg, _eval_an_selberg, _an_selberg_at),
+    **{
+        family: Family(
+            partial(_sample_an_aflt, family=family, tag=tag),
+            _eval_an_aflt,
+            partial(_aflt_at, family=family),
+            shapes_option="shapes",
+        )
+        for tag, family in enumerate(("an_aflt", "an_kadell", "an_hua_kadell"), start=1)
+    },
     "prop_xselberg_base": Family(_sample_xselberg, _eval_xselberg),
     "equal_k_recursion": Family(_sample_equal_k, _eval_equal_k),
     "kernel_consistency": Family(_sample_kernel_consistency, _eval_kernel_consistency),
@@ -1672,48 +1704,46 @@ def sample_case(family: str, seed: int, cfg: HarnessConfig | None = None, **opti
     return FAMILY_TABLE[family].sample(seed, cfg, **options)
 
 
-def params_options(family: str, params: ParamSet) -> dict:
-    """Sampler options that size an an_selberg case for an explicit
-    parameter set: its grid dimension and tolerance follow n and k."""
-    if family == "an_selberg":
-        return {"n": params.n, "k": tuple(params.k)}
-    return {}
-
-
-def place_params(case: IdentityCase, params: ParamSet) -> None:
-    """Run case at an explicit parameter set.  The contour-aware check
-    picks its contour, or marks the case infeasible naming each violated
-    condition; a set that needs residue terms is infeasible for families
-    whose integrand carries factors beyond the density."""
-    case.paramset = params
+def case_at(family: str, seed: int, cfg: HarnessConfig, params: ParamSet, **options) -> IdentityCase:
+    """The family's case at an explicit parameter set, built as its
+    sampler builds a draw, on the contour contour_feasibility picks.  A
+    set that fits no contour gives an infeasible case naming each
+    violated condition."""
+    at = FAMILY_TABLE[family].at
+    if at is None:
+        raise ValueError(f"family {family} takes no --params")
     feas = contour_feasibility(params)
+    case = at(seed, cfg, params, feas.contour, **options)
     if not feas.ok:
         case.extra["infeasible"] = "; ".join(feas.violations)
-    elif feas.contour.residues and not FAMILY_TABLE[case.family].residues:
-        case.extra["infeasible"] = (
-            f"{case.family} is evaluated on the unit torus only; these parameters "
-            f"need the contour {feas.contour.describe()}"
-        )
-    else:
-        case.contour = feas.contour
+    return case
+
+
+def evaluate_case(case: IdentityCase) -> Evaluation:
+    """The family's Evaluation of case.  InfeasibleError when the case is
+    marked infeasible or its evaluation finds no valid contour."""
+    if "infeasible" in case.extra:
+        raise InfeasibleError(case.extra["infeasible"])
+    try:
+        return FAMILY_TABLE[case.family].evaluate(case)
+    except ContourError as exc:
+        raise InfeasibleError(str(exc)) from exc
 
 
 def run_case(case: IdentityCase) -> VerificationReport:
     """Evaluate one case: the family's Evaluation, then the main integral
     by adaptive quadrature on case.grid (runtime_ms times the quadrature;
     for a family without one, the evaluation), then the status."""
-    if "infeasible" in case.extra:
-        return _infeasible_report(case, case.extra["infeasible"])
     start = time.perf_counter()
     try:
-        ev = FAMILY_TABLE[case.family].evaluate(case)
-        if ev.integrand is None:
-            res = QuadResult(ev.lhs, 0.0, 0)
-        else:
-            start = time.perf_counter()
-            res = integrate_adaptive(ev.integrand, case.grid, case.tol * 0.1, case.doublings)
-    except (ContourError, InfeasibleError) as exc:
-        return _infeasible_report(case, str(exc))
+        ev = evaluate_case(case)
+    except InfeasibleError as exc:
+        return _report(case, Evaluation(0.0, notes=str(exc)), None, 0)
+    if ev.integrand is None:
+        res = QuadResult(ev.lhs, 0.0, 0)
+    else:
+        start = time.perf_counter()
+        res = integrate_adaptive(ev.integrand, case.grid, case.tol * 0.1, case.doublings)
     return _report(case, ev, res, int((time.perf_counter() - start) * 1000))
 
 

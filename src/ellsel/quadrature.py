@@ -250,14 +250,15 @@ def convergence_table(f, start: GridSpec, levels: int) -> list[dict]:
     return rows
 
 
-def write_convergence_csv(path, rows: list[dict]):
+def convergence_csv(rows: list[dict]) -> str:
+    """The rows as CSV text, header first."""
     import csv
+    import io
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["grid", "value_re", "value_im", "doubling_estimate", "evals", "runtime_ms"],
-        )
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    out = io.StringIO()
+    writer = csv.DictWriter(
+        out, fieldnames=["grid", "value_re", "value_im", "doubling_estimate", "evals", "runtime_ms"]
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()

@@ -16,15 +16,20 @@ unit circle.  The contour-aware check turns each such tower into a
 residue term; the tests below check the corrected value against the
 closed form, the closed-form residue against a small-ring residue, and
 the towers that stay diagnosed.
+
+Hand-built rank-three sets check the closed form at n = 3, on the torus
+and with one residue term, and run through `ellsel case --params`.
 """
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ellsel.binomials import TableCache
+from ellsel.cli import main
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
 from ellsel.densities import (
     IntegrandDescriptor,
@@ -294,3 +299,85 @@ def test_residue_term_towers_are_rechecked():
         v.startswith("residue term at vertex r=1 parameter 1: edge r=2 parameter c u")
         for v in feas.violations
     )
+
+
+def test_level_without_variables_has_no_vertex_towers():
+    # k = (0, 1): level 1 carries no variable, so its towers are not
+    # poles of the integrand, and the closed form does not depend on
+    # them.  Here |t1/c| = 2 is the only torus condition they would
+    # break; the set is feasible on the bare torus.
+    phase = _phases(11)
+    p, q, t = 0.3 * phase(), 0.3 * phase(), 0.5 * phase()
+    c = cmath.sqrt(p * q / t)
+    t5, t6, t7, t8 = (0.7 * phase() for _ in range(4))
+    tail = t5 * t6 * t7 * t8
+    t1, t3 = 2 * abs(c) * phase(), 0.6 * phase()
+    t2, t4 = p * q * t / (t1 * tail), p * q / (t3 * tail)
+    params = ParamSet(2, (0, 1), p, q, t, (t1, t2, t3, t4, t5, t6, t7, t8))
+    assert abs(params.vertex_params(1)[0]) > 1.05
+    assert feasibility_check(params).ok
+    feas = contour_feasibility(params)
+    assert feas.ok and not feas.contour.residues
+    value = integrate_torus(IntegrandDescriptor(params).build(), GridSpec((256,))).value
+    assert _rel(value, an_selberg_rhs(params)) < 1e-10
+
+
+def hand_built_rank_three(seed, level1=None):
+    """Balanced n = 3, k = (1, 1, 1) set: |p| = |q| = 0.35, |t| = 0.18,
+    |t7..t10| = 0.78, random phases.  The level-1 pair t1, t2 splits
+    |t1 t2| = |pq| / |t7 t8 t9 t10| evenly unless |t1| = level1 is given;
+    t3 .. t6 split their pairs evenly.  Every vertex tower then lies
+    inside 0.85, and |c| = 0.825."""
+    phase = _phases(seed)
+    p, q, t = 0.35 * phase(), 0.35 * phase(), 0.18 * phase()
+    t7, t8, t9, t10 = (0.78 * phase() for _ in range(4))
+    tail = t7 * t8 * t9 * t10
+    t1 = (level1 or abs(cmath.sqrt(p * q / tail))) * phase()
+    pair = abs(cmath.sqrt(p * q * t / tail))
+    t3, t5 = pair * phase(), pair * phase()
+    ts = (t1, p * q / (tail * t1), t3, p * q * t / (tail * t3), t5, p * q * t / (tail * t5))
+    return ParamSet(3, (1, 1, 1), p, q, t, ts + (t7, t8, t9, t10))
+
+
+def test_rank_three_torus_set_matches_closed_form():
+    params = hand_built_rank_three(0)
+    assert feasibility_check(params).ok
+    value = integrate_torus(IntegrandDescriptor(params).build(), GridSpec((96, 96, 96))).value
+    assert _rel(value, an_selberg_rhs(params)) < 1e-10
+
+
+def test_rank_three_residue_term_matches_closed_form():
+    # |t1| = 0.75 puts the level-1 tower t1/c^2 at |u| = 1.10, outside
+    # the circle, while its residue term's edge tower c u = t1/c stays
+    # at 0.91, inside the margin.
+    params = hand_built_rank_three(0, level1=0.75)
+    feas = contour_feasibility(params)
+    assert feas.ok, feas.violations
+    assert [(r.level, r.index) for r in feas.contour.residues] == [(1, 0)]
+    integrand = IntegrandDescriptor(params).build_on(feas.contour)
+    value = integrate_torus(integrand, GridSpec((96, 96, 96))).value
+    assert _rel(value, an_selberg_rhs(params)) < 1e-6
+
+
+def test_rank_three_params_file_runs(tmp_path, capsys):
+    pfile = tmp_path / "n3.json"
+    pfile.write_text(hand_built_rank_three(0).to_json())
+    assert main(["case", "--family", "an_selberg", "--params", str(pfile)]) == 0
+    rep = json.loads(capsys.readouterr().out)[0]
+    assert (rep["status"], rep["grid"], rep["n"], rep["k"]) == ("pass", "48x48x48", 3, [1, 1, 1])
+    assert rep["id"] == "an_selberg-n3k111-s0"
+    assert "no sampling windows" not in rep["notes"]
+
+
+def test_infeasible_params_file_reports_its_parameters(tmp_path, capsys):
+    # |t1| = 1.016 |c|^2 puts the level-1 tower t1/c^2 into the margin
+    # band, where no residue term applies.
+    params = hand_built_rank_three(0, level1=1.016 * 0.35**2 / 0.18)
+    pfile = tmp_path / "n3.json"
+    pfile.write_text(params.to_json())
+    assert main(["case", "--family", "an_selberg", "--params", str(pfile)]) == 2
+    rep = json.loads(capsys.readouterr().out)[0]
+    assert (rep["status"], rep["grid"], rep["n"], rep["k"]) == ("infeasible", "48x48x48", 3, [1, 1, 1])
+    assert rep["params"]["t1"] == [params.ts[0].real, params.ts[0].imag]
+    assert len(rep["params"]) == 14
+    assert "vertex r=1 parameter 1" in rep["notes"] and "margin band" in rep["notes"]

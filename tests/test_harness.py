@@ -2,7 +2,9 @@
 chains, report schema, reproducibility and the CLI."""
 
 import argparse
+import cmath
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,9 @@ from ellsel.binomials import TableCache
 from ellsel.densities import ParamSet, an_selberg_rhs, selberg_average_normalizer
 from ellsel.cli import _load_config, main
 from ellsel.harness import (
+    AFLT_N1_SHAPES,
     FAMILIES,
+    FAMILY_TABLE,
     SUITES,
     HarnessConfig,
     aflt_rhs,
@@ -246,6 +250,104 @@ class TestReports:
         assert pool_size(threads, jobs, cpus) == size
 
 
+class TestBuilders:
+    """`ellsel case --params` builds its case with the family's `at`, the
+    builder its sampler ends with, so a drawn case and a file's case come
+    from one code path."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_builder_matches_sampler(self, family, tmp_path, capsys):
+        at = FAMILY_TABLE[family].at
+        if at is None:
+            pfile = tmp_path / "p.json"
+            pfile.write_text(sample_case("beta_k1", 0, CFG).paramset.to_json())
+            assert main(["case", "--family", family, "--params", str(pfile)]) == 3
+            assert f"family {family} takes no --params" in capsys.readouterr().err
+            return
+        runs = [(opts, {}) for name, opts in SUITES["all"] if name == family]
+        if FAMILY_TABLE[family].shapes_option == "shapes":
+            shapes = {"shapes": AFLT_N1_SHAPES[2]}
+            runs.append(({"n": 1, **shapes}, shapes))
+        assert runs
+        for options, at_options in runs:
+            # a paramset carries the sizes n and k; only shapes are passed on
+            for seed in range(3):
+                case = sample_case(family, seed, CFG, **options)
+                assert case.paramset is not None, case.extra
+                built = at(seed, CFG, case.paramset, case.contour, **at_options)
+                for name in ("id", "grid", "tol", "doublings", "shapes", "contour", "extra"):
+                    assert getattr(built, name) == getattr(case, name), (case.id, name)
+
+
+class TestParamsFiles:
+    """Files run through `ellsel case --params`, sized by their own n and k."""
+
+    def run_file(self, capsys, tmp_path, family, params, code=0):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(params.to_json())
+        assert main(["case", "--family", family, "--params", str(pfile)]) == code
+        return json.loads(capsys.readouterr().out)[0]
+
+    def test_an_aflt_rank_two_file(self, capsys, tmp_path):
+        params = sample_case("an_aflt", 0, CFG, n=2).paramset
+        rep = self.run_file(capsys, tmp_path, "an_aflt", params)
+        assert (rep["status"], rep["grid"], rep["n"]) == ("pass", "256x256", 2)
+
+    def test_selberg_A1_one_variable_file(self, capsys, tmp_path):
+        params = sample_case("beta_k1", 0, CFG).paramset
+        rep = self.run_file(capsys, tmp_path, "selberg_A1", params)
+        assert (rep["status"], rep["grid"], rep["id"]) == ("pass", "256", "selberg_A1-k1-s0")
+
+    def test_selberg_A1_three_variable_file_follows_the_density_rule(self, capsys, tmp_path):
+        phase = cmath.exp
+        p, q, t = 0.3 * phase(0.4j), 0.3 * phase(2.1j), 0.75 * phase(-1.3j)
+        ts = [0.8 * phase(1j * a) for a in (0.2, 1.7, 2.9, -0.6, -2.2)]
+        ts.append(p * q / (t**4 * math.prod(ts)))
+        params = ParamSet(1, (3,), p, q, t, tuple(ts))
+        rep = self.run_file(capsys, tmp_path, "selberg_A1", params)
+        assert (rep["grid"], rep["tol"], rep["id"]) == ("48x48x48", CFG.tol_3d, "selberg_A1-k3-s0")
+        assert rep["status"] == "pass"
+
+    def test_selberg_A1_without_draw_reported_infeasible(self):
+        rep = run_case(sample_case("selberg_A1", 0, CFG, k=3))
+        assert (rep.status, rep.id, rep.notes) == ("infeasible", "selberg_A1-k3-s0", "no rank-one draw for k=3")
+
+    def test_aflt_interpolation_pole_infeasible(self, capsys, tmp_path):
+        # Scaling the pole-carrying t2 by 1.2 (and t5 by 1/1.2, keeping the
+        # balancing) leaves the density torus-feasible but moves a pole of
+        # the 1|0 interpolation factor outside the margin.
+        case = sample_case("an_aflt", 0, CFG)
+        assert str(case.shapes[0]) == "1|0"
+        ts = list(case.paramset.ts)
+        ts[1], ts[4] = ts[1] * 1.2, ts[4] / 1.2
+        params = ParamSet(1, (1,), case.paramset.p, case.paramset.q, case.paramset.t, tuple(ts))
+        rep = self.run_file(capsys, tmp_path, "an_aflt", params, code=2)
+        assert rep["status"] == "infeasible"
+        assert rep["notes"].startswith("interpolation pole of R_1|0 comp1: b t^(1-1) q^0 p^-1:")
+        assert ">= 0.95" in rep["notes"]
+
+    def test_aflt_file_with_several_variables_on_a_level_infeasible(self, capsys, tmp_path):
+        params = sample_case("selberg_A1", 0, CFG, k=2).paramset
+        rep = self.run_file(capsys, tmp_path, "an_aflt", params, code=2)
+        assert rep["status"] == "infeasible"
+        assert "needs every k_r = 1, not k=(2,)" in rep["notes"]
+
+    @pytest.mark.parametrize(
+        "family,source,message",
+        [
+            ("beta_k1", ("an_selberg", {}), "family beta_k1 takes n=1, k=(1,); got n=2, k=(1, 1)"),
+            ("beta_k1", ("selberg_A1", {}), "family beta_k1 takes n=1, k=(1,); got n=1, k=(2,)"),
+            ("selberg_A1", ("an_selberg", {}), "family selberg_A1 takes n=1; got n=2, k=(1, 1)"),
+            ("an_hua_kadell", ("an_aflt", {"n": 1}), "family an_hua_kadell takes t_(2n+2) t_(2n+3) = t"),
+        ],
+    )
+    def test_file_the_family_does_not_cover_exit_3(self, tmp_path, capsys, family, source, message):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(sample_case(source[0], 0, CFG, **source[1]).paramset.to_json())
+        assert main(["case", "--family", family, "--params", str(pfile)]) == 3
+        assert message in capsys.readouterr().err
+
+
 class TestParamSetRoundTrip:
     def test_json_roundtrip_through_case(self):
         case = sample_case("an_selberg", 1, CFG, n=2, k=(1, 1))
@@ -284,6 +386,18 @@ class TestCli:
             "lam=1|1", "mu=1|0", "a=0.5", "b=0.3", "p=0.1", "q=0.2", "t=0.25",
         )
         assert res.returncode == 0
+
+    def test_convergence_stdout_is_the_csv_file(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--family", "beta_k1", "--levels", "2", "--out", str(out)]) == 0
+        assert main(["convergence", "--family", "beta_k1", "--levels", "2"]) == 0
+
+        def without_runtime(text):
+            return [line.rsplit(",", 1)[0] for line in text.splitlines()]
+
+        printed = capsys.readouterr().out
+        assert printed.startswith("grid,value_re,value_im,doubling_estimate,evals,runtime_ms")
+        assert without_runtime(printed) == without_runtime(out.read_text())
 
     def test_convergence_table(self, tmp_path):
         out = tmp_path / "conv.csv"

@@ -11,11 +11,11 @@ from ellsel.quadrature import (
     GridSpec,
     IntegrandSum,
     TorusFactorizedIntegrand,
+    convergence_csv,
     convergence_table,
     doubling_ladder,
     integrate_adaptive,
     integrate_torus,
-    write_convergence_csv,
 )
 
 
@@ -155,10 +155,8 @@ class TestIntegrandSum:
 
 
 class TestCsv(object):
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         rows = convergence_table(lambda pts: np.ones(len(pts)), GridSpec((8,)), levels=2)
-        path = tmp_path / "conv.csv"
-        write_convergence_csv(path, rows)
-        text = path.read_text()
+        text = convergence_csv(rows)
         assert text.splitlines()[0] == "grid,value_re,value_im,doubling_estimate,evals,runtime_ms"
         assert len(text.splitlines()) == 3
