@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
-from ellsel.symbols import SymbolContext, cplus_bi, delta0_bi
+from ellsel.symbols import SymbolContext, cplus_bi, delta0_bi, delta0_bi_shapes
 
 COND_CAP = 1e8
 MAX_RESAMPLE = 5
@@ -114,11 +114,11 @@ def solve_binomial_table(
         e = a * pq / (b * c * d)
         args = [d, e, c / b]
         full_rhs = delta0_bi(lam, a, [b * d, b * e, c], ctx)
-        t_zero = delta0_bi(ZERO, a / b, args, ctx) * val_zero
-        t_full = delta0_bi(lam, a / b, args, ctx) * val_full
+        t_zero, t_full, *cols = delta0_bi_shapes([ZERO, lam, *interior], a / b, args, ctx)
+        t_zero, t_full = t_zero * val_zero, t_full * val_full
         rows = np.empty((count, nunk), dtype=np.complex128)
-        for col, mu in enumerate(interior):
-            rows[:, col] = delta0_bi(mu, a / b, args, ctx)
+        for col, vals in enumerate(cols):
+            rows[:, col] = vals
         scales = np.abs(full_rhs) + np.abs(t_zero) + np.abs(t_full)
         return rows, full_rhs - t_zero - t_full, scales
 
@@ -204,19 +204,37 @@ def binomial(
     Zero whenever mu is not contained in lam; exactly the Kronecker
     delta at b = 1.
     """
-    if not lam.contains(mu):
-        return 0.0
+    return binomial_row(lam, [mu], a, b, ctx, cache, bracket)[0]
+
+
+def binomial_row(
+    lam: Bipartition,
+    mus,
+    a: complex,
+    b: complex,
+    ctx: SymbolContext,
+    cache: TableCache | None = None,
+    bracket: tuple = (),
+) -> list:
+    """[binomial(lam, mu, a, b, ctx, cache, bracket) for mu in mus]: one
+    table lookup, and the bracket's Delta0_mu(a/b | v) of every mu with
+    a nonzero coefficient from one delta0_bi_shapes call."""
     if b == 1:
         # the bracketed coefficient trivialises outright: the bracket
         # ratio is identically one at b = 1, so skip it for exactness
-        return 1.0 if lam == mu else 0.0
+        return [1.0 if lam == mu else 0.0 for mu in mus]
+    inside = [lam.contains(mu) for mu in mus]
+    if not any(inside):
+        return [0.0] * len(mus)
     cache = cache if cache is not None else TableCache()
-    base = cache.get(lam, a, b, ctx)[mu]
-    if not bracket or base == 0.0:
+    table = cache.get(lam, a, b, ctx)
+    base = [table[mu] if ok else 0.0 for mu, ok in zip(mus, inside)]
+    live = [mu for mu, val in zip(mus, base) if val != 0.0]
+    if not bracket or not live:
         return base
     num = delta0_bi(lam, a, list(bracket), ctx)
-    den = delta0_bi(mu, a / b, list(bracket), ctx)
-    return base * num / den
+    den = dict(zip(live, delta0_bi_shapes(live, a / b, list(bracket), ctx)))
+    return [val if val == 0.0 else val * num / den[mu] for mu, val in zip(mus, base)]
 
 
 def jackson_residual(
@@ -244,12 +262,11 @@ def _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache):
     e = a * pq / (b * c * d)
     lhs = 0.0 + 0.0j
     total = 0.0
-    for mu in sub_bipartitions(lam):
-        if not mu.contains(nu):
-            continue
-        term = delta0_bi(mu, a / b, [d, e], ctx)
-        term *= binomial(lam, mu, a, b, ctx, cache)
-        term *= binomial(mu, nu, a / b, c / b, ctx, cache)
+    mus = [mu for mu in sub_bipartitions(lam) if mu.contains(nu)]
+    deltas = delta0_bi_shapes(mus, a / b, [d, e], ctx)
+    outer = binomial_row(lam, mus, a, b, ctx, cache)
+    for mu, delta, coeff in zip(mus, deltas, outer):
+        term = delta * coeff * binomial(mu, nu, a / b, c / b, ctx, cache)
         lhs += term
         total += abs(term)
     rhs = binomial(lam, nu, a, c, ctx, cache, bracket=(b * d, b * e))
@@ -307,5 +324,7 @@ def endpoint_zero(lam: Bipartition, a: complex, b: complex, ctx: SymbolContext) 
 
 
 def endpoint_full(lam: Bipartition, a: complex, b: complex, ctx: SymbolContext) -> complex:
-    """Closed form for <lam over lam>: C+_lam(a) / C+_lam(a/b)."""
-    return cplus_bi(lam, a, ctx) / cplus_bi(lam, a / b, ctx)
+    """Closed form for <lam over lam>: C+_lam(a) / C+_lam(a/b), both
+    from one C+ evaluation on the pair (a, a/b)."""
+    num, den = cplus_bi(lam, np.array([a, a / b]), ctx)
+    return complex(num / den)

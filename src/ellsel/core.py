@@ -14,6 +14,16 @@ number of numpy passes whatever the nome: callers pass a few dozen
 points at a time, where per-pass overhead, not arithmetic, is the cost.
 The table is capped at THETA_TABLE_ENTRIES entries, so long arrays
 stream through it in blocks and memory does not grow with the call.
+
+Batching contract: the evaluators are pointwise, so callers stack every
+argument of a product (the gamma factors of a density, the cells of a
+symbol) into one array and make one call; the cost then follows the
+number of calls, not the number of points.  elliptic_gamma_multi makes
+one array call and falls back to one call per factor only to name a
+failing factor.  The elliptic gamma shift ladder is compacted: only the
+(point, shift) pairs that exist go into its one theta call, because a
+ladder evaluated rung by rung over the whole array costs one theta call
+per rung and mostly evaluates masked filler points.
 """
 
 from __future__ import annotations
@@ -102,10 +112,8 @@ def theta(z, p: complex):
     pref = sign * np.power(w, -m) * np.power(p, -(m * (m - 1)) // 2)
 
     wmax = max(float(np.max(np.abs(w))), float(np.max(1.0 / np.abs(w))))
-    nterms = 1
-    while abs(p) ** nterms * wmax >= EPS_TAIL:
-        nterms += 1
-    nterms += 1  # guard term
+    # the first n >= 1 with |p|^n wmax < EPS_TAIL, plus a guard term
+    nterms = max(1, math.floor(math.log(EPS_TAIL / wmax) / logp) + 1) + 1
 
     pk = (p ** np.arange(nterms))[:, None]
     ppk = p * pk
@@ -132,23 +140,22 @@ def _series_coefficients(p: complex, q: complex, nterms: int) -> np.ndarray:
 def _log_gamma_annulus(w: np.ndarray, nomes: NomePair) -> np.ndarray:
     """log Gamma_{p,q}(w) for w inside the annulus |pq| < |w| < 1.
 
-    Uses log Gamma(w) = sum_{m>=1} (w^m - (pq/w)^m) / (m (1-p^m)(1-q^m)).
+    Uses log Gamma(w) = sum_{m>=1} (w^m - (pq/w)^m) / (m (1-p^m)(1-q^m)):
+    both power series are summed by Horner's rule on the stacked pair
+    (w, pq/w), two in-place numpy passes per term.
     """
-    pq = nomes.pq
-    u = pq / w
-    rate = max(float(np.max(np.abs(w))), float(np.max(np.abs(u))))
+    pair = np.stack([w, nomes.pq / w])
+    rate = float(np.max(np.abs(pair)))
     if rate >= 0.995:
         raise DomainError("gamma series argument too close to the unit circle")
     nterms = max(8, int(math.log(EPS_TAIL) / math.log(rate)) + 2)
     coeffs = _series_coefficients(nomes.p, nomes.q, nterms)
-    total = np.zeros_like(w)
-    wm = np.ones_like(w)
-    um = np.ones_like(w)
-    for m in range(1, nterms + 1):
-        wm = wm * w
-        um = um * u
-        total += coeffs[m] * (wm - um)
-    return total
+    acc = np.full_like(pair, coeffs[nterms])
+    for m in range(nterms - 1, 0, -1):
+        acc *= pair
+        acc += coeffs[m]
+    acc *= pair
+    return acc[0] - acc[1]
 
 
 def _check_gamma_poles(arr: np.ndarray, nomes: NomePair):
@@ -199,22 +206,29 @@ def _log_gamma(z, nomes: NomePair):
     m = np.round((np.log(np.abs(arr)) - target) / math.log(abs(step))).astype(np.int64)
     w = arr * np.power(step, -m)
 
+    m, w = m.reshape(-1), w.reshape(-1)
     logg = _log_gamma_annulus(w, nomes)
 
     # Gamma(step^m w) = Gamma(w) * prod_{j=0}^{m-1} theta_other(step^j w)
-    # for m >= 0, and divides by theta factors for m < 0.
-    mmax = int(np.max(m)) if m.size else 0
-    mmin = int(np.min(m)) if m.size else 0
-    for j in range(0, mmax):
-        mask = m > j
-        if np.any(mask):
-            args = np.where(mask, w * step**j, 0.5)
-            logg = logg + np.where(mask, _safe_log(theta(args, other)), 0.0)
-    for j in range(1, -mmin + 1):
-        mask = -m >= j
-        if np.any(mask):
-            args = np.where(mask, w * step ** (-j), 0.5)
-            logg = logg - np.where(mask, _safe_log(theta(args, other)), 0.0)
+    # for m >= 0, and divides by theta(step^-j w), j = 1..-m, for m < 0.
+    # Only the (point, shift) pairs that exist go into the one theta
+    # call, grouped by point, so the ladder costs sum |m| theta points
+    # instead of one full-array call per rung.
+    shifted = np.flatnonzero(m)
+    if shifted.size:
+        rungs = np.abs(m[shifted])
+        starts = np.cumsum(rungs) - rungs
+        point = np.repeat(shifted, rungs)
+        rank = np.arange(point.size) - np.repeat(starts, rungs)
+        expo = np.where(m[point] > 0, rank, -1 - rank)
+        logs = _safe_log(theta(w[point] * np.power(step, expo), other))
+        sums = np.add.reduceat(logs, starts)
+        # added or subtracted, never scaled by a sign: the log of an
+        # exact theta zero is -inf, and -inf times a complex -1 is NaN
+        up = m[shifted] > 0
+        logg[shifted[up]] += sums[up]
+        logg[shifted[~up]] -= sums[~up]
+    logg = logg.reshape(arr.shape)
     return (complex(logg) if scalar else logg), scalar
 
 
@@ -250,15 +264,21 @@ def elliptic_gamma_multi(zs, nomes: NomePair) -> complex:
     """Product of elliptic gamma values over a sequence of arguments.
 
     Accumulates in log space so that long products (Selberg integrands
-    multiply dozens of gamma factors) cannot overflow.
+    multiply dozens of gamma factors) cannot overflow.  All factors come
+    from one array evaluation; only when that raises are they redone one
+    by one, to name the offending factor.
     """
-    total = 0.0 + 0.0j
-    for idx, z in enumerate(zs):
-        try:
-            total += complex(elliptic_gamma_log(z, nomes))
-        except (DomainError, PoleError) as exc:
-            raise type(exc)(f"factor {idx}: {exc}") from exc
-    return cmath.exp(total)
+    zs = list(zs)
+    try:
+        logs = elliptic_gamma_log(np.asarray(zs, dtype=np.complex128), nomes)
+    except (DomainError, PoleError):
+        for idx, z in enumerate(zs):
+            try:
+                elliptic_gamma_log(z, nomes)
+            except (DomainError, PoleError) as exc:
+                raise type(exc)(f"factor {idx}: {exc}") from exc
+        raise
+    return cmath.exp(complex(np.sum(logs)))
 
 
 def elliptic_shifted_factorial(z: complex, n: int, nomes: NomePair) -> complex:

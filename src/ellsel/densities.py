@@ -56,18 +56,20 @@ def kappa(k: int, nomes: NomePair) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _gamma_prod(args, nomes):
+    """prod_i Gamma(args_i) from one elliptic_gamma call on the stacked,
+    broadcast arguments, multiplied down the stacking axis."""
+    vals = elliptic_gamma(np.stack(np.broadcast_arrays(*args)), nomes).prod(axis=0)
+    return complex(vals) if vals.ndim == 0 else vals
+
+
 def _gamma_pm(a, z, nomes):
-    return elliptic_gamma(a * z, nomes) * elliptic_gamma(a / z, nomes)
+    return _gamma_prod((a * z, a / z), nomes)
 
 
 def gamma_pm2(a, z, w, nomes):
     """Gamma(a z^+- w^+-); z or w may be an array."""
-    return (
-        elliptic_gamma(a * z * w, nomes)
-        * elliptic_gamma(a * z / w, nomes)
-        * elliptic_gamma(a * w / z, nomes)
-        * elliptic_gamma(a / (z * w), nomes)
-    )
+    return _gamma_prod((a * z * w, a * z / w, a * w / z, a / (z * w)), nomes)
 
 
 def selberg_vertex_density(z, ts, t: complex, nomes: NomePair) -> complex:
@@ -344,11 +346,8 @@ def _unary_fn(ts, head: complex, nomes: NomePair):
     pq = nomes.pq
 
     def fn(z):
-        num = np.full_like(z, head, dtype=np.complex128)
-        for tr in params:
-            num *= elliptic_gamma(tr * z, nomes) * elliptic_gamma(tr / z, nomes)
-        num *= elliptic_gamma(pq / z**2, nomes) * elliptic_gamma(pq * z**2, nomes)
-        return num
+        args = [w for tr in params for w in (tr * z, tr / z)]
+        return head * _gamma_prod(args + [pq / z**2, pq * z**2], nomes)
 
     return fn
 
@@ -372,16 +371,14 @@ def vertex_pair_fn(t: complex, nomes: NomePair):
     pq = nomes.pq
 
     def fn(w):
-        num = elliptic_gamma(t * w, nomes) * elliptic_gamma(t / w, nomes)
-        num *= elliptic_gamma(pq / w, nomes) * elliptic_gamma(pq * w, nomes)
-        return num
+        return _gamma_prod((t * w, t / w, pq / w, pq * w), nomes)
 
     return fn
 
 
 def edge_pair_fn(cval: complex, nomes: NomePair):
     def fn(w):
-        return elliptic_gamma(cval * w, nomes) * elliptic_gamma(cval / w, nomes)
+        return _gamma_prod((cval * w, cval / w), nomes)
 
     return fn
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ellsel.binomials import TableCache, binomial, jackson_check
+from ellsel.binomials import TableCache, binomial, binomial_row, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
     INWARD_CAP,
@@ -722,8 +722,8 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     rhs = _vertex_pair_gamma((t2, t3, t4, t5), c, x1, nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
-    for nu in sub_bipartitions(mu):
-        coeff = binomial(mu, nu, t1 / t2, c**2, ctx, cache, bracket=bracket)
+    nus = sub_bipartitions(mu)
+    for nu, coeff in zip(nus, binomial_row(mu, nus, t1 / t2, c**2, ctx, cache, bracket=bracket)):
         if coeff == 0.0:
             continue
         total += coeff * interp_nonskew(nu, (x1,), t1 / c, c * t2, ctx, cache)

@@ -21,9 +21,9 @@ import cmath
 
 import numpy as np
 
-from ellsel.binomials import TableCache, binomial
+from ellsel.binomials import TableCache, binomial, binomial_row
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
-from ellsel.symbols import SymbolContext, delta0_bi
+from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_shapes
 
 TOWER_FLOOR = 1e-6
 
@@ -46,12 +46,13 @@ def interp_nonskew(lam: Bipartition, xs, a, b, ctx: SymbolContext, cache: TableC
     for x in xs:
         args.append(pq * np.asarray(x) / (t * b))
         args.append(pq / (t * b * np.asarray(x)))
+    mus = sub_bipartitions(lam)
+    coeffs = binomial_row(lam, mus, big_a, big_b, ctx, cache, bracket=(w0,))
+    live = [(mu, coeff) for mu, coeff in zip(mus, coeffs) if coeff != 0.0]
+    deltas = delta0_bi_shapes([mu for mu, _ in live], pq / (t * b**2), args, ctx)
     total = 0.0
-    for mu in sub_bipartitions(lam):
-        coeff = binomial(lam, mu, big_a, big_b, ctx, cache, bracket=(w0,))
-        if coeff == 0.0:
-            continue
-        total = total + coeff * delta0_bi(mu, pq / (t * b**2), args, ctx)
+    for (_, coeff), delta in zip(live, deltas):
+        total = total + coeff * delta
     return total
 
 
@@ -82,17 +83,18 @@ def interp_skew(
         V = complex(V)
     pq = ctx.pq
     args = [pq / (b * np.asarray(v)) for v in vs]
-    total = 0.0
-    for mu in sub_bipartitions(lam):
-        if not mu.contains(nu):
-            continue
-        outer = binomial(lam, mu, a / b, a * b / pq, ctx, cache)
+    mus = [mu for mu in sub_bipartitions(lam) if mu.contains(nu)]
+    live = []
+    for mu, outer in zip(mus, binomial_row(lam, mus, a / b, a * b / pq, ctx, cache)):
         if outer == 0.0:
             continue
         inner = binomial(mu, nu, pq / b**2, pq * V / (a * b), ctx, cache)
-        if inner == 0.0:
-            continue
-        total = total + delta0_bi(mu, pq / b**2, args, ctx) * outer * inner
+        if inner != 0.0:
+            live.append((mu, outer, inner))
+    deltas = delta0_bi_shapes([mu for mu, _, _ in live], pq / b**2, args, ctx)
+    total = 0.0
+    for (_, outer, inner), delta in zip(live, deltas):
+        total = total + delta * outer * inner
     return total
 
 
@@ -167,10 +169,9 @@ def branching_residual(
     lhs = interp_skew(lam, nu, tuple(vs) + (w1, w2), a, b, ctx, cache)
     rhs = 0.0
     total = 0.0
-    for mu in sub_bipartitions(lam):
-        if not mu.contains(nu):
-            continue
-        coeff = binomial(lam, mu, a / b, w1 * w2, ctx, cache, bracket=(a / w1, a / w2))
+    mus = [mu for mu in sub_bipartitions(lam) if mu.contains(nu)]
+    coeffs = binomial_row(lam, mus, a / b, w1 * w2, ctx, cache, bracket=(a / w1, a / w2))
+    for mu, coeff in zip(mus, coeffs):
         if coeff == 0.0:
             continue
         term = coeff * interp_skew(mu, nu, vs, a / (w1 * w2), b, ctx, cache)
@@ -199,16 +200,10 @@ def hybrid_branching_residual(
     lhs = interp_hybrid(lam, xs, (v1, v2), a * t, b, ctx, cache)
     rhs = 0.0
     total = 0.0
-    for mu in sub_bipartitions(lam):
-        coeff = binomial(
-            lam,
-            mu,
-            t**k * a / b,
-            t * v1 * v2,
-            ctx,
-            cache,
-            bracket=(t**k * a / v1, t**k * a / v2, pq * a / (t * b * v1 * v2)),
-        )
+    mus = sub_bipartitions(lam)
+    bracket = (t**k * a / v1, t**k * a / v2, pq * a / (t * b * v1 * v2))
+    coeffs = binomial_row(lam, mus, t**k * a / b, t * v1 * v2, ctx, cache, bracket=bracket)
+    for mu, coeff in zip(mus, coeffs):
         if coeff == 0.0:
             continue
         term = coeff * interp_nonskew(mu, xs, a / (v1 * v2), b, ctx, cache)

@@ -111,18 +111,27 @@ class TorusFactorizedIntegrand:
         shape = (n,) * self.nvars
         total = np.full(shape, complex(self.prefactor), dtype=np.complex128)
 
+        # a factor function shared by several variables or pairs (a
+        # level's vertex factor) is evaluated once per grid
+        unary_vals, pair_vals = {}, {}
         per_var = [np.ones(n, dtype=np.complex128) for _ in range(self.nvars)]
         for var, fn in self.unary:
-            per_var[var] *= fn(z)
+            if id(fn) not in unary_vals:
+                unary_vals[id(fn)] = fn(z)
+            per_var[var] *= unary_vals[id(fn)]
         for var, vals in enumerate(per_var):
             total *= vals.reshape((1,) * var + (n,) + (1,) * (self.nvars - var - 1))
 
         if self.pairs:
             sum_idx = (idx[:, None] + idx[None, :]) % n
             diff_idx = (idx[:, None] - idx[None, :]) % n
+            both = np.concatenate([circle_prod, circle_ratio])
             for vi, vj, fn in self.pairs:
-                mat = fn(circle_prod)[sum_idx]
-                mat *= fn(circle_ratio)[diff_idx]
+                if id(fn) not in pair_vals:
+                    pair_vals[id(fn)] = np.split(fn(both), 2)
+                at_prod, at_ratio = pair_vals[id(fn)]
+                mat = at_prod[sum_idx]
+                mat *= at_ratio[diff_idx]
                 total *= mat.reshape(
                     tuple(n if k in (vi, vj) else 1 for k in range(self.nvars))
                 )

@@ -5,10 +5,23 @@ Role convention: a single-partition symbol in role "q" uses series base
 q with theta nome p; role "p" swaps the two.  The bipartition lift puts
 the first component in role "p" and the second in role "q", so swapping
 the nomes is the same as swapping the components.
+
+Batching: a C0 cell factor depends only on its cell, so Delta0_mu(a | bs)
+for every mu inside some lam is a product over a subset of lam's
+per-cell theta ratios.  delta0_shapes and delta0_bi_shapes evaluate
+those ratios with one theta call per component and hand each shape its
+own cells; delta0 and delta0_bi are their one-shape case, so there is
+one code path.  Each shape is still checked on its own: its PoleError
+names the first argument index and cell of that shape, its
+OverflowError the first argument index, and a list of shapes raises the
+error of the first failing shape in list order.  Callers that sum over
+mu (Jackson rows, interpolation sums) take all their shapes from one
+call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +122,66 @@ def cminus_bi(lam: Bipartition, z, ctx: SymbolContext):
     return cminus(lam.first, z, ctx, "p") * cminus(lam.second, z, ctx, "q")
 
 
+def _delta0_each(lams, a, bs, ctx: SymbolContext, series: str) -> list:
+    """Delta0_mu(a | bs) for every mu in lams, each entry the value or the
+    error delta0 raises for that mu.
+
+    The per-cell ratios prod_i theta(b_i x_c) / theta(pq a x_c / b_i),
+    x_c = base^(j-1) t^(1-i), depend only on the cell c = (i, j), so they
+    come from one theta call over the cells of the hull of lams, the
+    smallest partition containing them all; each mu multiplies the
+    ratios of its own cells, in its own cell order."""
+    a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
+    nargs = len(bs)
+    rows = max((mu.length for mu in lams), default=0)
+    hull = Partition(tuple(max(mu[i] for mu in lams) for i in range(rows)))
+    # cell (i, j) of any mu is entry offset[i - 1] + j - 1 of the hull's
+    offset = list(itertools.accumulate(hull.parts, initial=0))
+    bs = np.array(bs).reshape((nargs,) + a.shape)
+    num, den = _cell_thetas(hull, [bs, ctx.pq * a / bs], ctx, series).swapaxes(0, 1)
+    vanishing = (den == 0).reshape(hull.size, nargs, a.size).any(axis=2)
+    out = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = num / den
+        for mu in lams:
+            sel = [offset[i] + j for i, part in enumerate(mu.parts) for j in range(part)]
+            running = np.cumprod(np.prod(ratio[sel], axis=0), axis=0)
+            out.append(_delta0_checked(running, vanishing[sel], mu, a))
+    return out
+
+
+def _delta0_checked(running, vanishing, mu: Partition, a):
+    """The last running product over the arguments, or the PoleError or
+    OverflowError of the first failure in (argument, cell) order."""
+    nargs = len(running)
+    pole = vanishing.any(axis=0)
+    fail = pole | np.isinf(running).reshape(nargs, a.size).any(axis=1)
+    if fail.any():
+        idx = int(np.argmax(fail))
+        if pole[idx]:
+            i, j = list(mu.cells())[int(np.argmax(vanishing[:, idx]))]
+            return PoleError(
+                f"Delta0 denominator vanishes for argument index {idx} at cell ({i},{j})"
+            )
+        return OverflowError(f"Delta0 overflow at argument index {idx}")
+    result = running[-1] if nargs else np.ones(a.shape, dtype=np.complex128)
+    return complex(result) if a.ndim == 0 else result
+
+
+def _raise_first(values):
+    for val in values:
+        if isinstance(val, Exception):
+            raise val
+    return values
+
+
+def delta0_shapes(lams, a, bs, ctx: SymbolContext, series: str = "q") -> list:
+    """[delta0(mu, a, bs, ctx, series) for mu in lams] from one theta
+    call; each mu is checked as delta0 checks it, and the first mu in
+    list order that fails raises."""
+    return _raise_first(_delta0_each(lams, a, bs, ctx, series))
+
+
 def delta0(lam: Partition, a, bs, ctx: SymbolContext, series: str = "q"):
     """Well-poised ratio prod_i C0_lam(b_i) / C0_lam(pq a / b_i).
 
@@ -117,31 +190,27 @@ def delta0(lam: Partition, a, bs, ctx: SymbolContext, series: str = "q"):
     numerator and denominator factors of every (argument, cell) pair come
     from one theta call; a and the b_i broadcast against each other.
     """
-    a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
-    nargs, ncells = len(bs), lam.size
-    bs = np.array(bs).reshape((nargs,) + a.shape)
-    num, den = _cell_thetas(lam, [bs, ctx.pq * a / bs], ctx, series).swapaxes(0, 1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        running = np.cumprod(np.prod(num / den, axis=0), axis=0)
-    # Report the first failure in (argument, cell) order.
-    vanishing = np.any((den == 0).reshape(ncells, nargs, a.size), axis=2)
-    overflow = np.any(np.isinf(running).reshape(nargs, a.size), axis=1)
-    cells = list(lam.cells())
-    for idx in range(nargs):
-        if vanishing[:, idx].any():
-            i, j = cells[int(np.argmax(vanishing[:, idx]))]
-            raise PoleError(
-                f"Delta0 denominator vanishes for argument index {idx} at cell ({i},{j})"
-            )
-        if overflow[idx]:
-            raise OverflowError(f"Delta0 overflow at argument index {idx}")
-    result = running[-1] if nargs else np.ones(a.shape, dtype=np.complex128)
-    return complex(result) if a.ndim == 0 else result
+    return delta0_shapes([lam], a, bs, ctx, series)[0]
+
+
+def delta0_bi_shapes(lams, a, bs, ctx: SymbolContext) -> list:
+    """[delta0_bi(mu, a, bs, ctx) for mu in lams] from one theta call per
+    component, over the distinct first and second components; the first
+    mu in list order that fails raises, its first component first."""
+    firsts = list(dict.fromkeys(mu.first for mu in lams))
+    seconds = list(dict.fromkeys(mu.second for mu in lams))
+    by_first = dict(zip(firsts, _delta0_each(firsts, a, bs, ctx, "p")))
+    by_second = dict(zip(seconds, _delta0_each(seconds, a, bs, ctx, "q")))
+    out = []
+    for mu in lams:
+        first, second = _raise_first([by_first[mu.first], by_second[mu.second]])
+        out.append(first * second)
+    return out
 
 
 def delta0_bi(lam: Bipartition, a, bs, ctx: SymbolContext):
     """Bipartition lift of Delta0: first component in role p, second in q."""
-    return delta0(lam.first, a, bs, ctx, "p") * delta0(lam.second, a, bs, ctx, "q")
+    return delta0_bi_shapes([lam], a, bs, ctx)[0]
 
 
 def gamma_delta_bridge(

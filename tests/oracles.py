@@ -115,14 +115,40 @@ def delta0_product(parts, a: complex, bs, base: complex, nome: complex, t: compl
     return result
 
 
+def _theta_mpc(z, p):
+    """(z;p)_inf (p/z;p)_inf for mpmath numbers, at the working precision."""
+    import mpmath
+
+    return mpmath.qp(z, p) * mpmath.qp(p / z, p)
+
+
 def theta_mp(z: complex, p: complex, dps: int = 40) -> complex:
     """theta(z; p) as (z;p)_inf (p/z;p)_inf, both q-Pochhammer symbols
     evaluated by mpmath at dps significant digits."""
     import mpmath
 
     with mpmath.workdps(dps):
-        z, p = mpmath.mpc(z), mpmath.mpc(p)
-        return complex(mpmath.qp(z, p) * mpmath.qp(p / z, p))
+        return complex(_theta_mpc(mpmath.mpc(z), mpmath.mpc(p)))
+
+
+def delta0_mp(parts, a: complex, bs, base: complex, nome: complex, t: complex, dps: int = 40):
+    """Delta0 of `parts` at scalar a and b_i, prod_i C0(b_i) / C0(pq a / b_i)
+    with pq = base * nome, where C0 is the product over the cells (i, j)
+    of theta(z base^(j-1) t^(1-i); nome).  Every argument, theta value
+    and product is formed by mpmath at dps significant digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, base, nome, t = (mpmath.mpc(v) for v in (a, base, nome, t))
+        result = mpmath.mpc(1)
+        for b in bs:
+            b = mpmath.mpc(b)
+            for i, part in enumerate(parts, start=1):
+                for j in range(1, part + 1):
+                    shift = base ** (j - 1) * t ** (1 - i)
+                    result *= _theta_mpc(b * shift, nome)
+                    result /= _theta_mpc(base * nome * a / b * shift, nome)
+        return complex(result)
 
 
 def gamma_mp(z: complex, p: complex, q: complex, dps: int = 40, eps: float = 1e-20) -> complex:

@@ -1,0 +1,73 @@
+"""Special-function call counts: a product of gamma factors is one
+elliptic gamma evaluation, and a sum of Delta0 symbols over many shapes
+is one theta call per component, however many factors or shapes."""
+
+import numpy as np
+import pytest
+
+from ellsel import binomials, core, symbols
+from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
+from ellsel.densities import vertex_unary_fn
+from ellsel.partitions import Bipartition, sub_bipartitions
+from ellsel.symbols import SymbolContext
+
+NOMES = NomePair(0.2, 0.3 + 0.1j)
+
+
+def counting(monkeypatch, module, name) -> list:
+    """Replace module.name with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_vertex_unary_factor_is_one_gamma_evaluation(monkeypatch):
+    ts = (0.3, 0.4j, -0.5, 0.35 + 0.2j, 0.25 - 0.1j, 0.6)
+    fn = vertex_unary_fn(ts, 0.45, NOMES)
+    z = np.exp(2j * np.pi * (np.arange(64) + 0.25) / 64)
+    calls = counting(monkeypatch, core, "_log_gamma")
+    vals = fn(z)
+    assert len(calls) == 1
+    assert vals.shape == z.shape and np.all(np.isfinite(vals))
+
+
+def test_gamma_product_is_one_gamma_evaluation(monkeypatch):
+    zs = [0.3, 0.4 - 0.1j, 1.7, 0.05j, 2.5 + 1.0j, -0.8]
+    want = np.prod([elliptic_gamma(z, NOMES) for z in zs])
+    calls = counting(monkeypatch, core, "_log_gamma")
+    got = elliptic_gamma_multi(zs, NOMES)
+    assert len(calls) == 1
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_failing_gamma_product_still_names_its_factor(monkeypatch):
+    calls = counting(monkeypatch, core, "_log_gamma")
+    with pytest.raises(core.PoleError, match="factor 2"):
+        elliptic_gamma_multi([0.3, 0.4, 1.0, 0.5], NOMES)
+    assert len(calls) == 1 + 3  # the batch, then factors 0..2 one by one
+
+
+@pytest.mark.parametrize(
+    "lam", [Bipartition.of((2,), (1,)), Bipartition.of((2, 1), (1, 1))], ids=str
+)
+def test_table_rows_take_four_theta_calls_whatever_the_shapes(monkeypatch, lam):
+    # a row block is Delta0_lam on the right side plus Delta0_mu(a/b | ...)
+    # for every mu inside lam, on the left: each is one theta call per
+    # component, so 4 calls, for 4 interior shapes as for 13
+    ctx = SymbolContext(NomePair(0.1, 0.2), 0.25)
+    a, b = 0.45 + 0.1j, 0.6 - 0.2j
+    calls = counting(monkeypatch, symbols, "theta")
+    binomials.endpoint_zero(lam, a, b, ctx)
+    binomials.endpoint_full(lam, a, b, ctx)
+    endpoints = len(calls)
+    calls.clear()
+    table = binomials.solve_binomial_table(lam, a, b, ctx)
+    assert len(sub_bipartitions(lam)) in (6, 15)
+    blocks = table.resamples + 2  # one per attempt, plus the holdout rows
+    assert len(calls) - endpoints == 4 * blocks

@@ -1,6 +1,7 @@
 """Tests for theta, the elliptic gamma function and shifted factorials."""
 
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,45 @@ class TestEllipticGamma:
         nomes = NomePair(0.15, 0.25)
         val = elliptic_gamma(0.15 * 0.25, nomes)
         assert abs(val) < 1e-12
+
+
+class TestStackedGamma:
+    """One elliptic_gamma call on a (rows, N) stack equals one call per
+    row: the batched shift ladder and annulus series are pointwise."""
+
+    NOMES = NomePair(0.15, 0.25)
+
+    def test_rows_match_per_row_calls(self):
+        rng = np.random.default_rng(3)
+        npts = 16
+        logr = np.stack(
+            [
+                rng.uniform(-6.0, -1.5, npts),  # below |pq|^(1/2): positive shifts
+                rng.uniform(0.5, 5.0, npts),  # above it: negative shifts
+                rng.uniform(-5.0, 5.0, npts),  # both
+            ]
+        )
+        z = np.exp(logr + 2j * np.pi * rng.uniform(size=logr.shape))
+        z[2, 5] = self.NOMES.pq  # an exact zero of Gamma, reached by a shift
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stacked = elliptic_gamma(z, self.NOMES)
+            rows = [elliptic_gamma(row, self.NOMES) for row in z]
+        assert not caught, [str(w.message) for w in caught]
+        assert stacked.shape == z.shape
+        assert stacked[2, 5] == 0 and rows[2][5] == 0
+        for got, want in zip(stacked, rows):
+            nonzero = want != 0
+            assert np.all(np.abs(got - want)[nonzero] <= 1e-14 * np.abs(want[nonzero]))
+
+    def test_exact_zero_in_an_array_with_negative_shifts(self):
+        z = np.array([self.NOMES.pq, 3.0 + 1.0j, 0.5j, self.NOMES.pq * 0.25])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            vals = elliptic_gamma(z, self.NOMES)
+        assert not caught, [str(w.message) for w in caught]
+        assert vals[0] == 0 and vals[3] == 0
+        assert np.all(np.isfinite(vals)) and np.all(vals[1:3] != 0)
 
 
 class TestGammaMulti:

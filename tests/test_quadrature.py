@@ -110,6 +110,36 @@ class TestFactorizedIntegrand:
         b = integrate_torus(direct, grid)
         assert abs(a.value - b.value) < 1e-13 * max(1.0, abs(b.value))
 
+    def test_shared_factor_functions_run_once_per_grid(self):
+        # one unary function on all three variables and one pair function
+        # on all three pairs: each runs once, the pair function on the
+        # product and ratio circles together
+        calls = []
+
+        def g(z):
+            calls.append(("unary", z.size))
+            return 1.0 + 0.3 * z + 0.1 / z
+
+        def h(w):
+            calls.append(("pair", w.size))
+            return 1.0 / (1.0 - 0.5 * w)
+
+        fact = TorusFactorizedIntegrand(
+            nvars=3,
+            unary=[(v, g) for v in range(3)],
+            pairs=[(0, 1, h), (0, 2, h), (1, 2, h)],
+        )
+        n, phase = 8, 0.1
+        got = fact.values(n, phase)
+        assert sorted(calls) == [("pair", 2 * n), ("unary", n)]
+
+        z = np.exp(1j * (2.0 * math.pi * np.arange(n) / n + phase))
+        z1, z2, z3 = np.meshgrid(z, z, z, indexing="ij")
+        want = g(z1) * g(z2) * g(z3)
+        for zi, zj in ((z1, z2), (z1, z3), (z2, z3)):
+            want *= h(zi * zj) * h(zi / zj)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
     def test_nonfinite_sample_reported(self):
         def f(pts):
             vals = np.ones(len(pts), dtype=complex)

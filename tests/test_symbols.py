@@ -1,6 +1,7 @@
 """Tests for C-symbols, Delta0 ratios and the gamma/Delta0 bridge."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellsel.core import DomainError, NomePair, PoleError, theta
-from ellsel.partitions import Bipartition, Partition, sub_bipartitions
+from ellsel.partitions import Bipartition, Partition, sub_bipartitions, sub_partitions
 from ellsel.symbols import (
     SymbolContext,
     c0,
@@ -17,9 +18,11 @@ from ellsel.symbols import (
     cplus,
     delta0,
     delta0_bi,
+    delta0_bi_shapes,
+    delta0_shapes,
     gamma_delta_bridge,
 )
-from oracles import all_partitions_up_to, cell_symbol_product, delta0_product
+from oracles import all_partitions_up_to, cell_symbol_product, delta0_mp, delta0_product
 
 CTX = SymbolContext(NomePair(0.1, 0.2), 0.25)
 
@@ -287,6 +290,121 @@ class TestDelta0Properties:
         # one array call over all the b's equals the scalar calls
         grid = delta0(lam, a, [np.array(bs)], ctx, series)
         assert np.all(np.abs(grid - np.array(each)) <= 1e-12 * np.abs(np.array(each)))
+
+
+class TestDelta0MpmathOracle:
+    """delta0 against the 40-digit mpmath oracle delta0_mp, over |p|, |q|
+    up to 0.9 with complex phases.  Draws where a theta factor is
+    ill-conditioned, or the value leaves the normal float range, are
+    rejected, as in TestDelta0Properties."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        parts=st.sampled_from(all_partitions_up_to(4)),
+        series=st.sampled_from(["p", "q"]),
+        p=_complex(st.floats(0.05, 0.9)),
+        q=_complex(st.floats(0.05, 0.9)),
+        t=_complex(st.floats(0.5, 0.95)),
+        a=_complex(st.floats(0.5, 2.0)),
+        bs=st.lists(_complex(st.floats(0.5, 2.0)), min_size=1, max_size=3),
+    )
+    def test_delta0(self, parts, series, p, q, t, a, bs):
+        pytest.importorskip("mpmath")
+        ctx = SymbolContext(NomePair(p, q), t)
+        lam = Partition(parts)
+        assume(_well_conditioned(lam, a, bs, ctx, series))
+        try:
+            got = delta0(lam, a, bs, ctx, series)
+        except (PoleError, OverflowError):
+            assume(False)
+        assume(1e-250 < abs(got) < 1e250)
+        base, nome = _roles(ctx, series)
+        assert rel_err(got, delta0_mp(parts, a, bs, base, nome, t)) <= 1e-12
+
+
+def _first_error(fn, shapes, *args):
+    """The error fn raises for the first shape in order that fails, else None."""
+    for mu in shapes:
+        try:
+            fn(mu, *args)
+        except (PoleError, OverflowError) as exc:
+            return exc
+    return None
+
+
+class TestSharedCellEvaluator:
+    """delta0_shapes and delta0_bi_shapes, which share one set of cell
+    ratios among all their shapes, against one delta0 / delta0_bi call
+    per shape: the same values, and the same error for the same
+    argument index and cell."""
+
+    A = np.array([0.45 + 0.1j, 0.6 - 0.2j, -0.5j])
+    GRID = np.array([[0.7 + 0.2j, 0.35, -0.4 + 0.5j], [0.8j, 0.55 - 0.1j, 0.3 + 0.3j]])
+    EXACT = TestDelta0Contract.EXACT
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("parts", ORACLE_SHAPES)
+    def test_every_sub_shape_matches_one_call_each(self, parts):
+        lam = Bipartition(Partition(parts), Partition(parts).conjugate())
+        for a, bs in [(0.45 + 0.1j, [0.7 - 0.2j, 0.35j]), (self.A, [self.GRID, 0.6 + 0.1j])]:
+            mus = sub_bipartitions(lam)
+            for mu, got in zip(mus, delta0_bi_shapes(mus, a, bs, CTX)):
+                self.assert_close(got, delta0_bi(mu, a, bs, CTX))
+            for series in ("p", "q"):
+                subs = sub_partitions(Partition(parts))
+                for mu, got in zip(subs, delta0_shapes(subs, a, bs, CTX, series)):
+                    self.assert_close(got, delta0(mu, a, bs, CTX, series))
+
+    def assert_same_error(self, many, one, shapes, *args):
+        """For every tail of shapes, many(tail, ...) raises what one(mu, ...)
+        raises for the first failing mu of the tail, or nothing."""
+        messages = set()
+        for start in range(len(shapes)):
+            tail = shapes[start:]
+            expected = _first_error(one, tail, *args)
+            if expected is None:
+                many(tail, *args)
+                continue
+            messages.add(str(expected))
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                many(tail, *args)
+        return messages
+
+    def test_pole_error_names_the_same_argument_and_cell(self):
+        pq, q = self.EXACT.pq, self.EXACT.q
+        a = 1.0
+        # argument 1 vanishes at cell (1,2) of (2,) and (2,1), and at cell
+        # (2,1) of (1,1) and (2,1): each shape names its own first cell
+        bs = [0.3, pq * a * q]
+        shapes = sub_partitions(Partition((2, 1)))
+        assert self.assert_same_error(delta0_shapes, delta0, shapes, a, bs, self.EXACT) == {
+            "Delta0 denominator vanishes for argument index 1 at cell (1,2)",
+            "Delta0 denominator vanishes for argument index 1 at cell (2,1)",
+        }
+        bshapes = sub_bipartitions(Bipartition.of((1,), (2, 1)))
+        assert self.assert_same_error(delta0_bi_shapes, delta0_bi, bshapes, a, bs, self.EXACT)
+
+    def test_overflow_error_names_the_same_argument_index(self):
+        b = 1e12
+        a = 0.5 * b / self.EXACT.pq
+        shapes = sub_partitions(Partition((2,)))
+        bs = [b, b, b, 0.5]
+        # (1,) overflows at the third argument; the second cell of (2,)
+        # meets the theta zero pq a q / b = p at the first
+        assert self.assert_same_error(delta0_shapes, delta0, shapes, a, bs, self.EXACT) == {
+            "Delta0 overflow at argument index 2",
+            "Delta0 denominator vanishes for argument index 0 at cell (1,2)",
+        }
+        bshapes = sub_bipartitions(Bipartition.of((1,), (1,)))
+        assert self.assert_same_error(delta0_bi_shapes, delta0_bi, bshapes, a, bs, self.EXACT)
+
+    def test_no_shapes_and_empty_shapes(self):
+        assert delta0_shapes([], 0.4, [0.3], CTX) == []
+        assert delta0_bi_shapes([Bipartition(), Bipartition()], 0.4, [0.3], CTX) == [1.0, 1.0]
 
 
 class TestGammaDeltaBridge:
