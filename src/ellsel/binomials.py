@@ -246,17 +246,13 @@ def jackson_residual(
     d: complex,
     ctx: SymbolContext,
     cache: TableCache | None = None,
-) -> float:
-    """Relative residual of the full Jackson summation with general nu.
+) -> tuple[float, float]:
+    """Relative residual of the full Jackson summation with general nu,
+    and its term-cancellation ratio sum |term| / |rhs|.
 
     End-to-end consistency check: every binomial involved comes from an
     independently solved table.
     """
-    res, _ = _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache)
-    return res
-
-
-def _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache):
     cache = cache if cache is not None else TableCache()
     pq = ctx.pq
     e = a * pq / (b * c * d)
@@ -295,7 +291,7 @@ def jackson_check(
     best = math.inf
     for _ in range(GENERIC_TRIES):
         c, d = _draw_pair(rng)
-        res, ratio = _jackson_residual_and_ratio(lam, nu, a, b, c, d, ctx, cache)
+        res, ratio = jackson_residual(lam, nu, a, b, c, d, ctx, cache)
         if ratio <= MAX_CANCELLATION:
             return res
         best = min(best, res)

@@ -19,7 +19,7 @@ import math
 import os
 import sys
 
-from ellsel.core import NomePair, elliptic_gamma, theta
+from ellsel.core import NomePair, PoleError, elliptic_gamma, theta
 from ellsel.densities import InfeasibleError, ParamSet
 from ellsel.harness import (
     FAMILIES,
@@ -46,6 +46,14 @@ PARAMS_HELP = (
     + ", ".join(name for name, family in FAMILY_TABLE.items() if family.at)
     + "; its n and k size the case"
 )
+
+# The name=value keys each `eval --fn` reads.
+EVAL_KEYS = {
+    "gamma": ("z", "p", "q"),
+    "theta": ("z", "p"),
+    "binomial": ("lam", "mu", "a", "b", "p", "q", "t"),
+    "interp": ("lam", "x", "a", "b", "p", "q", "t"),
+}
 
 # Smallest accepted value of each integer flag: a smaller one would run
 # no case, an unusable grid or no worker.
@@ -78,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     case.add_argument("--tol", type=float, default=None, help=TOL_HELP)
 
     ev = sub.add_parser("eval", help="evaluate a special function")
-    ev.add_argument("--fn", required=True, choices=("gamma", "theta", "binomial", "interp"))
+    ev.add_argument("--fn", required=True, choices=tuple(EVAL_KEYS))
     ev.add_argument("--args", nargs="+", required=True, help="name=value pairs, complex as re,im")
 
     conv = sub.add_parser("convergence", help="grid-doubling table for a family case")
@@ -210,39 +218,30 @@ def _cmd_case(args) -> int:
 
 def _cmd_eval(args) -> int:
     kv = _kv_args(args.args)
+    keys = EVAL_KEYS[args.fn]
+    missing = [key for key in keys if key not in kv]
+    if missing:
+        needs = ", ".join(keys)
+        raise ValueError(f"--fn {args.fn} is missing {', '.join(missing)}; it needs {needs}")
+    num = {key: _parse_complex(kv[key]) for key in keys if key not in ("lam", "mu", "x")}
     if args.fn == "theta":
-        z = _parse_complex(kv["z"])
-        p = _parse_complex(kv["p"])
-        print(theta(z, p))
+        print(theta(num["z"], num["p"]))
         return 0
+    nomes = NomePair(num["p"], num["q"])
     if args.fn == "gamma":
-        nomes = NomePair(_parse_complex(kv["p"]), _parse_complex(kv["q"]))
-        print(elliptic_gamma(_parse_complex(kv["z"]), nomes))
+        print(elliptic_gamma(num["z"], nomes))
         return 0
     from ellsel.binomials import binomial
     from ellsel.interpolation import interp_nonskew
     from ellsel.symbols import SymbolContext
 
-    ctx = SymbolContext(
-        NomePair(_parse_complex(kv["p"]), _parse_complex(kv["q"])),
-        _parse_complex(kv["t"]),
-    )
+    ctx = SymbolContext(nomes, num["t"])
+    lam = parse_bipartition(kv["lam"])
     if args.fn == "binomial":
-        print(
-            binomial(
-                parse_bipartition(kv["lam"]),
-                parse_bipartition(kv["mu"]),
-                _parse_complex(kv["a"]),
-                _parse_complex(kv["b"]),
-                ctx,
-            )
-        )
-        return 0
-    xs = tuple(_parse_complex(tok) for tok in kv["x"].split(";"))
-    val = interp_nonskew(
-        parse_bipartition(kv["lam"]), xs, _parse_complex(kv["a"]), _parse_complex(kv["b"]), ctx
-    )
-    print(val)
+        print(binomial(lam, parse_bipartition(kv["mu"]), num["a"], num["b"], ctx))
+    else:
+        xs = tuple(_parse_complex(tok) for tok in kv["x"].split(";"))
+        print(interp_nonskew(lam, xs, num["a"], num["b"], ctx))
     return 0
 
 
@@ -285,7 +284,7 @@ def main(argv=None) -> int:
             "convergence": _cmd_convergence,
         }[args.command]
         return handler(args)
-    except (KeyError, ValueError, OSError, BudgetError) as exc:
+    except (KeyError, ValueError, OSError, BudgetError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

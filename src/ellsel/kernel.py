@@ -1,7 +1,7 @@
-"""The elliptic interpolation kernel: closed forms for zero and one
-variable pairs, and the recursive contour-integral evaluation for two
-pairs (one inner quadrature of the one-variable kernel against a Dixon
-density on the unit circle)."""
+"""The elliptic interpolation kernel: the closed form for one variable
+pair, and the recursive contour-integral evaluation for two pairs (one
+inner quadrature of the one-variable kernel against a Dixon density on
+the unit circle)."""
 
 from __future__ import annotations
 
@@ -19,10 +19,6 @@ BRANCH_TOL = 1e-9
 
 class ContourError(RuntimeError):
     """Inner contour of the branching rule is not torus-feasible."""
-
-
-def kernel_k0() -> complex:
-    return 1.0
 
 
 def kernel_k1(x1, y1, cval: complex, ctx: SymbolContext):

@@ -11,13 +11,12 @@ the quadrature weight (each circle contributes a plain mean over its
 sample points); density factors therefore never carry imaginary-unit
 bookkeeping.
 
-Three integrand forms are accepted:
+Two integrand forms are accepted:
 
-* any callable f(points) with points of shape (npts, d), evaluated on
-  the full product grid;
-* a TorusFactorizedIntegrand, whose unary/pairwise factor structure is
-  exploited so that only O(N) special-function evaluations are needed
-  per grid regardless of the dimension;
+* a TorusFactorizedIntegrand, a product of unary and pairwise factors:
+  only O(N) special-function evaluations are needed per grid whatever
+  the dimension, and its factor tables are contracted in place of a
+  product tensor, so memory is O(pairs * N^2) instead of N^d;
 * an IntegrandSum of factorised integrands of different dimensions (a
   residue-corrected contour), integrated part by part on one
   per-variable grid size.
@@ -25,10 +24,11 @@ Three integrand forms are accepted:
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -102,14 +102,15 @@ class TorusFactorizedIntegrand:
     pairs: list = field(default_factory=list)  # (vi, vj, fn) with vi < vj
     prefactor: complex = 1.0
 
-    def values(self, n: int, phase: float) -> np.ndarray:
+    def values(self, n: int, phase: float) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+        """(table, variables) on the n-point grid: per variable the
+        product of its unary factors, a length-n vector, then per pair
+        (vi, vj) an n x n matrix indexed [vi, vj].  The integrand is the
+        prefactor times the product of the tables."""
         idx = np.arange(n)
         z = np.exp(1j * (2.0 * math.pi * idx / n + phase))
         circle_prod = np.exp(1j * (2.0 * math.pi * idx / n + 2.0 * phase))
         circle_ratio = np.exp(2j * math.pi * idx / n)
-
-        shape = (n,) * self.nvars
-        total = np.full(shape, complex(self.prefactor), dtype=np.complex128)
 
         # a factor function shared by several variables or pairs (a
         # level's vertex factor) is evaluated once per grid
@@ -119,8 +120,7 @@ class TorusFactorizedIntegrand:
             if id(fn) not in unary_vals:
                 unary_vals[id(fn)] = fn(z)
             per_var[var] *= unary_vals[id(fn)]
-        for var, vals in enumerate(per_var):
-            total *= vals.reshape((1,) * var + (n,) + (1,) * (self.nvars - var - 1))
+        tables = [(vals, (var,)) for var, vals in enumerate(per_var)]
 
         if self.pairs:
             sum_idx = (idx[:, None] + idx[None, :]) % n
@@ -132,10 +132,8 @@ class TorusFactorizedIntegrand:
                 at_prod, at_ratio = pair_vals[id(fn)]
                 mat = at_prod[sum_idx]
                 mat *= at_ratio[diff_idx]
-                total *= mat.reshape(
-                    tuple(n if k in (vi, vj) else 1 for k in range(self.nvars))
-                )
-        return total
+                tables.append((mat, (vi, vj)))
+        return tables
 
 
 @dataclass
@@ -172,46 +170,49 @@ def _integrate_sum(f: IntegrandSum, grid: GridSpec) -> QuadResult:
     return QuadResult(value, estimate, evals)
 
 
-def _callable_values(f: Callable, dims: tuple[int, ...], phase: float) -> np.ndarray:
-    axes = [
-        np.exp(1j * (2.0 * math.pi * np.arange(n) / n + phase)) for n in dims
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    vals = np.asarray(f(points), dtype=np.complex128)
-    return vals.reshape(tuple(dims))
+def _contract(tables, step: int) -> complex:
+    """Sum over the grid, every step-th point per variable, of the
+    product of the tables."""
+    operands = []
+    for table, axes in tables:
+        operands += [table[(slice(None, None, step),) * len(axes)], list(axes)]
+    return complex(np.einsum(*operands, [], optimize=False))
 
 
 def integrate_torus(f, grid: GridSpec) -> QuadResult:
     """Trapezoid approximation of (1/(2 pi i))^d times the contour
     integral of f over the product of unit circles with measure dz/z.
 
-    Deterministic for a fixed grid: summation is numpy's
-    pairwise reduction over a fixed-shape tensor, independent of any
-    thread count.
+    A factorised integrand is summed by contracting its factor tables
+    (`TorusFactorizedIntegrand.values`) with one unoptimised einsum: no
+    N^d tensor is built, and the sum runs in numpy's own loops, not
+    BLAS, so it is deterministic for a fixed grid and independent of
+    any thread count.
     """
     if isinstance(f, IntegrandSum):
         return _integrate_sum(f, grid)
+    if not isinstance(f, TorusFactorizedIntegrand):
+        raise TypeError(f"cannot integrate a {type(f).__name__}")
     dims = grid.dims
-    if isinstance(f, TorusFactorizedIntegrand):
-        if len(set(dims)) != 1:
-            raise ValueError("factorised integrands require equal dims per variable")
-        if f.nvars != len(dims):
-            raise ValueError(f"integrand has {f.nvars} variables, grid has {len(dims)}")
-        tensor = f.values(dims[0], grid.phase)
-    else:
-        tensor = _callable_values(f, dims, grid.phase)
-
-    if not np.all(np.isfinite(tensor)):
-        bad = np.argwhere(~np.isfinite(tensor))[0]
-        raise ArithmeticError(f"non-finite integrand sample at grid index {tuple(bad)}")
+    if len(set(dims)) != 1:
+        raise ValueError("factorised integrands require equal dims per variable")
+    if f.nvars != len(dims):
+        raise ValueError(f"integrand has {f.nvars} variables, grid has {len(dims)}")
+    tables = f.values(dims[0], grid.phase)
+    for table, axes in tables:
+        if not np.all(np.isfinite(table)):
+            bad = tuple(int(i) for i in np.argwhere(~np.isfinite(table))[0])
+            where = f"variable {axes[0]}" if len(axes) == 1 else f"pair {axes}"
+            raise ArithmeticError(f"non-finite integrand factor on {where} at grid index {bad}")
 
     npts = math.prod(dims)
-    value = complex(tensor.sum() / npts)
+    value = complex(f.prefactor) * _contract(tables, 1) / npts
+    # finite factors can still overflow in their product
+    if not cmath.isfinite(value):
+        raise ArithmeticError(f"integrand sum over grid {dims} is not finite")
 
     if all(n % 2 == 0 for n in dims):
-        sub = tensor[tuple(slice(None, None, 2) for _ in dims)]
-        sub_value = complex(sub.sum() * (2 ** len(dims)) / npts)
+        sub_value = complex(f.prefactor) * _contract(tables, 2) * (2 ** len(dims)) / npts
         estimate = abs(value - sub_value) / max(abs(value), 1e-300)
     else:
         estimate = math.inf

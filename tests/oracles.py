@@ -176,3 +176,18 @@ def gamma_mp(z: complex, p: complex, q: complex, dps: int = 40, eps: float = 1e-
             pi *= p
             api *= ap
         return complex(num / den)
+
+
+def expand_tables(integrand, n: int, phase: float):
+    """A factorised integrand's samples on the n-point grid at `phase` as
+    one (n,) * nvars tensor: its factor tables broadcast to full shape,
+    multiplied together and scaled by the prefactor."""
+    import numpy as np
+
+    tensor = np.full((n,) * integrand.nvars, complex(integrand.prefactor))
+    for table, axes in integrand.values(n, phase):
+        shape = [1] * integrand.nvars
+        for axis in axes:
+            shape[axis] = n
+        tensor = tensor * table.reshape(shape)
+    return tensor

@@ -110,7 +110,7 @@ class TestJackson:
     def test_single_term_when_nu_equals_lam(self):
         rng = np.random.default_rng(51)
         lam = Bipartition.of((1,), (1,))
-        res = jackson_residual(lam, lam, rand_c(rng), rand_c(rng), rand_c(rng), rand_c(rng), CTX)
+        res, _ = jackson_residual(lam, lam, rand_c(rng), rand_c(rng), rand_c(rng), rand_c(rng), CTX)
         assert res < 1e-10
 
     def test_nu_zero(self):

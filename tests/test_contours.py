@@ -48,6 +48,7 @@ from ellsel.interpolation import interp_nonskew, pole_map
 from ellsel.partitions import Bipartition
 from ellsel.quadrature import GridSpec, TorusFactorizedIntegrand, integrate_torus
 from ellsel.symbols import SymbolContext, delta0_bi
+from oracles import expand_tables
 
 MIXED = Bipartition.of((1,), (1,))
 
@@ -179,7 +180,7 @@ def test_closed_form_residue_matches_small_ring():
     params = _hand_built_k12(0)
     term = contour_feasibility(params).contour.residues[0]
     n, phase = 4, 0.3
-    closed = IntegrandDescriptor(params).build(pinned=term).values(n, phase)
+    closed = expand_tables(IntegrandDescriptor(params).build(pinned=term), n, phase)
     w = np.exp(1j * (2 * np.pi * np.arange(n) / n + phase))
     level2 = (w[1], w[2])
 

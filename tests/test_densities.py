@@ -23,6 +23,7 @@ from ellsel.densities import (
 )
 from ellsel.harness import sample_an_params
 from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
+from oracles import expand_tables
 
 NOMES = NomePair(0.15, 0.2)
 
@@ -182,7 +183,7 @@ class TestAnDensity:
         params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
         integrand = IntegrandDescriptor(params).build()
         n, phase = 8, 0.37
-        tensor = integrand.values(n, phase)
+        tensor = expand_tables(integrand, n, phase)
         import math as _m
 
         for a, b in [(0, 0), (1, 5), (3, 2)]:

@@ -375,6 +375,17 @@ class TestCli:
         res = self.run_cli("eval", "--fn", "gamma", "--args", "z=0.5", "p=0.1", "q=0.2")
         assert res.returncode == 0
 
+    def test_eval_at_a_gamma_pole_exits_3(self):
+        res = self.run_cli("eval", "--fn", "gamma", "--args", "z=1", "p=0.1", "q=0.2")
+        assert res.returncode == 3
+        assert res.stderr.startswith("error: ") and "pole" in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_eval_names_a_missing_key(self):
+        res = self.run_cli("eval", "--fn", "theta", "--args", "p=0.1")
+        assert res.returncode == 3
+        assert res.stderr.strip() == "error: --fn theta is missing z; it needs z, p"
+
     def test_eval_interp_and_binomial(self):
         res = self.run_cli(
             "eval", "--fn", "interp", "--args",

@@ -8,7 +8,6 @@ import pytest
 from ellsel.core import NomePair, elliptic_gamma
 from ellsel.kernel import (
     ContourError,
-    kernel_k0,
     kernel_k1,
     kernel_k2,
     kernel_t_reflection_residual,
@@ -29,9 +28,6 @@ def unit(rng):
 
 
 class TestClosedForms:
-    def test_k0(self):
-        assert kernel_k0() == 1.0
-
     def test_k1_symmetries(self):
         rng = np.random.default_rng(1)
         x, y, c = unit(rng), unit(rng), 0.5 * unit(rng)

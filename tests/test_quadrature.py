@@ -1,6 +1,7 @@
 """Tests for the torus trapezoid quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,33 +18,34 @@ from ellsel.quadrature import (
     integrate_adaptive,
     integrate_torus,
 )
+from oracles import expand_tables
 
 
 class TestLaurentExactness:
     def test_nonzero_modes_integrate_to_zero(self):
         grid = GridSpec((32,))
         for m in (1, -1, 5, -13, 31):
-            res = integrate_torus(lambda pts, m=m: pts[:, 0] ** m, grid)
+            mode = TorusFactorizedIntegrand(nvars=1, unary=[(0, lambda z, m=m: z**m)])
+            res = integrate_torus(mode, grid)
             assert abs(res.value) < 1e-14
 
     def test_constant_is_one(self):
-        res = integrate_torus(lambda pts: np.ones(len(pts)), GridSpec((16, 16)))
+        res = integrate_torus(TorusFactorizedIntegrand(nvars=2), GridSpec((16, 16)))
         assert abs(res.value - 1.0) < 1e-15
 
     def test_2d_mixed_mode(self):
         grid = GridSpec((16, 16))
-        res = integrate_torus(lambda pts: pts[:, 0] ** 3 * pts[:, 1] ** -2, grid)
+        mode = TorusFactorizedIntegrand(
+            nvars=2, unary=[(0, lambda z: z**3), (1, lambda z: z**-2)]
+        )
+        res = integrate_torus(mode, grid)
         assert abs(res.value) < 1e-14
 
 
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         grid = GridSpec((64,))
-
-        def f(pts):
-            z = pts[:, 0]
-            return np.exp(z) / (2.0 - z)
-
+        f = TorusFactorizedIntegrand(nvars=1, unary=[(0, lambda z: np.exp(z) / (2.0 - z))])
         a = integrate_torus(f, grid).value
         b = integrate_torus(f, grid).value
         assert a == b
@@ -52,25 +54,23 @@ class TestDeterminism:
 class TestAdaptive:
     def test_geometric_error_decay(self):
         # Analytic periodic integrand: estimates fall by >= 5x per doubling.
-        def f(pts):
-            z = pts[:, 0]
-            return 1.0 / ((1.0 - 0.6 * z) * (1.0 - 0.6 / z))
-
+        f = TorusFactorizedIntegrand(
+            nvars=1, unary=[(0, lambda z: 1.0 / ((1.0 - 0.6 * z) * (1.0 - 0.6 / z)))]
+        )
         rows = convergence_table(f, GridSpec((8,)), levels=5)
         ests = [r["doubling_estimate"] for r in rows[1:4]]
         for a, b in zip(ests, ests[1:]):
             assert b <= 0.2 * a
 
     def test_constant_terminates_at_start(self):
-        res = integrate_adaptive(lambda pts: np.ones(len(pts)), GridSpec((8,)), 1e-12, 0)
+        res = integrate_adaptive(TorusFactorizedIntegrand(nvars=1), GridSpec((8,)), 1e-12, 0)
         assert res.evals == 8
         assert not res.budget_exhausted
 
     def test_budget_flag(self):
-        def f(pts):
-            z = pts[:, 0]
-            return 1.0 / ((1.0 - 0.999 * z) * (1.0 - 0.999 / z))
-
+        f = TorusFactorizedIntegrand(
+            nvars=1, unary=[(0, lambda z: 1.0 / ((1.0 - 0.999 * z) * (1.0 - 0.999 / z)))]
+        )
         res = integrate_adaptive(f, GridSpec((8,)), 1e-14, 3)
         assert res.evals == 8 + 16 + 32 + 64
         assert res.budget_exhausted
@@ -85,30 +85,55 @@ class TestAdaptive:
         assert math.prod(dims[-1]) <= MAX_POINTS < math.prod(dims[-1]) * 4
 
 
+def _circle(n, phase):
+    return np.exp(1j * (2.0 * math.pi * np.arange(n) / n + phase))
+
+
+def g(z):
+    return 1.0 + 0.3 * z + 0.1 / z
+
+
+def h(w):
+    return 1.0 / (1.0 - 0.5 * w)
+
+
 class TestFactorizedIntegrand:
     def test_matches_callable_path(self):
-        # f(z1, z2) = g(z1) g(z2) h(z1 z2) h2(z1/z2) assembled both ways.
-        def g(z):
-            return 1.0 + 0.3 * z + 0.1 / z
-
-        def h(w):
-            return 1.0 / (1.0 - 0.5 * w)
-
+        # f(z1, z2) = 2 g(z1) g(z2) h(z1 z2) h(z1/z2), contracted from its
+        # factor tables and evaluated point by point on the grid
         fact = TorusFactorizedIntegrand(
             nvars=2,
             unary=[(0, g), (1, g)],
             pairs=[(0, 1, h)],
             prefactor=2.0,
         )
-
-        def direct(pts):
-            z1, z2 = pts[:, 0], pts[:, 1]
-            return 2.0 * g(z1) * g(z2) * h(z1 * z2) * h(z1 / z2)
-
         grid = GridSpec((32, 32))
+        z1, z2 = np.meshgrid(*[_circle(32, grid.phase)] * 2, indexing="ij")
+        direct = np.mean(2.0 * g(z1) * g(z2) * h(z1 * z2) * h(z1 / z2))
         a = integrate_torus(fact, grid)
-        b = integrate_torus(direct, grid)
-        assert abs(a.value - b.value) < 1e-13 * max(1.0, abs(b.value))
+        assert abs(a.value - direct) < 1e-13 * max(1.0, abs(direct))
+
+    def test_three_variables_match_meshgrid_value_and_estimate(self):
+        # a chain of pairs (0, 1), (1, 2) with distinct factor functions
+        def h2(w):
+            return np.exp(0.4 * w)
+
+        fact = TorusFactorizedIntegrand(
+            nvars=3,
+            unary=[(0, g), (2, lambda z: 1.0 / (1.0 - 0.3 / z))],
+            pairs=[(0, 1, h), (1, 2, h2)],
+            prefactor=0.5 - 1.5j,
+        )
+        grid = GridSpec((16, 16, 16))
+        z1, z2, z3 = np.meshgrid(*[_circle(16, grid.phase)] * 3, indexing="ij")
+        tensor = (0.5 - 1.5j) * g(z1) / (1.0 - 0.3 / z3)
+        tensor *= h(z1 * z2) * h(z1 / z2) * h2(z2 * z3) * h2(z2 / z3)
+        value, sub = np.mean(tensor), np.mean(tensor[::2, ::2, ::2])
+        res = integrate_torus(fact, grid)
+        assert abs(res.value - value) <= 1e-13 * abs(value)
+        estimate = abs(value - sub) / abs(value)
+        assert 1e-8 < estimate < 1.0
+        assert abs(res.doubling_estimate - estimate) <= 1e-13
 
     def test_shared_factor_functions_run_once_per_grid(self):
         # one unary function on all three variables and one pair function
@@ -116,38 +141,70 @@ class TestFactorizedIntegrand:
         # product and ratio circles together
         calls = []
 
-        def g(z):
+        def counted_g(z):
             calls.append(("unary", z.size))
-            return 1.0 + 0.3 * z + 0.1 / z
+            return g(z)
 
-        def h(w):
+        def counted_h(w):
             calls.append(("pair", w.size))
-            return 1.0 / (1.0 - 0.5 * w)
+            return h(w)
 
         fact = TorusFactorizedIntegrand(
             nvars=3,
-            unary=[(v, g) for v in range(3)],
-            pairs=[(0, 1, h), (0, 2, h), (1, 2, h)],
+            unary=[(v, counted_g) for v in range(3)],
+            pairs=[(0, 1, counted_h), (0, 2, counted_h), (1, 2, counted_h)],
         )
         n, phase = 8, 0.1
-        got = fact.values(n, phase)
+        got = expand_tables(fact, n, phase)
         assert sorted(calls) == [("pair", 2 * n), ("unary", n)]
 
-        z = np.exp(1j * (2.0 * math.pi * np.arange(n) / n + phase))
+        z = _circle(n, phase)
         z1, z2, z3 = np.meshgrid(z, z, z, indexing="ij")
         want = g(z1) * g(z2) * g(z3)
         for zi, zj in ((z1, z2), (z1, z3), (z2, z3)):
             want *= h(zi * zj) * h(zi / zj)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
+    def test_contraction_builds_no_grid_tensor(self):
+        # the 256^3 product tensor alone would take 268 MB
+        fact = TorusFactorizedIntegrand(
+            nvars=3, unary=[(v, g) for v in range(3)], pairs=[(0, 2, h)]
+        )
+        grid = GridSpec((256, 256, 256))
+        tracemalloc.start()
+        try:
+            res = integrate_torus(fact, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert res.evals == 256**3
+
     def test_nonfinite_sample_reported(self):
-        def f(pts):
-            vals = np.ones(len(pts), dtype=complex)
+        def nan_at_3(z):
+            vals = np.ones(z.size, dtype=complex)
             vals[3] = np.nan
             return vals
 
-        with pytest.raises(ArithmeticError, match="grid index"):
-            integrate_torus(f, GridSpec((8,)))
+        f = TorusFactorizedIntegrand(nvars=2, unary=[(1, nan_at_3)])
+        with pytest.raises(ArithmeticError, match=r"variable 1 at grid index \(3,\)"):
+            integrate_torus(f, GridSpec((8, 8)))
+        # the pair (0, 1) reads its function's product circle at s0 + s1
+        f = TorusFactorizedIntegrand(nvars=2, pairs=[(0, 1, nan_at_3)])
+        with pytest.raises(ArithmeticError, match=r"pair \(0, 1\) at grid index \(0, 3\)"):
+            integrate_torus(f, GridSpec((8, 8)))
+
+    def test_overflowing_product_raises(self):
+        def big(z):
+            return np.full(z.size, 1e200, dtype=complex)
+
+        f = TorusFactorizedIntegrand(nvars=2, unary=[(0, big), (1, big)])
+        with pytest.raises(ArithmeticError, match="not finite"):
+            integrate_torus(f, GridSpec((8, 8)))
+
+    def test_other_integrand_types_rejected(self):
+        with pytest.raises(TypeError):
+            integrate_torus(lambda pts: np.ones(len(pts)), GridSpec((8,)))
 
 
 class TestIntegrandSum:
@@ -186,7 +243,7 @@ class TestIntegrandSum:
 
 class TestCsv(object):
     def test_roundtrip(self):
-        rows = convergence_table(lambda pts: np.ones(len(pts)), GridSpec((8,)), levels=2)
+        rows = convergence_table(TorusFactorizedIntegrand(nvars=1), GridSpec((8,)), levels=2)
         text = convergence_csv(rows)
         assert text.splitlines()[0] == "grid,value_re,value_im,doubling_estimate,evals,runtime_ms"
         assert len(text.splitlines()) == 3
