@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_POINTS = 20_000_000
 
@@ -105,8 +106,9 @@ class TorusFactorizedIntegrand:
     def values(self, n: int, phase: float) -> list[tuple[np.ndarray, tuple[int, ...]]]:
         """(table, variables) on the n-point grid: per variable the
         product of its unary factors, a length-n vector, then per pair
-        (vi, vj) an n x n matrix indexed [vi, vj].  The integrand is the
-        prefactor times the product of the tables."""
+        (vi, vj) an n x n matrix indexed [vi, vj], one matrix object per
+        distinct function.  The integrand is the prefactor times the
+        product of the tables."""
         idx = np.arange(n)
         z = np.exp(1j * (2.0 * math.pi * idx / n + phase))
         circle_prod = np.exp(1j * (2.0 * math.pi * idx / n + 2.0 * phase))
@@ -122,17 +124,16 @@ class TorusFactorizedIntegrand:
             per_var[var] *= unary_vals[id(fn)]
         tables = [(vals, (var,)) for var, vals in enumerate(per_var)]
 
-        if self.pairs:
-            sum_idx = (idx[:, None] + idx[None, :]) % n
-            diff_idx = (idx[:, None] - idx[None, :]) % n
-            both = np.concatenate([circle_prod, circle_ratio])
-            for vi, vj, fn in self.pairs:
-                if id(fn) not in pair_vals:
-                    pair_vals[id(fn)] = np.split(fn(both), 2)
-                at_prod, at_ratio = pair_vals[id(fn)]
-                mat = at_prod[sum_idx]
-                mat *= at_ratio[diff_idx]
-                tables.append((mat, (vi, vj)))
+        both = np.concatenate([circle_prod, circle_ratio])
+        for vi, vj, fn in self.pairs:
+            if id(fn) not in pair_vals:
+                at_prod, at_ratio = np.split(fn(both), 2)
+                # [s, t] -> at_prod[(s + t) % n] * at_ratio[(s - t) % n], read
+                # through sliding windows of the wrapped vectors
+                hankel = sliding_window_view(np.concatenate([at_prod, at_prod[:-1]]), n)
+                toeplitz = sliding_window_view(np.concatenate([at_ratio[1:], at_ratio]), n)
+                pair_vals[id(fn)] = hankel * toeplitz[:, ::-1]
+            tables.append((pair_vals[id(fn)], (vi, vj)))
         return tables
 
 
