@@ -74,7 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     ver.add_argument("--threads", type=int, default=None, help="worker processes for verify")
     ver.add_argument("--out", default=None, help="report file (default stdout)")
-    ver.add_argument("--format", default="json", choices=("json", "csv"))
+    ver.add_argument(
+        "--format", default=None, choices=("json", "csv"),
+        help="report format (default: csv when --out ends in .csv, else json)",
+    )
     ver.add_argument("--config", default=None, help="JSON config file")
 
     case = sub.add_parser("case", help="run one family case")
@@ -161,7 +164,10 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_reports(reports, args) -> int:
-    as_csv = args.format == "csv" or str(args.out or "").endswith(".csv")
+    if args.format is None:
+        as_csv = str(args.out or "").endswith(".csv")
+    else:
+        as_csv = args.format == "csv"
     text = reports_to_csv(reports) if as_csv else reports_to_json(reports)
     # a JSON report on stdout ends its line; in a file it does not
     _write(text if as_csv or args.out else text + "\n", args.out)

@@ -27,7 +27,6 @@ import numpy as np
 from ellsel.binomials import TableCache, binomial, binomial_row, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
-    INWARD_CAP,
     Contour,
     IntegrandDescriptor,
     InfeasibleError,
@@ -45,6 +44,7 @@ from ellsel.densities import (
 from ellsel.interpolation import (
     branching_residual,
     hybrid_branching_residual,
+    interp_b_window,
     interp_hybrid,
     interp_nonskew,
     interp_skew,
@@ -183,21 +183,6 @@ def _draw(rng, lo, hi) -> complex:
 
 def _unit(rng) -> complex:
     return cmath.exp(2j * math.pi * rng.uniform())
-
-
-def interp_b_window(mu: Bipartition, ctx: SymbolContext):
-    """Admissible modulus window for the pole-carrying parameter b of an
-    interpolation factor living on a unit-circle variable: every inward
-    pole tower member must stay below the margin."""
-    lo, hi = 0.0, math.inf
-    for loc, label in pole_map(mu, 1.0 + 0.0j, ctx):
-        # towers scale either like b (second kind) or like 1/b (first);
-        # pole_map was called with b = 1 so the location is the scale.
-        if "b^-1" in label:
-            lo = max(lo, abs(loc) / INWARD_CAP)
-        else:
-            hi = min(hi, INWARD_CAP / abs(loc))
-    return lo, hi
 
 
 def _draw_in_window(rng, lo, hi) -> complex | None:
@@ -482,7 +467,6 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
             (t4, "t4"),
             (c, "c x^+-"),
         ]
-        checks += pole_map(mu, t2, ctx)
         bad = margin_violations(checks)
         if bad:
             reason = bad[0]
@@ -620,7 +604,6 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
         c = cmath.sqrt(p * q / (t1 * t2 * t3 * t4))
         x1 = _unit(rng)
         checks = [(t, "t"), (t1, "t1"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (c, "c x^+-")]
-        checks += pole_map(mu, t2, ctx)
         if abs(c) < 0.1 or margin_violations(checks):
             continue
         return _one_dim_case(
@@ -686,7 +669,6 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
         c = cmath.sqrt(p * q / (t2 * t3 * t4 * t5))
         x1 = _unit(rng)
         checks = [(t, "t"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (c, "c x^+-")]
-        checks += pole_map(mu, t2, ctx)
         if abs(c) < 0.1 or margin_violations(checks):
             continue
         return _one_dim_case(
@@ -893,10 +875,11 @@ AFLT_N1_SHAPES = [
 ]
 
 
-def _sample_aflt_n1_params(rng, lam, mu, hua, accept):
+def _sample_aflt_n1_params(rng, lam, mu, hua):
     """Rank-one sampler for interpolation-weighted averages: the two
     pole-carrying slots t2 (for lam) and t6 (for mu) are drawn inside
-    their admissible windows and t5 (never a pole carrier) is solved
+    their interp_b_window windows, which keeps every interpolation pole
+    tower inside the margin, and t5 (never a pole carrier) is solved
     from the balancing; under the hua constraint t4 t5 = t the solved
     slot becomes t3 instead."""
     r1 = max(lam.first[0], mu.first[0])
@@ -942,8 +925,6 @@ def _sample_aflt_n1_params(rng, lam, mu, hua, accept):
         except ValueError:
             continue
         if not feasibility_check(params).ok:
-            continue
-        if accept is not None and not accept(params):
             continue
         return params
     raise InfeasibleError("no feasible rank-one interpolation-average draw")
@@ -1021,13 +1002,9 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
     rng = np.random.default_rng([seed, 108, n, tag])
     hua = family == "an_hua_kadell"
     lam, mu = _aflt_shapes(family, n, seed, shapes)
-
-    def accept(params: ParamSet) -> bool:
-        return not _interp_pole_violations(params, lam, mu)
-
     try:
         if n == 1:
-            params = _sample_aflt_n1_params(rng, lam, mu, hua, accept)
+            params = _sample_aflt_n1_params(rng, lam, mu, hua)
         else:
             # Interpolation pole towers at rank two force the boxes of
             # both shapes into one component and a strongly asymmetric
@@ -1041,7 +1018,10 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
                 "odd": [(0.6, 0.78), (0.1, 0.2)],
                 "shared": [(0.78, 0.86), (0.78, 0.86), (0.78, 0.86), (0.3, 0.44)],
             }
-            params, _ = sample_an_params(2, (1, 1), rng, base, hua=hua, accept=accept)
+            params, _ = sample_an_params(
+                2, (1, 1), rng, base, hua=hua,
+                accept=lambda params: not _interp_pole_violations(params, lam, mu),
+            )
     except InfeasibleError as exc:
         return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
     return _aflt_at(seed, cfg, params, Contour(), family, (lam, mu))
@@ -1123,7 +1103,6 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             t2 = d**2 * t**k0 / t1
             x1 = _unit(rng)
             checks = [(t, "t"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (d, "d x^+-")]
-            checks += pole_map(mu, t6, ctx)
             if abs(d) < 0.1 or margin_violations(checks):
                 continue
             return _one_dim_case(
@@ -1163,7 +1142,6 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (t7, "t7"), (t8, "t8"),
             (d, "d x^+-"), (c * d, "c d (recursed kernel)"),
         ]
-        checks += pole_map(mu, t8, ctx)
         if abs(d) < 0.08 or margin_violations(checks):
             continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
@@ -1248,9 +1226,8 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
         if t8 is None:
             continue
         tail = t5 * t6 * t7 * t8
-        lo2, hi2 = interp_b_window(lam, ctx)
         # lam rides on level 1 through c^(-1) t2 and on the recursed
-        # rank-one side through t2 itself; respect both windows.
+        # rank-one side through t2 itself; both carry its pole towers.
         t1 = _draw(rng, 0.55, 0.8)
         t2 = p * q / (t1 * tail)
         t3 = _draw(rng, math.sqrt(abs(t * t1 * t2)) * 0.8, math.sqrt(abs(t * t1 * t2)) * 1.25)
@@ -1266,8 +1243,7 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
         ]
         checks += pole_map(lam, b_lam_level, ctx)
         checks += pole_map(lam, t2, ctx)
-        checks += pole_map(mu, t8, ctx)
-        if not (lo2 <= abs(t2) <= hi2) or margin_violations(checks):
+        if margin_violations(checks):
             continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
         try:

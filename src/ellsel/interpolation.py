@@ -12,20 +12,22 @@ binomial tables:
   skew value on the doubled alphabet [t^(1/2) x^+-, t^(1/2) v].
 
 The x arguments may be numpy arrays; everything downstream broadcasts,
-which is what the quadrature grids rely on.
+which is what the quadrature grids rely on.  pole_map lists the bases of
+the inward pole towers of R*_mu, and interp_b_window the modulus window
+of b that keeps them all inside the feasibility margin.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from ellsel.binomials import TableCache, binomial, binomial_row
+from ellsel.densities import INWARD_CAP
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_shapes
-
-TOWER_FLOOR = 1e-6
 
 
 def interp_nonskew(lam: Bipartition, xs, a, b, ctx: SymbolContext, cache: TableCache | None = None):
@@ -213,52 +215,62 @@ def hybrid_branching_residual(
     return abs(lhs - rhs) / scale, total / scale
 
 
-def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
-    """Inward poles of R*_mu(..; a, b) (plain or hybrid) in each
-    variable, as (location, label) pairs, under an integrand that also
-    carries the univariate factor Gamma(b z^+-) (as all the densities
-    here do).  The reciprocal of each inward pole is a pole too, so the
-    unit circle separates the two families when every inward pole lies
-    inside it.
-
-    Component 1 contributes b^-1 t^(1-j) q^(N+1) p^l and b t^(j-1) q^N p^-l
-    towers (l up to the row length); component 2 swaps p and q.  Rows
-    populated in BOTH components additionally leave a net cross pole at
-    b t^(i-1) p^-l1 q^-l2 (the single Gamma(b/z) zero there cancels only
-    one of the two theta-denominator zeros); the contour induced by the
-    kernel derivation must enclose it, which no unit torus can do while
-    keeping its reciprocal outside.  Towers are truncated once the shift
-    factor drops below TOWER_FLOOR."""
+def _pole_bases(mu: Bipartition, ctx: SymbolContext) -> list[tuple[complex, int, str]]:
+    """The base of each inward pole tower of R*_mu(..; a, b), as
+    (coefficient, power of b, label); the base is coefficient * b^power
+    and each label names the base's own monomial."""
     p, q, t = ctx.p, ctx.q, ctx.t
-    inward = []
-
+    bases = []
     for i in range(1, min(mu.first.length, mu.second.length) + 1):
         for l1 in range(1, mu.first[i - 1] + 1):
             for l2 in range(1, mu.second[i - 1] + 1):
-                loc = b * t ** (i - 1) * p ** (-l1) * q ** (-l2)
-                label = f"cross row {i}: b t^({i}-1) p^-{l1} q^-{l2}"
-                inward.append((loc, label))
-
-    def add_towers(comp, s, o, s_name, o_name, tag):
-        # s climbs the tower (powers N, N+1, ...); o carries the finite
-        # exponent up to the row length.
+                coeff = t ** (i - 1) * p ** (-l1) * q ** (-l2)
+                bases.append((coeff, 1, f"cross row {i}: b t^({i}-1) p^-{l1} q^-{l2}"))
+    for comp, s, o, s_name, o_name, tag in (
+        (mu.first, q, p, "q", "p", "comp1"),
+        (mu.second, p, q, "p", "q", "comp2"),
+    ):
         for j in range(1, comp.length + 1):
             for ell in range(1, comp[j - 1] + 1):
-                for n in range(201):
-                    shift = s ** (n + 1) * o**ell
-                    if abs(shift) < TOWER_FLOOR and n > 0:
-                        break
-                    loc = t ** (1 - j) / b * shift
-                    label = f"{tag}: b^-1 t^(1-{j}) {s_name}^{n + 1} {o_name}^{ell}"
-                    inward.append((loc, label))
-                for n in range(201):
-                    shift = s**n * o ** (-ell)
-                    if abs(shift) < TOWER_FLOOR and n > 0:
-                        break
-                    loc = b * t ** (j - 1) * shift
-                    label = f"{tag}: b t^({j}-1) {s_name}^{n} {o_name}^-{ell}"
-                    inward.append((loc, label))
+                label = f"{tag}: b^-1 t^(1-{j}) {s_name}^1 {o_name}^{ell}"
+                bases.append((t ** (1 - j) * (s * o**ell), -1, label))
+                label = f"{tag}: b t^({j}-1) {s_name}^0 {o_name}^-{ell}"
+                bases.append((t ** (j - 1) * o ** (-ell), 1, label))
+    return bases
 
-    add_towers(mu.first, q, p, "q", "p", "comp1")
-    add_towers(mu.second, p, q, "p", "q", "comp2")
-    return inward
+
+def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
+    """Bases of the inward pole towers of R*_mu(..; a, b) (plain or
+    hybrid) in each variable, as (location, label) pairs, under an
+    integrand that also carries the univariate factor Gamma(b z^+-) (as
+    all the densities here do).  The reciprocal of each inward pole is a
+    pole too, so the unit circle separates the two families when every
+    inward pole lies inside it.
+
+    Component 1 contributes the towers b^-1 t^(1-j) q^(N+1) p^l and
+    b t^(j-1) q^N p^-l (N >= 0, l up to the row length); component 2
+    swaps p and q.  Every member is its base (N = 0) times a nonnegative
+    power of a nome, so the base alone decides the margin, as for the
+    density towers in densities.feasibility_check.  Rows populated in
+    BOTH components additionally leave a net cross pole at
+    b t^(i-1) p^-l1 q^-l2 (the single Gamma(b/z) zero there cancels only
+    one of the two theta-denominator zeros); the contour induced by the
+    kernel derivation must enclose it, which no unit torus can do while
+    keeping its reciprocal outside."""
+    return [(coeff * b**power, label) for coeff, power, label in _pole_bases(mu, ctx)]
+
+
+def interp_b_window(mu: Bipartition, ctx: SymbolContext) -> tuple[float, float]:
+    """Open modulus window (lo, hi) for the pole-carrying parameter b of
+    an interpolation factor R*_mu on a unit-circle variable: every pole
+    tower base of pole_map stays below the margin exactly when
+    lo < |b| < hi.  A base scaling like 1/b bounds |b| from below and
+    one scaling like b from above; the members beyond the bases sit
+    strictly inside them and add no bound."""
+    lo, hi = 0.0, math.inf
+    for coeff, power, _ in _pole_bases(mu, ctx):
+        if power < 0:
+            lo = max(lo, abs(coeff) / INWARD_CAP)
+        else:
+            hi = min(hi, INWARD_CAP / abs(coeff))
+    return lo, hi

@@ -191,3 +191,28 @@ def expand_tables(integrand, n: int, phase: float):
             shape[axis] = n
         tensor = tensor * table.reshape(shape)
     return tensor
+
+
+def interp_pole_members(first, second, b: complex, p: complex, q: complex, t: complex):
+    """Every inward pole of R*_mu(..; a, b) with mu = (first, second),
+    the partitions given as tuples of row lengths: each cross pole
+    b t^(i-1) p^-l1 q^-l2 of a row filled in both components, and each
+    member of the towers b^-1 t^(1-j) s^(N+1) o^l and b t^(j-1) s^N o^-l
+    (s, o = q, p for the first component and p, q for the second) from
+    N = 0 on while the nome power s^(N+1) o^l or s^N o^-l keeps a
+    modulus of at least 1e-6."""
+    poles = []
+    for i in range(min(len(first), len(second))):
+        for l1 in range(1, first[i] + 1):
+            for l2 in range(1, second[i] + 1):
+                poles.append(b * t**i / (p**l1 * q**l2))
+    for parts, s, o in ((first, q, p), (second, p, q)):
+        for j, row in enumerate(parts):
+            for ell in range(1, row + 1):
+                for up, exp_o in ((1, ell), (0, -ell)):
+                    n = 0
+                    while n == 0 or abs(s ** (n + up) * o**exp_o) >= 1e-6:
+                        shift = s ** (n + up) * o**exp_o
+                        poles.append(shift / (b * t**j) if up else b * t**j * shift)
+                        n += 1
+    return poles

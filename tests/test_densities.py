@@ -2,9 +2,13 @@
 torus-integral products."""
 
 import cmath
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellsel.core import NomePair
 from ellsel.densities import (
@@ -23,13 +27,22 @@ from ellsel.densities import (
 )
 from ellsel.harness import sample_an_params
 from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
-from oracles import expand_tables
+from oracles import expand_tables, gamma_mp
 
 NOMES = NomePair(0.15, 0.2)
 
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+def _polar(lo, hi):
+    """Complex numbers with modulus in [lo, hi] and any phase."""
+    return st.builds(
+        lambda r, phase: r * cmath.exp(2j * cmath.pi * phase),
+        st.floats(lo, hi),
+        st.floats(0.0, 1.0),
+    )
 
 
 def make_balanced_n1(k=1, seed=0, twindow=None, window=None):
@@ -243,6 +256,25 @@ class TestNormalizer:
             selberg_average_normalizer(
                 1, params.ts[:5] + (params.ts[5] * 1.01,), params.t, params.nomes
             )
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(
+        q=_polar(0.05, 0.3),
+        t=_polar(0.25, 0.4),
+        ts=st.lists(_polar(0.35, 0.6), min_size=6, max_size=6),
+    )
+    def test_beta_k1_matches_30_digit_oracle(self, q, t, ts):
+        # Spiridonov's elliptic beta integral: Gamma(t) prod_{r<s}
+        # Gamma(t_r t_s), each factor at 30 digits, with p solved from
+        # the balancing t_1 .. t_6 = pq.
+        pytest.importorskip("mpmath")
+        p = math.prod(ts) / q
+        assume(0.05 <= abs(p) <= 0.3)
+        value = selberg_average_normalizer(1, ts, t, NomePair(p, q))
+        oracle = gamma_mp(t, p, q, dps=30)
+        for tr, ts_ in itertools.combinations(ts, 2):
+            oracle *= gamma_mp(tr * ts_, p, q, dps=30)
+        assert rel_err(value, oracle) <= 1e-13
 
     def test_an_rhs_matches_normalizer_at_n1(self):
         params = make_balanced_n1(k=2, seed=12)

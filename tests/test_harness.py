@@ -433,6 +433,22 @@ class TestCli:
         assert res.returncode == 0
         assert out.read_text().startswith("id,family")
 
+    def test_explicit_format_overrides_out_suffix(self, tmp_path):
+        out = tmp_path / "rep.csv"
+        args = ["verify", "--suite", "algebraic", "--seeds", "1", "--out", str(out)]
+        assert main(args + ["--format", "json"]) == 0
+        assert json.loads(out.read_text())[0]["family"]
+        out = tmp_path / "rep.json"
+        assert main(args[:-1] + [str(out), "--format", "csv"]) == 0
+        assert out.read_text().startswith("id,family")
+
+    def test_out_suffix_decides_without_format(self, tmp_path):
+        args = ["verify", "--suite", "algebraic", "--seeds", "1", "--out"]
+        assert main(args + [str(tmp_path / "rep.csv")]) == 0
+        assert (tmp_path / "rep.csv").read_text().startswith("id,family")
+        assert main(args + [str(tmp_path / "rep.txt")]) == 0
+        assert json.loads((tmp_path / "rep.txt").read_text())[0]["family"]
+
     def test_case_infeasible_params_exit_2(self, tmp_path):
         case = sample_case("an_selberg", 0, CFG, n=2, k=(1, 1))
         bad = ParamSet(

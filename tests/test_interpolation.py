@@ -5,12 +5,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellsel.core import NomePair
 from ellsel.binomials import TableCache, binomial
+from ellsel.densities import INWARD_CAP, margin_violations
 from ellsel.interpolation import (
     branching_residual,
     hybrid_branching_residual,
+    interp_b_window,
     interp_hybrid,
     interp_nonskew,
     interp_skew,
@@ -18,6 +22,7 @@ from ellsel.interpolation import (
 )
 from ellsel.partitions import ZERO, Bipartition, spectral_vector, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi
+from oracles import interp_pole_members
 
 CTX = SymbolContext(NomePair(0.1, 0.2), 0.25)
 
@@ -332,3 +337,67 @@ class TestPoleMap:
 
     def test_no_poles_for_zero_shape(self):
         assert pole_map(ZERO, 0.4, CTX) == []
+
+
+POLE_SHAPES = [
+    Bipartition.of((1,), ()),
+    Bipartition.of((), (1,)),
+    Bipartition.of((1,), (1,)),
+    Bipartition.of((2,), ()),
+    Bipartition.of((), (2,)),
+    Bipartition.of((1, 1), ()),
+    Bipartition.of((2,), (1,)),
+    Bipartition.of((2, 1), (1,)),
+]
+
+
+def _polar(modulus):
+    return st.builds(
+        lambda r, phase: r * cmath.exp(2j * cmath.pi * phase), modulus, st.floats(0.0, 1.0)
+    )
+
+
+_NOME = _polar(st.floats(0.05, 0.9))
+
+
+def _draw_b(mu, p, q, t, r, phase):
+    """b with |b| = lo^(1-r) hi^r on the window (lo, hi) of mu: inside a
+    nonempty window for 0 < r < 1, on either side of it otherwise; None
+    within 1e-9 (relative) of an edge, where rounding decides."""
+    lo, hi = interp_b_window(mu, SymbolContext(NomePair(p, q), t))
+    b = lo ** (1 - r) * hi**r * cmath.exp(2j * cmath.pi * phase)
+    if any(abs(abs(b) - edge) <= 1e-9 * edge for edge in (lo, hi)):
+        return None
+    return b
+
+
+class TestPoleTowerBases:
+    """The margin decided from the tower bases alone, against the
+    oracle that lists every tower member down to a nome power of 1e-6,
+    over shapes with two-box rows and rows filled in both components."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        mu=st.sampled_from(POLE_SHAPES), p=_NOME, q=_NOME, t=_NOME,
+        r=st.floats(-0.5, 1.5), phase=st.floats(0.0, 1.0),
+    )
+    def test_bases_decide_like_every_member(self, mu, p, q, t, r, phase):
+        b = _draw_b(mu, p, q, t, r, phase)
+        assume(b is not None)
+        bases = pole_map(mu, b, SymbolContext(NomePair(p, q), t))
+        members = interp_pole_members(tuple(mu.first), tuple(mu.second), b, p, q, t)
+        assert len(members) >= len(bases)
+        by_members = any(abs(v) >= INWARD_CAP for v in members)
+        assert bool(margin_violations(bases)) == by_members
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        mu=st.sampled_from(POLE_SHAPES), p=_NOME, q=_NOME, t=_NOME,
+        r=st.floats(-0.5, 1.5), phase=st.floats(0.0, 1.0),
+    )
+    def test_window_is_the_violation_free_set(self, mu, p, q, t, r, phase):
+        ctx = SymbolContext(NomePair(p, q), t)
+        b = _draw_b(mu, p, q, t, r, phase)
+        assume(b is not None)
+        lo, hi = interp_b_window(mu, ctx)
+        assert (not margin_violations(pole_map(mu, b, ctx))) == (lo < abs(b) < hi)
