@@ -164,10 +164,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit_reports(reports, args) -> int:
-    if args.format is None:
-        as_csv = str(args.out or "").endswith(".csv")
-    else:
-        as_csv = args.format == "csv"
+    fmt = args.format or ("csv" if str(args.out or "").endswith(".csv") else "json")
+    as_csv = fmt == "csv"
     text = reports_to_csv(reports) if as_csv else reports_to_json(reports)
     # a JSON report on stdout ends its line; in a file it does not
     _write(text if as_csv or args.out else text + "\n", args.out)

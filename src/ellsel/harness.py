@@ -1232,7 +1232,6 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
         t2 = p * q / (t1 * tail)
         t3 = _draw(rng, math.sqrt(abs(t * t1 * t2)) * 0.8, math.sqrt(abs(t * t1 * t2)) * 1.25)
         t4 = t * t1 * t2 / t3
-        params_ok = True
         b_lam_level = t2 / c
         checks = [
             (t, "t"), (c, "c"), (p * q / t, "pq/t"),
