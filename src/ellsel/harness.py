@@ -28,6 +28,7 @@ from ellsel.binomials import TableCache, binomial, binomial_row, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
     Contour,
+    INWARD_CAP,
     IntegrandDescriptor,
     InfeasibleError,
     ParamSet,
@@ -189,6 +190,18 @@ def _draw_in_window(rng, lo, hi) -> complex | None:
     if lo >= hi:
         return None
     return _draw(rng, lo, hi)
+
+
+def _density_violations(p, q, t, ts) -> list[str]:
+    """feasibility_check's violations for the rank-n density with every
+    k_r = 1 and the 2n + 4 parameters ts, or ParamSet's ValueError.  A
+    kernel factor Gamma(c x^+- z^+-) enters ts as c x and c / x."""
+    n = len(ts) // 2 - 2
+    try:
+        params = ParamSet(n, (1,) * n, p, q, t, ts)
+    except ValueError as exc:
+        return [str(exc)]
+    return feasibility_check(params).violations
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +427,12 @@ KEY_SHAPES = [
 ]
 # (1|1) is torus-infeasible: diagnosed, not verified
 VDBULT_SHAPES = KEY_SHAPES + [Bipartition.of((1,), (1,))]
+# No b keeps all pole towers of a shape with boxes in both components
+# inside the margin (ledger §3), so the samplers refuse it undrawn.
+MIXED_SHAPE_NOTE = (
+    f"boxes in both components: the cross pole b t^(1-1) p^-1 q^-1 caps |b| below {INWARD_CAP} "
+    f"|pq|, while the comp1 pole b^-1 t^(1-1) q^1 p^1 needs |b| above |pq| / {INWARD_CAP}"
+)
 
 
 def _shape_nome_windows(r1: int, r2: int) -> tuple[tuple, tuple]:
@@ -439,6 +458,8 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
     if mu is None:
         mu = VDBULT_SHAPES[seed % len(VDBULT_SHAPES)]
     r1, r2 = mu.first[0], mu.second[0]
+    if r1 and r2:
+        return _infeasible_case("vdBult", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
     pw, qw = _shape_nome_windows(r1, r2)
     two_box = max(r1, r2) >= 2
     heavy = (0.6, 0.88) if two_box else (0.5, 0.85)
@@ -459,15 +480,7 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
         t4 = t / (t1 * t2 * t3)
         c = cmath.sqrt(p * q / t)
         x1 = _unit(rng)
-        checks = [
-            (t, "t"),
-            (t1, "t1"),
-            (t2, "t2"),
-            (t3, "t3"),
-            (t4, "t4"),
-            (c, "c x^+-"),
-        ]
-        bad = margin_violations(checks)
+        bad = _density_violations(p, q, t, (t1, t2, t3, t4, c * x1, c / x1))
         if bad:
             reason = bad[0]
             continue
@@ -520,15 +533,8 @@ def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> Identit
             t = _draw(rng, 0.04, 0.08)
             c = cmath.sqrt(p * q / t)
             spectator = t / (b * d**2)
-        checks = [
-            (t, "t"),
-            (p * q / t, "pq/t"),
-            (b, "b"),
-            (spectator, "second vertex parameter"),
-            (c, "c x^+-"),
-            (d, "d y^+-"),
-        ]
-        if margin_violations(checks):
+        ts = (b, spectator, c * x1, c / x1, d * y1, d / y1)
+        if _density_violations(p, q, t, ts):
             continue
         return _one_dim_case(
             f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8,
@@ -585,6 +591,8 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
     rng = np.random.default_rng([seed, 105])
     mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
     r1, r2 = mu.first[0], mu.second[0]
+    if r1 and r2:
+        return _infeasible_case("key_theorem", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
     pw, qw = _shape_nome_windows(r1, r2)
     heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.65, 0.88)
     for _ in range(400):
@@ -603,8 +611,7 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
         t4 = t * v1
         c = cmath.sqrt(p * q / (t1 * t2 * t3 * t4))
         x1 = _unit(rng)
-        checks = [(t, "t"), (t1, "t1"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (c, "c x^+-")]
-        if abs(c) < 0.1 or margin_violations(checks):
+        if abs(c) < 0.1 or _density_violations(p, q, t, (t1, t2, t3, t4, c * x1, c / x1)):
             continue
         return _one_dim_case(
             f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8,
@@ -654,6 +661,8 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
     rng = np.random.default_rng([seed, 106])
     mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
     r1, r2 = mu.first[0], mu.second[0]
+    if r1 and r2:
+        return _infeasible_case("prop_RK", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
     pw, qw = _shape_nome_windows(r1, r2)
     heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.45, 0.7)
     for _ in range(400):
@@ -668,8 +677,7 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
         t3, t4, t5 = (_draw(rng, *heavy) for _ in range(3))
         c = cmath.sqrt(p * q / (t2 * t3 * t4 * t5))
         x1 = _unit(rng)
-        checks = [(t, "t"), (t2, "t2"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (c, "c x^+-")]
-        if abs(c) < 0.1 or margin_violations(checks):
+        if abs(c) < 0.1 or _density_violations(p, q, t, (t2, t3, t4, t5, c * x1, c / x1)):
             continue
         return _one_dim_case(
             f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8,
@@ -773,8 +781,9 @@ def sample_an_params(
     "p", "q", "t", "odd" and "shared" to a modulus window, or to one
     window per position.  hua imposes t_(2n+2) t_(2n+3) = t.  With
     corrected, a draw need only be feasible on the residue-corrected
-    contour; otherwise the contour is the unit torus.  When no draw is
-    accepted, the error names the conditions the last draw violated."""
+    contour; otherwise the contour is the unit torus.  accept(params)
+    lists what else a feasible draw violates, and [] accepts it.  When
+    no draw is accepted, the error names what the last draw violated."""
     check = contour_feasibility if corrected else feasibility_check
     kk = (0,) + tuple(k)
     last: list[str] = []
@@ -799,11 +808,8 @@ def sample_an_params(
             last = [str(exc)]
             continue
         feas = check(params)
-        if not feas.ok:
-            last = feas.violations
-            continue
-        if accept is not None and not accept(params):
-            last = ["rejected by the sampler's acceptance test"]
+        last = feas.violations or (accept(params) if accept is not None else [])
+        if last:
             continue
         return params, feas.contour
     raise InfeasibleError(
@@ -839,12 +845,16 @@ def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) 
         )
     windows, corrected, reach = AN_SELBERG_N2.get(tuple(k), AN_SELBERG_N2[(1, 1)])
 
-    def tight(params: ParamSet) -> bool:
+    def tight(params: ParamSet) -> list[str]:
         # every pole tower within reach of the circle, on whichever side;
         # a tower u outside it leaves c u and c / u in its residue term
         towers = [v for r in range(1, n + 1) for v in params.vertex_params(r)]
         towers += [params.c * f for v in towers if abs(v) > 1.0 for f in (v, 1.0 / v)]
-        return all(_tower_radius(v, params.nomes) <= reach for v in towers)
+        return [
+            f"pole tower {v:.4g}: radius {rho:.4g} > reach {reach}"
+            for v in towers
+            if (rho := _tower_radius(v, params.nomes)) > reach
+        ]
 
     try:
         if n == 1:
@@ -1020,7 +1030,7 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
             }
             params, _ = sample_an_params(
                 2, (1, 1), rng, base, hua=hua,
-                accept=lambda params: not _interp_pole_violations(params, lam, mu),
+                accept=lambda params: _interp_pole_violations(params, lam, mu),
             )
     except InfeasibleError as exc:
         return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
@@ -1102,8 +1112,7 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
             t1 = _draw(rng, 0.3, 0.7)
             t2 = d**2 * t**k0 / t1
             x1 = _unit(rng)
-            checks = [(t, "t"), (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (d, "d x^+-")]
-            if abs(d) < 0.1 or margin_violations(checks):
+            if abs(d) < 0.1 or _density_violations(p, q, t, (t3, t4, t5, t6, d * x1, d / x1)):
                 continue
             return _one_dim_case(
                 f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "prop_xselberg_base", seed, cfg, 1e-6,
@@ -1112,7 +1121,7 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
                     "t4": t4, "t5": t5, "t6": t6, "d": d, "x1": x1,
                 },
                 shapes=(mu, ZERO),
-                extra={"variant": "base", "k0": k0},
+                extra={"variant": "base"},
             )
         return _infeasible_case("prop_xselberg_base", seed, "no feasible base draw")
 
@@ -1136,13 +1145,11 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
         t4 = p * q * t / (t3 * tail)
         d = cmath.sqrt(t1 * t2) / c
         x1 = _unit(rng)
-        checks = [
-            (t, "t"), (c, "c"), (p * q / t, "pq/t"),
-            (t * c / t3, "t c / t3"), (t * c / t4, "t c / t4"),
-            (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (t7, "t7"), (t8, "t8"),
-            (d, "d x^+-"), (c * d, "c d (recursed kernel)"),
-        ]
-        if abs(d) < 0.08 or margin_violations(checks):
+        # the kernel Gamma(d x1^+- z^+-) takes the place of level 1's
+        # towers c^-1 t1, c^-1 t2, as in _eval_xselberg; c d is the
+        # parameter of the recursed kernel on the right side
+        level_set = (c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8)
+        if abs(d) < 0.08 or abs(c * d) >= INWARD_CAP or _density_violations(p, q, t, level_set):
             continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
         return IdentityCase(
@@ -1214,7 +1221,8 @@ EQK_SHAPES = [
 def _sample_equal_k(seed: int, cfg) -> IdentityCase:
     rng = np.random.default_rng([seed, 110])
     lam, mu = EQK_SHAPES[seed % len(EQK_SHAPES)]
-    for _ in range(600):
+    tries, last = 600, []
+    for _ in range(tries):
         p = _draw(rng, 0.1, 0.15)
         q = _draw(rng, 0.42, 0.5) if (lam.second.size or mu.second.size) else _draw(rng, 0.2, 0.3)
         t = _draw(rng, 0.1, 0.16)
@@ -1226,28 +1234,18 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
         if t8 is None:
             continue
         tail = t5 * t6 * t7 * t8
-        # lam rides on level 1 through c^(-1) t2 and on the recursed
-        # rank-one side through t2 itself; both carry its pole towers.
         t1 = _draw(rng, 0.55, 0.8)
         t2 = p * q / (t1 * tail)
         t3 = _draw(rng, math.sqrt(abs(t * t1 * t2)) * 0.8, math.sqrt(abs(t * t1 * t2)) * 1.25)
         t4 = t * t1 * t2 / t3
-        b_lam_level = t2 / c
-        checks = [
-            (t, "t"), (c, "c"), (p * q / t, "pq/t"),
-            (t1 / c, "c^-1 t1"), (t2 / c, "c^-1 t2"),
-            (t * c / t3, "t c/t3"), (t * c / t4, "t c/t4"),
-            (t3, "t3"), (t4, "t4"), (t5, "t5"), (t6, "t6"), (t7, "t7"), (t8, "t8"),
-            (t1, "t1 (rank-one side)"), (t2, "t2 (rank-one side)"),
-        ]
-        checks += pole_map(lam, b_lam_level, ctx)
-        checks += pole_map(lam, t2, ctx)
-        if margin_violations(checks):
-            continue
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
-        try:
-            ParamSet(2, (1, 1), p, q, t, ts)
-        except ValueError:
+        # The right side integrates the rank-one density of t1, t2, t5..t8;
+        # lam's pole towers ride on c^(-1) t2 in level 1 and on t2 there.
+        bad = _density_violations(p, q, t, ts)
+        bad += [f"rank-one side: {text}" for text in _density_violations(p, q, t, (t1, t2) + ts[4:])]
+        bad += margin_violations(pole_map(lam, t2 / c, ctx) + pole_map(lam, t2, ctx))
+        if bad:
+            last = bad
             continue
         return IdentityCase(
             id=f"equal_k-{lam}-{mu}-s{seed}",
@@ -1260,7 +1258,8 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
             shapes=(lam, mu),
             extra={"grid_1d": cfg.grid_1d},
         )
-    return _infeasible_case("equal_k_recursion", seed, "no feasible draw")
+    reason = f"no feasible draw after {tries} tries (last violations: {last[:3]})"
+    return _infeasible_case("equal_k_recursion", seed, reason)
 
 
 def _eval_equal_k(case: IdentityCase) -> Evaluation:

@@ -216,3 +216,31 @@ def interp_pole_members(first, second, b: complex, p: complex, q: complex, t: co
                         poles.append(shift / (b * t**j) if up else b * t**j * shift)
                         n += 1
     return poles
+
+
+def kernel_draw_inside(shape: str, v: dict, cap: float = 0.95) -> bool:
+    """Whether a draw of a kernel-weighted family keeps every modulus in
+    the hand-written list its sampler once checked below cap.  v names
+    the draw's values: p, q, t, t1.. t8, b, c, d and spectator as the
+    shape uses them.  Left out are the conditions a sampler still checks
+    beside the density: the |c|, |d| floors, vdBult's |pq/t| < 0.9, the
+    recursed kernel c d and equal_k's interpolation pole maps."""
+    p, q, t = v["p"], v["q"], v["t"]
+    c, d = v.get("c"), v.get("d")
+    ts = [v.get(f"t{i}") for i in range(9)]
+    if shape in ("vdBult", "key_theorem"):
+        mods = [t, ts[1], ts[2], ts[3], ts[4], c]
+    elif shape == "prop_RK":
+        mods = [t, ts[2], ts[3], ts[4], ts[5], c]
+    elif shape.startswith("kernel_decomp"):
+        mods = [t, p * q / t, v["b"], v["spectator"], c, d]
+    elif shape == "xselberg-base":
+        mods = [t, ts[3], ts[4], ts[5], ts[6], d]
+    elif shape == "xselberg-recursion":
+        mods = [t, c, p * q / t, t * c / ts[3], t * c / ts[4], *ts[3:9], d]
+    elif shape == "equal_k":
+        mods = [t, c, p * q / t, ts[1] / c, ts[2] / c, t * c / ts[3], t * c / ts[4], *ts[3:9]]
+        mods += [ts[1], ts[2]]  # the right side's rank-one integral
+    else:
+        raise ValueError(f"unknown shape {shape}")
+    return all(abs(m) < cap for m in mods)

@@ -1,11 +1,12 @@
-"""Special-function call counts: a product of gamma factors is one
-elliptic gamma evaluation, and a sum of Delta0 symbols over many shapes
-is one theta call per component, however many factors or shapes."""
+"""Call counts: a product of gamma factors is one elliptic gamma
+evaluation, a sum of Delta0 symbols over many shapes is one theta call
+per component, however many factors or shapes, and every kernel-weighted
+draw passes through densities.feasibility_check."""
 
 import numpy as np
 import pytest
 
-from ellsel import binomials, core, symbols
+from ellsel import binomials, core, harness, symbols
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
 from ellsel.densities import vertex_unary_fn
 from ellsel.partitions import Bipartition, sub_bipartitions
@@ -71,3 +72,27 @@ def test_table_rows_take_four_theta_calls_whatever_the_shapes(monkeypatch, lam):
     assert len(sub_bipartitions(lam)) in (6, 15)
     blocks = table.resamples + 2  # one per attempt, plus the holdout rows
     assert len(calls) - endpoints == 4 * blocks
+
+
+@pytest.mark.parametrize(
+    "family, options",
+    [
+        ("vdBult", {}),
+        ("key_theorem", {}),
+        ("prop_RK", {}),
+        ("kernel_decomp", {"variant": "theorem"}),
+        ("kernel_decomp", {"variant": "corollary"}),
+        ("prop_xselberg_base", {"variant": "base"}),
+        ("prop_xselberg_base", {"variant": "recursion"}),
+        ("equal_k_recursion", {}),
+    ],
+    ids=lambda v: v.get("variant", "") if isinstance(v, dict) else v,
+)
+def test_kernel_weighted_draw_runs_the_density_check(monkeypatch, family, options):
+    # the accepted draw is the last one checked, and it passes
+    calls = counting(monkeypatch, harness, "feasibility_check")
+    case = harness.sample_case(family, 0, **options)
+    assert "infeasible" not in case.extra and calls
+    (params,) = calls[-1]
+    assert (params.p, params.q, params.t) == tuple(case.params[key] for key in "pqt")
+    assert harness.feasibility_check(params).ok

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ellsel.core import NomePair
 from ellsel.densities import (
     BalancingError,
+    InfeasibleError,
     IntegrandDescriptor,
     ParamSet,
     an_density,
@@ -27,7 +28,7 @@ from ellsel.densities import (
 )
 from ellsel.harness import sample_an_params
 from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
-from oracles import expand_tables, gamma_mp
+from oracles import expand_tables, gamma_mp, kernel_draw_inside
 
 NOMES = NomePair(0.15, 0.2)
 
@@ -300,3 +301,117 @@ class TestSampler:
         rng = np.random.default_rng(14)
         with pytest.raises(InfeasibleError):
             sample_an_params(2, (1, 2), rng, WIDE_WINDOWS, cap=60)
+
+    def test_accept_hook_objections_name_the_give_up(self):
+        # seed 10's first draw is feasible, so only the hook rejects it
+        sample_an_params(2, (1, 1), np.random.default_rng(10), N2_WINDOWS, cap=1)
+        with pytest.raises(InfeasibleError, match=r"last violations: \['always objects'\]"):
+            sample_an_params(
+                2, (1, 1), np.random.default_rng(10), N2_WINDOWS, cap=1,
+                accept=lambda params: ["always objects"],
+            )
+
+    def test_accept_hook_without_objections_accepts(self):
+        want, _ = sample_an_params(2, (1, 1), np.random.default_rng(13), N2_WINDOWS)
+        got, _ = sample_an_params(
+            2, (1, 1), np.random.default_rng(13), N2_WINDOWS, accept=lambda params: []
+        )
+        assert got == want
+
+
+KERNEL_SHAPES = (
+    "vdBult",
+    "key_theorem",
+    "prop_RK",
+    "kernel_decomp-theorem",
+    "kernel_decomp-corollary",
+    "xselberg-base",
+    "xselberg-recursion",
+    "equal_k",
+)
+
+
+def _kernel_draw(shape, p, q, t, f, x1, y1):
+    """(named values, density parameter lists) of a draw of shape: the
+    balanced partners are solved from the free values f as its sampler
+    solves them, and each list is a density the sampler checks, with a
+    kernel Gamma(c x^+- z^+-) entered as c x and c / x."""
+    pq = p * q
+    if shape in ("vdBult", "key_theorem"):
+        t1, t2, t3 = f[:3]
+        if shape == "vdBult":
+            t4, c = t / (t1 * t2 * t3), cmath.sqrt(pq / t)
+        else:
+            t4 = 0.9 * t * f[3] / abs(f[3])  # t v1 with |v1| < 1
+            c = cmath.sqrt(pq / (t1 * t2 * t3 * t4))
+        return dict(t1=t1, t2=t2, t3=t3, t4=t4, c=c), [(t1, t2, t3, t4, c * x1, c / x1)]
+    if shape == "prop_RK":
+        t2, t3, t4, t5 = f[:4]
+        c = cmath.sqrt(pq / (t2 * t3 * t4 * t5))
+        return dict(t2=t2, t3=t3, t4=t4, t5=t5, c=c), [(t2, t3, t4, t5, c * x1, c / x1)]
+    if shape.startswith("kernel_decomp"):
+        b, d = f[:2]
+        if shape.endswith("theorem"):
+            c = f[2]
+            spectator = pq / (b * c**2 * d**2)
+        else:
+            c = cmath.sqrt(pq / t)
+            spectator = t / (b * d**2)
+        values = dict(b=b, c=c, d=d, spectator=spectator)
+        return values, [(b, spectator, c * x1, c / x1, d * y1, d / y1)]
+    if shape == "xselberg-base":
+        t3, t4, t5, t6 = f[:4]
+        d = cmath.sqrt(pq / (t3 * t4 * t5 * t6))
+        return dict(t3=t3, t4=t4, t5=t5, t6=t6, d=d), [(t3, t4, t5, t6, d * x1, d / x1)]
+    t5, t6, t7, t8, t1, t3 = f
+    tail = t5 * t6 * t7 * t8
+    c = cmath.sqrt(pq / t)
+    if shape == "equal_k":
+        t1 *= c  # as a ratio to c: level 1 carries c^-1 t1
+    t2 = pq / (t1 * tail)
+    if shape == "xselberg-recursion":
+        t3 *= math.sqrt(abs(t * pq / tail))  # as a ratio to the middle of its window
+        t4 = pq * t / (t3 * tail)
+        d = cmath.sqrt(t1 * t2) / c
+        values = dict(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7, t8=t8, c=c, d=d)
+        return values, [(c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8)]
+    t3 *= math.sqrt(abs(t * t1 * t2))  # as a ratio to sqrt(t t1 t2)
+    t4 = t * t1 * t2 / t3
+    values = dict(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6, t7=t7, t8=t8, c=c)
+    return values, [(t1, t2, t3, t4, t5, t6, t7, t8), (t1, t2, t5, t6, t7, t8)]
+
+
+def _density_ok(p, q, t, ts) -> bool:
+    n = len(ts) // 2 - 2
+    try:
+        params = ParamSet(n, (1,) * n, p, q, t, ts)
+    except ValueError:
+        return False
+    return feasibility_check(params).ok
+
+
+class TestKernelWeightedDraws:
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_torus_rule_matches_the_hand_lists(self, shape):
+        # The samplers keep |pq/t| < 0.9 at rank one, by their windows or
+        # by vdBult's explicit test; at rank two pq/t is a density tower.
+        seen = set()
+
+        @settings(derandomize=True, deadline=None, max_examples=300)
+        @given(
+            p=_complex(st.floats(0.05, 0.5)),
+            q=_complex(st.floats(0.05, 0.5)),
+            t=_complex(st.floats(0.03, 0.99)),
+            free=st.lists(_complex(st.floats(0.5, 1.05)), min_size=6, max_size=6),
+            x1=_complex(st.just(1.0)),
+            y1=_complex(st.just(1.0)),
+        )
+        def check(p, q, t, free, x1, y1):
+            assume(shape in ("xselberg-recursion", "equal_k") or abs(p * q / t) < 0.9)
+            values, sets = _kernel_draw(shape, p, q, t, free, x1, y1)
+            got = all(_density_ok(p, q, t, ts) for ts in sets)
+            assert got == kernel_draw_inside(shape, dict(values, p=p, q=q, t=t))
+            seen.add(got)
+
+        check()
+        assert seen == {True, False}  # the windows reach both sides of the rule

@@ -11,7 +11,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellsel import harness
 from ellsel.core import NomePair
 from ellsel.binomials import TableCache
 from ellsel.densities import ParamSet, an_selberg_rhs, selberg_average_normalizer
@@ -35,7 +38,7 @@ from ellsel.harness import (
 from ellsel.partitions import ZERO, Bipartition
 from ellsel.quadrature import BudgetError
 from ellsel.symbols import SymbolContext, delta0_bi
-from ellsel.interpolation import interp_hybrid
+from ellsel.interpolation import interp_b_window, interp_hybrid
 
 CFG = HarnessConfig()
 
@@ -647,3 +650,39 @@ class TestAlgebraicSuiteContents:
             "cauchy_nonskew", "cauchy_hybrid", "interp_vanishing", "interp_principal_spec",
         }
         assert required <= names
+
+
+MIXED_SHAPES = [
+    Bipartition.of((1,), (1,)),
+    Bipartition.of((2,), (1,)),
+    Bipartition.of((1,), (1, 1)),
+    Bipartition.of((1, 1), (2,)),
+]
+
+
+class TestGiveUpNotes:
+    def test_equal_k_names_the_last_violations(self):
+        note = sample_case("equal_k_recursion", 19).extra["infeasible"]
+        assert note.startswith("no feasible draw after 600 tries (last violations: [")
+        assert "comp2: b t^(1-1) p^0 q^-1" in note
+
+    @pytest.mark.parametrize("family", ["vdBult", "key_theorem", "prop_RK"])
+    def test_mixed_shape_refused_before_any_draw(self, monkeypatch, family):
+        def no_draw(*args):
+            raise AssertionError("drew for a shape that no |b| admits")
+
+        monkeypatch.setattr(harness, "_draw", no_draw)
+        case = sample_case(family, 0, mu=Bipartition.of((1,), (1,)))
+        assert "cross pole b t^(1-1) p^-1 q^-1" in case.extra["infeasible"]
+        assert case.id == f"{family}-s0"
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        p=st.floats(0.01, 0.99),
+        q=st.floats(0.01, 0.99),
+        t=st.floats(0.01, 0.99),
+        mu=st.sampled_from(MIXED_SHAPES),
+    )
+    def test_mixed_shape_has_no_b_window(self, p, q, t, mu):
+        lo, hi = interp_b_window(mu, SymbolContext(NomePair(p, q), t))
+        assert lo >= hi
