@@ -208,6 +208,9 @@ def _cmd_case(args) -> int:
         if option is None:
             raise ValueError(f"family {args.family} takes no --shapes")
         parts = args.shapes.split(";")
+        form = "lam;mu" if option == "shapes" else "mu"
+        if len(parts) > len(form.split(";")):
+            raise ValueError(f"family {args.family} takes --shapes {form}, got {args.shapes!r}")
         if option == "shapes":
             options["shapes"] = (
                 parse_bipartition(parts[0]),

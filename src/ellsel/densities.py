@@ -118,8 +118,9 @@ def selberg_edge_density(z, w, cval: complex, nomes: NomePair) -> complex:
 class ParamSet:
     """Full parameter record for the rank-n density.
 
-    ts holds t_1 .. t_(2n+4); c is fixed to branch_tag * sqrt(pq/t).
-    Every balancing relation must hold to 1e-13 relative."""
+    ts holds t_1 .. t_(2n+4); c is fixed to branch_tag * sqrt(pq/t),
+    branch_tag +1 or -1.  Every balancing relation must hold to 1e-13
+    relative."""
 
     n: int
     k: tuple[int, ...]
@@ -130,6 +131,8 @@ class ParamSet:
     branch_tag: int = +1
 
     def __post_init__(self):
+        if self.branch_tag not in (1, -1):
+            raise ValueError(f"branch_tag must be +1 or -1, got {self.branch_tag}")
         if self.n < 1 or len(self.k) != self.n:
             raise ValueError("need k_1..k_n for a rank-n parameter set")
         if any(self.k[i] > self.k[i + 1] for i in range(self.n - 1)) or any(
@@ -193,17 +196,44 @@ class ParamSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParamSet":
-        def fromc(v):
-            return complex(v[0], v[1])
+        """The set of one JSON object, whose complex values are [re, im]
+        pairs; a ValueError names the key that is missing or malformed."""
+        if not isinstance(data, dict):
+            raise ValueError("a params file holds one JSON object")
+        needed = ("n", "k", "p", "q", "t", "ts")
+        accepted = needed + ("branch_tag",)
+        missing = ", ".join(key for key in needed if key not in data)
+        if missing:
+            raise ValueError(f"params file is missing {missing}; it needs {', '.join(needed)}")
+        unknown = ", ".join(sorted(set(data) - set(accepted)))
+        if unknown:
+            raise ValueError(f"unknown params keys {unknown}; accepted: {', '.join(accepted)}")
+
+        def whole(key, val):
+            if isinstance(val, bool) or not isinstance(val, int):
+                raise ValueError(f"params key {key} must be an integer, got {val!r}")
+            return val
+
+        def pair(key, val):
+            two = isinstance(val, list) and len(val) == 2
+            if not (two and all(type(v) in (int, float) and math.isfinite(v) for v in val)):
+                raise ValueError(f"params key {key} must be a finite [re, im] pair, got {val!r}")
+            return complex(*val)
+
+        def listed(key, item):
+            val = data[key]
+            if not isinstance(val, list):
+                raise ValueError(f"params key {key} must be a list, got {val!r}")
+            return tuple(item(f"{key}[{i}]", v) for i, v in enumerate(val))
 
         return cls(
-            n=int(data["n"]),
-            k=tuple(int(v) for v in data["k"]),
-            p=fromc(data["p"]),
-            q=fromc(data["q"]),
-            t=fromc(data["t"]),
-            ts=tuple(fromc(v) for v in data["ts"]),
-            branch_tag=int(data.get("branch_tag", 1)),
+            n=whole("n", data["n"]),
+            k=listed("k", whole),
+            p=pair("p", data["p"]),
+            q=pair("q", data["q"]),
+            t=pair("t", data["t"]),
+            ts=listed("ts", pair),
+            branch_tag=whole("branch_tag", data.get("branch_tag", 1)),
         )
 
     def to_json(self) -> str:
@@ -385,13 +415,14 @@ def edge_pair_fn(cval: complex, nomes: NomePair):
 
 @dataclass
 class IntegrandDescriptor:
-    """Composable description of a BC-symmetric integrand: per-level
-    density factors plus extra univariate factors (interpolation
-    functions, kernels) keyed by level."""
+    """Composable description of a BC-symmetric integrand: the density of
+    params times extra univariate factors keyed by level, such as
+    interpolation functions.  A kernel factor Gamma(c x^+- z^+-) is no
+    extra factor: it enters params as the vertex parameters c x and c / x,
+    and its normalisation moves to the closed form."""
 
     params: ParamSet
     extra_unary: dict = field(default_factory=dict)  # level -> [fn(z)]
-    drop_vertex_params: dict = field(default_factory=dict)  # level -> indices
 
     def build(self, pinned: ResidueTerm | None = None) -> TorusFactorizedIntegrand:
         """The torus integrand.  With pinned, the integrand of that
@@ -428,10 +459,7 @@ class IntegrandDescriptor:
                 continue
             if not lvars:
                 continue
-            ts_r = list(params.vertex_params(r))
-            for idx in sorted(self.drop_vertex_params.get(r, ()), reverse=True):
-                del ts_r[idx]
-            ufn = vertex_unary_fn(ts_r, params.t, nomes)
+            ufn = vertex_unary_fn(params.vertex_params(r), params.t, nomes)
             pfn = vertex_pair_fn(params.t, nomes)
             pref *= kappa(len(lvars), nomes)
             for v in lvars:
@@ -464,7 +492,7 @@ class IntegrandDescriptor:
         2 residue_constant."""
         r = term.level
         params, nomes = self.params, self.params.nomes
-        if params.k[r - 1] != 1 or self.drop_vertex_params.get(r) or self.extra_unary.get(r):
+        if params.k[r - 1] != 1 or self.extra_unary.get(r):
             raise ValueError(
                 f"a residue term on level {r} needs one variable and no factor beyond the density"
             )

@@ -36,11 +36,8 @@ from ellsel.densities import (
     an_selberg_rhs,
     contour_feasibility,
     feasibility_check,
-    gamma_pm2,
-    kappa,
     margin_violations,
     selberg_average_normalizer,
-    vertex_unary_fn,
 )
 from ellsel.interpolation import (
     branching_residual,
@@ -59,12 +56,7 @@ from ellsel.partitions import (
     spectral_vector,
     sub_bipartitions,
 )
-from ellsel.quadrature import (
-    GridSpec,
-    QuadResult,
-    TorusFactorizedIntegrand,
-    integrate_adaptive,
-)
+from ellsel.quadrature import GridSpec, QuadResult, integrate_adaptive
 from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
 
 
@@ -204,6 +196,14 @@ def _density_violations(p, q, t, ts) -> list[str]:
     return feasibility_check(params).violations
 
 
+def _density_integrand(p, q, t, ts, extra_unary: dict):
+    """The integrand of the density that _density_violations checks for
+    ts, times the extra unary factors keyed by level."""
+    n = len(ts) // 2 - 2
+    params = ParamSet(n, (1,) * n, p, q, t, ts)
+    return IntegrandDescriptor(params, extra_unary=extra_unary).build()
+
+
 # ---------------------------------------------------------------------------
 # Closed forms shared by several families
 # ---------------------------------------------------------------------------
@@ -281,16 +281,6 @@ def _gamma_pm_list(a, z):
     return [a * z, a / z]
 
 
-def _vertex_pair_gamma(tlist, c, x1, nomes: NomePair) -> complex:
-    """Gamma product over t_r t_s (r < s) and c t_r x1^(+-1): the closed
-    form's factor for a rank-one integral whose kernel carries c, x1."""
-    gargs = []
-    for r, tr in enumerate(tlist):
-        gargs += [tr * ts for ts in tlist[r + 1 :]]
-        gargs += [c * tr * x1, c * tr / x1]
-    return elliptic_gamma_multi(gargs, nomes)
-
-
 def _hybrid_mu_fn(mu, ts6, ctx: SymbolContext, cache: TableCache):
     """Hybrid factor R*_mu(z; t4/t, t5/t; t tau, t6), tau = t3 t4 t5 / t^2,
     of a rank-one parameter list ts6 = (t1..t6); a rank-n caller passes
@@ -302,13 +292,6 @@ def _hybrid_mu_fn(mu, ts6, ctx: SymbolContext, cache: TableCache):
         return interp_hybrid(mu, (z,), (ts6[3] / t, ts6[4] / t), t * tau, ts6[5], ctx, cache)
 
     return fn
-
-
-def _one_variable_integrand(nomes: NomePair, *fns) -> TorusFactorizedIntegrand:
-    """Product of fns on one circle, with the rank-one density constant."""
-    return TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, fn) for fn in fns], prefactor=kappa(1, nomes)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +487,15 @@ def _eval_vdbult(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
-    unary = vertex_unary_fn((t1, t2, t3, t4, c * x1, c / x1), t, nomes)
-    integrand = _one_variable_integrand(nomes, unary, interp_fn)
+    integrand = _density_integrand(p, q, t, (t1, t2, t3, t4, c * x1, c / x1), {1: [interp_fn]})
     rhs = interp_nonskew(mu, (x1,), c * t1, c * t2, ctx, cache)
     rhs *= delta0_bi(mu, t1 / t2, [t1 * t3, t1 * t4], ctx)
-    rhs *= _vertex_pair_gamma((t1, t2, t3, t4), c, x1, nomes)
+    # Gamma over t_r t_s (r < s) and c t_r x1^+-: the normalizer of the
+    # six-parameter density without Gamma(t) Gamma(c^2) = 1
+    tlist, gargs = (t1, t2, t3, t4), []
+    for r, tr in enumerate(tlist):
+        gargs += [tr * ts for ts in tlist[r + 1 :]] + [c * tr * x1, c * tr / x1]
+    rhs *= elliptic_gamma_multi(gargs, nomes)
     return Evaluation(rhs, integrand)
 
 
@@ -552,34 +539,29 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
     nomes = ctx.nomes
     variant = case.extra["variant"]
 
+    # The integrand is the density of the set the sampler checks: each
+    # kernel Gamma(c x1^+- z^+-) / (Gamma(t) Gamma(c^2)) enters it as the
+    # vertex parameters c x1^+- without its normalisation, which the
+    # right side takes on.  The corollary's c factor has none.
+    rhs = kernel_k1(x1, y1, c * d, ctx)
     if variant == "theorem":
-        unaries = [
-            lambda z: kernel_k1(z, x1, c, ctx),
-            lambda z: kernel_k1(z, y1, d, ctx),
-            vertex_unary_fn((b, p * q / (b * c**2 * d**2)), t, nomes),
-        ]
-        rhs = kernel_k1(x1, y1, c * d, ctx)
+        spectator = p * q / (b * c**2 * d**2)
         rhs *= elliptic_gamma_multi(
-            _gamma_pm_list(b * c, x1) + _gamma_pm_list(b * d, y1), nomes
+            _gamma_pm_list(b * c, x1) + _gamma_pm_list(b * d, y1) + [t, t, c**2, d**2], nomes
         )
         rhs /= elliptic_gamma_multi(
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(b * c**2 * d, y1), nomes
         )
     else:
-        unaries = [
-            lambda z: kernel_k1(z, y1, d, ctx),
-            vertex_unary_fn((b, t / (b * d**2)), t, nomes),
-            lambda z: gamma_pm2(c, z, x1, nomes),
-        ]
-        rhs = kernel_k1(x1, y1, c * d, ctx)
+        spectator = t / (b * d**2)
         rhs *= elliptic_gamma_multi(
-            _gamma_pm_list(b * d, y1) + _gamma_pm_list(t / (b * d), y1), nomes
+            _gamma_pm_list(b * d, y1) + _gamma_pm_list(t / (b * d), y1) + [t, d**2], nomes
         )
         rhs /= elliptic_gamma_multi(
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(c * t / b, x1), nomes
         )
-
-    return Evaluation(rhs, _one_variable_integrand(nomes, *unaries))
+    six = (b, spectator, c * x1, c / x1, d * y1, d / y1)
+    return Evaluation(rhs, _density_integrand(p, q, t, six, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +620,9 @@ def _eval_key_theorem(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_hybrid(mu, (z,), (v1, v2), a_hyb, t2, ctx, cache)
 
-    integrand = _one_variable_integrand(
-        nomes,
-        lambda z: kernel_k1(z, x1, c, ctx),
-        interp_fn,
-        vertex_unary_fn((t1, t2, t3, t4), t, nomes),
-    )
-    rhs = _vertex_pair_gamma((t1, t2, t3, t4), c, x1, nomes)
+    six = (t1, t2, t3, t4, c * x1, c / x1)
+    integrand = _density_integrand(p, q, t, six, {1: [interp_fn]})
+    rhs = selberg_average_normalizer(1, six, t, nomes)
     head = t * t1 * v1 * v2 / t2
     rhs *= delta0_bi(mu, head, [t * t1 * v1], ctx)
     rhs /= delta0_bi(mu, head, [c**2 * t * t1 * v1], ctx)
@@ -703,13 +681,9 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
-    integrand = _one_variable_integrand(
-        nomes,
-        lambda z: kernel_k1(z, x1, c, ctx),
-        interp_fn,
-        vertex_unary_fn((t2, t3, t4, t5), t, nomes),
-    )
-    rhs = _vertex_pair_gamma((t2, t3, t4, t5), c, x1, nomes)
+    six = (t2, t3, t4, t5, c * x1, c / x1)
+    integrand = _density_integrand(p, q, t, six, {1: [interp_fn]})
+    rhs = selberg_average_normalizer(1, six, t, nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     nus = sub_bipartitions(mu)
@@ -1146,8 +1120,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
         d = cmath.sqrt(t1 * t2) / c
         x1 = _unit(rng)
         # the kernel Gamma(d x1^+- z^+-) takes the place of level 1's
-        # towers c^-1 t1, c^-1 t2, as in _eval_xselberg; c d is the
-        # parameter of the recursed kernel on the right side
+        # towers c^-1 t1, c^-1 t2, and _eval_xselberg integrates this
+        # set; c d is the parameter of the recursed kernel on the right side
         level_set = (c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8)
         if abs(d) < 0.08 or abs(c * d) >= INWARD_CAP or _density_violations(p, q, t, level_set):
             continue
@@ -1175,35 +1149,29 @@ def _eval_xselberg(case: IdentityCase) -> Evaluation:
     cache = TableCache(seed=case.seed)
     x1, d = pr["x1"], pr["d"]
 
+    # The kernel Gamma(d x1^+- z^+-) / (Gamma(t) Gamma(d^2)) enters the
+    # density the sampler checks as the vertex parameters d x1^+-, at rank
+    # two as c d x1^+- in place of t1, t2; the right side takes on its
+    # normalisation.
     if case.extra["variant"] == "base":
         ts6 = tuple(pr[f"t{i}"] for i in range(1, 7))
         mu_fn = _hybrid_mu_fn(mu, ts6, ctx, cache)
-        integrand = _one_variable_integrand(
-            nomes,
-            lambda z: kernel_k1(z, x1, d, ctx),
-            mu_fn,
-            vertex_unary_fn(ts6[2:], t, nomes),
-        )
-        return Evaluation(xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0), integrand)
+        six = ts6[2:] + (d * x1, d / x1)
+        integrand = _density_integrand(p, q, t, six, {1: [mu_fn]})
+        rhs = elliptic_gamma_multi([t, d**2], nomes)
+        rhs *= xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0)
+        return Evaluation(rhs, integrand)
 
     ts = tuple(pr[f"t{i}"] for i in range(1, 9))
     c = pr["c"]
-    params = ParamSet(2, (1, 1), p, q, t, ts)
-
-    def kern_fn(z):
-        return kernel_k1(z, x1, d, ctx)
-
     mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    descriptor = IntegrandDescriptor(
-        params,
-        extra_unary={1: [kern_fn], 2: [mu_fn]},
-        drop_vertex_params={1: (0, 1)},
-    )
+    level_set = (c * d * x1, c * d / x1) + ts[2:]
+    integrand = _density_integrand(p, q, t, level_set, {2: [mu_fn]})
     pref_args = [c * d * t * x1 / ts[2], c * d * t / (x1 * ts[2])]
     pref_args += [c * d * t * x1 / ts[3], c * d * t / (x1 * ts[3])]
-    rhs = elliptic_gamma_multi(pref_args, nomes)
+    rhs = elliptic_gamma_multi(pref_args + [t, d**2], nomes)
     rhs *= xselberg_rhs(1, (1,), (x1,), ts[2:], c * d, mu, ctx, 1.0)
-    return Evaluation(rhs, descriptor.build())
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -1270,13 +1238,12 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
     ctx = SymbolContext(NomePair(p, q), t)
     nomes = ctx.nomes
     cache = TableCache(seed=case.seed)
-    params = ParamSet(2, (1, 1), p, q, t, ts)
 
     def lam_fn(z):
         return interp_nonskew(lam, (z,), ts[0] / c, ts[1] / c, ctx, cache)
 
     mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    integrand = IntegrandDescriptor(params, extra_unary={1: [lam_fn], 2: [mu_fn]}).build()
+    integrand = _density_integrand(p, q, t, ts, {1: [lam_fn], 2: [mu_fn]})
 
     # Right side: prefactor times the rank-one integral with t3, t4 removed.
     pref_num = [ts[0] * ts[1] / c**2]
@@ -1290,8 +1257,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
     def lam1_fn(z):
         return interp_nonskew(lam, (z,), ts[0], ts[1], ctx, cache)
 
-    unary = vertex_unary_fn((ts[0], ts[1], ts[4], ts[5], ts[6], ts[7]), t, nomes)
-    inner = _one_variable_integrand(nomes, unary, lam1_fn, mu_fn)
+    inner = _density_integrand(p, q, t, (ts[0], ts[1]) + ts[4:], {1: [lam1_fn, mu_fn]})
     inner_res = integrate_adaptive(inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 2)
     rhs *= inner_res.value
     return Evaluation(rhs, integrand)

@@ -1,14 +1,15 @@
 """Call counts: a product of gamma factors is one elliptic gamma
 evaluation, a sum of Delta0 symbols over many shapes is one theta call
 per component, however many factors or shapes, and every kernel-weighted
-draw passes through densities.feasibility_check."""
+draw passes through densities.feasibility_check, which accepts the very
+sets its evaluator integrates."""
 
 import numpy as np
 import pytest
 
-from ellsel import binomials, core, harness, symbols
+from ellsel import binomials, core, densities, harness, symbols
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
-from ellsel.densities import vertex_unary_fn
+from ellsel.densities import IntegrandDescriptor, vertex_unary_fn
 from ellsel.partitions import Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext
 
@@ -95,4 +96,19 @@ def test_kernel_weighted_draw_runs_the_density_check(monkeypatch, family, option
     assert "infeasible" not in case.extra and calls
     (params,) = calls[-1]
     assert (params.p, params.q, params.t) == tuple(case.params[key] for key in "pqt")
-    assert harness.feasibility_check(params).ok
+    accepted = {params for (params,) in calls if densities.feasibility_check(params).ok}
+    assert params in accepted
+
+    # every set the evaluator integrates is one the sampler accepted:
+    # equal_k's rank-two set and its right side's rank-one set, one set
+    # for each other path
+    integrated = []
+
+    def recording(density, **kwargs):
+        integrated.append(density)
+        return IntegrandDescriptor(density, **kwargs)
+
+    monkeypatch.setattr(harness, "IntegrandDescriptor", recording)
+    assert harness.run_case(case).status == "pass"
+    assert len(set(integrated)) == (2 if family == "equal_k_recursion" else 1)
+    assert set(integrated) <= accepted

@@ -2,6 +2,7 @@
 torus-integral products."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 
@@ -150,6 +151,45 @@ class TestParamSet:
     def test_c_branch(self):
         params = make_balanced_n1(seed=4)
         assert abs(params.c**2 - params.p * params.q / params.t) < 1e-15
+
+    @pytest.mark.parametrize("tag", [0, 2])
+    def test_branch_tag_other_than_plus_or_minus_one_rejected(self, tag):
+        # 0 would divide by c = 0 and 2 would double c
+        params = make_balanced_n1(seed=4)
+        assert dataclasses.replace(params, branch_tag=-1).c == -params.c
+        with pytest.raises(ValueError, match=f"branch_tag must be \\+1 or -1, got {tag}"):
+            dataclasses.replace(params, branch_tag=tag)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"ts": None}, "params file is missing ts; it needs n, k, p, q, t, ts"),
+            ({"n": None, "k": None}, "params file is missing n, k; it needs"),
+            ({"branch": 1}, "unknown params keys branch; accepted: n, k, p, q, t, ts, branch_tag"),
+            ({"p": 0.1}, "params key p must be a finite [re, im] pair, got 0.1"),
+            ({"q": [0.1, 0.0, 0.0]}, "params key q must be a finite [re, im] pair"),
+            ({"t": [float("nan"), 0.0]}, "params key t must be a finite [re, im] pair"),
+            ({"ts": [0.5] * 6}, "params key ts[0] must be a finite [re, im] pair, got 0.5"),
+            ({"ts": 0.5}, "params key ts must be a list, got 0.5"),
+            ({"k": [1.0]}, "params key k[0] must be an integer, got 1.0"),
+            ({"n": True}, "params key n must be an integer, got True"),
+            ({"branch_tag": "1"}, "params key branch_tag must be an integer, got '1'"),
+        ],
+        ids=[
+            "missing-ts", "missing-n-k", "unknown-key", "p-number", "q-triple", "t-nan",
+            "ts-numbers", "ts-number", "k-float", "n-bool", "branch_tag-string",
+        ],
+    )
+    def test_json_dict_names_what_is_wrong(self, change, message):
+        data = make_balanced_n1(seed=3).to_json_dict() | change
+        data = {key: val for key, val in data.items() if val is not None}
+        with pytest.raises(ValueError) as info:
+            ParamSet.from_json_dict(data)
+        assert message in str(info.value)
+
+    def test_json_dict_must_be_an_object(self):
+        with pytest.raises(ValueError, match="a params file holds one JSON object"):
+            ParamSet.from_json_dict([make_balanced_n1(seed=3).to_json_dict()])
 
     def test_infeasible_draw_diagnosed(self):
         # Poles of factors beyond the density go through margin_violations:

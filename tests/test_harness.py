@@ -357,6 +357,29 @@ class TestParamSetRoundTrip:
         blob = case.paramset.to_json()
         assert ParamSet.from_json(blob) == case.paramset
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"branch_tag": 0}, "branch_tag must be +1 or -1, got 0"),
+            ({"branch_tag": 2}, "branch_tag must be +1 or -1, got 2"),
+            ({"ts": None}, "params file is missing ts; it needs n, k, p, q, t, ts"),
+            ({"ts": [0.5] * 8}, "params key ts[0] must be a finite [re, im] pair"),
+            ({"p": 0.1}, "params key p must be a finite [re, im] pair"),
+            (None, "a params file holds one JSON object"),
+        ],
+        ids=["branch_tag-0", "branch_tag-2", "missing-ts", "ts-numbers", "p-number", "list"],
+    )
+    def test_bad_params_file_exit_3(self, tmp_path, capsys, change, message):
+        data = sample_case("an_selberg", 1, CFG, n=2, k=(1, 1)).paramset.to_json_dict()
+        if change is None:
+            data = [data]
+        else:
+            data = {key: val for key, val in (data | change).items() if val is not None}
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(data))
+        assert main(["case", "--family", "an_selberg", "--params", str(pfile)]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestCli:
     def run_cli(self, *args):
@@ -566,6 +589,15 @@ class TestCli:
         assert res.returncode == 3
         assert f"family {family} takes no --shapes" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "family,shapes,form",
+        [("an_aflt", "1|0;1|0;1|0", "lam;mu"), ("vdBult", "1|0;2|0", "mu")],
+        ids=["an_aflt", "vdBult"],
+    )
+    def test_more_shapes_than_the_family_takes_exit_3(self, capsys, family, shapes, form):
+        assert main(["case", "--family", family, "--shapes", shapes]) == 3
+        assert f"family {family} takes --shapes {form}, got '{shapes}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv,flag",
