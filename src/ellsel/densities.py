@@ -141,7 +141,11 @@ class ParamSet:
             raise ValueError(f"k must be weakly increasing and nonnegative: {self.k}")
         if len(self.ts) != 2 * self.n + 4:
             raise ValueError(f"need {2 * self.n + 4} t-parameters, got {len(self.ts)}")
-        for name, val in (("p", self.p), ("q", self.q), ("t", self.t)):
+        named = [("p", self.p), ("q", self.q), ("t", self.t)]
+        for name, val in named + [(f"t_{i + 1}", v) for i, v in enumerate(self.ts)]:
+            if not cmath.isfinite(val):
+                raise ValueError(f"{name} must be finite, got {val}")
+        for name, val in named:
             if abs(val) >= 1:
                 raise ValueError(f"|{name}| must be < 1")
         if abs(self.p * self.q / self.t) >= 1:
@@ -168,17 +172,14 @@ class ParamSet:
             prod *= self.ts[s]
         return abs(prod - self.p * self.q) / abs(self.p * self.q)
 
+    @property
+    def bases(self) -> tuple[complex, ...]:
+        """(p, q, t, c, t_1 .. t_(2n+4)), the bases of an exponent row."""
+        return (self.p, self.q, self.t, self.c) + tuple(self.ts)
+
     def vertex_params(self, r: int) -> tuple[complex, ...]:
         """Univariate parameter list of the vertex at node r (1-based)."""
-        if r == self.n:
-            return tuple(self.ts[2 * self.n - 2 : 2 * self.n + 4])
-        c = self.c
-        return (
-            c ** (r - self.n) * self.ts[2 * r - 2],
-            c ** (r - self.n) * self.ts[2 * r - 1],
-            self.t * c ** (self.n - r) / self.ts[2 * r],
-            self.t * c ** (self.n - r) / self.ts[2 * r + 1],
-        )
+        return tuple(monomial(self.bases, row) for row in vertex_rows(self.n, r))
 
     def to_json_dict(self) -> dict:
         def c2(z):
@@ -527,36 +528,74 @@ def margin_violations(poles) -> list[str]:
     return bad
 
 
-def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
-    """(message, tower) per violated condition, where tower is the
-    (level, index) of a vertex parameter and None otherwise.  A level
-    with no variable (k_r = 0) has no vertex towers.  With pinned, the
-    conditions of that residue term's integrand: its level has no
-    variable left, and each neighbouring level with variables carries
-    the towers c u and c / u."""
-    nomes = params.nomes
-    violations = []
+# Positions of p, q, t and c in an exponent row over ParamSet.bases; t_i
+# sits at C + i.
+P, Q, T, C = range(4)
 
-    def require_inside(value, label, tower=None):
-        for text in margin_violations(((value, label),)):
-            violations.append((text, tower))
 
-    n, t, c = params.n, params.t, params.c
-    require_inside(t, "contour scaling t*C_r")
+def monomial(bases, row) -> complex:
+    """prod_j bases[j]^row[j], multiplied left to right; a negative
+    power divides."""
+    val = 1.0
+    for base, power in zip(bases, row):
+        if power:
+            factor = base if abs(power) == 1 else base ** abs(power)
+            val = val * factor if power > 0 else val / factor
+    return val
+
+
+def exponent_row(n: int, *terms: tuple[int, int]) -> tuple[int, ...]:
+    """The exponent row of the rank-n set with (position, power) terms."""
+    row = [0] * (2 * n + 8)
+    for pos, power in terms:
+        row[pos] += power
+    return tuple(row)
+
+
+def vertex_rows(n: int, r: int) -> list[tuple[int, ...]]:
+    """Exponent rows of the vertex parameters at node r: t_(2n-1) ..
+    t_(2n+4) at r = n, else c^(r-n) t_(2r-1), c^(r-n) t_(2r),
+    t c^(n-r) / t_(2r+1) and t c^(n-r) / t_(2r+2)."""
+    if r == n:
+        return [exponent_row(n, (C + i, 1)) for i in range(2 * n - 1, 2 * n + 5)]
+    return [exponent_row(n, (C, r - n), (C + 2 * r - 1 + i, 1)) for i in (0, 1)] + [
+        exponent_row(n, (T, 1), (C, n - r), (C + 2 * r + 1 + i, -1)) for i in (0, 1)
+    ]
+
+
+def torus_conditions(n: int, k, pinned: ResidueTerm | None = None) -> list:
+    """The conditions of the torus check as (row, label, tower) triples:
+    each monomial must stay below INWARD_CAP, and tower is the (level,
+    index) of a vertex parameter, else None.  A level with no variable
+    (k_r = 0) has no vertex towers.  With pinned, the conditions of that
+    residue term's integrand: its level has no variable left, and each
+    neighbouring level with variables carries the towers c u and c / u."""
+    conds = [(exponent_row(n, (T, 1)), "contour scaling t*C_r", None)]
     if n >= 2:
-        require_inside(c, "edge scaling c*C_r")
-        require_inside(nomes.pq / t, "inner scaling (pq/t)*C_r")
+        conds += [(exponent_row(n, (C, 1)), "edge scaling c*C_r", None)]
+        conds += [(exponent_row(n, (P, 1), (Q, 1), (T, -1)), "inner scaling (pq/t)*C_r", None)]
     for r in range(1, n + 1):
-        if not params.k[r - 1] or (pinned is not None and r == pinned.level):
+        if not k[r - 1] or (pinned is not None and r == pinned.level):
             continue
-        for idx, base in enumerate(params.vertex_params(r)):
-            label = f"vertex r={r} parameter {idx + 1}"
-            require_inside(base, label, (r, idx))
+        for idx, row in enumerate(vertex_rows(n, r)):
+            conds.append((row, f"vertex r={r} parameter {idx + 1}", (r, idx)))
         if pinned is not None and abs(r - pinned.level) == 1:
-            for name, base in (("c u", c * pinned.base), ("c / u", c / pinned.base)):
-                label = f"edge r={r} parameter {name}"
-                require_inside(base, label)
-    return violations
+            u = vertex_rows(n, pinned.level)[pinned.index]
+            for name, sign in (("c u", 1), ("c / u", -1)):
+                row = tuple(e + sign * f for e, f in zip(exponent_row(n, (C, 1)), u))
+                conds.append((row, f"edge r={r} parameter {name}", None))
+    return conds
+
+
+def _tower_violations(params: ParamSet, pinned: ResidueTerm | None = None):
+    """(message, tower) per violated condition of torus_conditions; with
+    pinned, of that residue term's integrand."""
+    bases = params.bases
+    return [
+        (text, tower)
+        for row, label, tower in torus_conditions(params.n, params.k, pinned)
+        for text in margin_violations(((monomial(bases, row), label),))
+    ]
 
 
 def feasibility_check(params: ParamSet) -> Feasibility:

@@ -27,16 +27,22 @@ import numpy as np
 from ellsel.binomials import TableCache, binomial, binomial_row, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
-    Contour,
+    C,
     INWARD_CAP,
+    P,
+    Q,
+    T,
+    Contour,
     IntegrandDescriptor,
     InfeasibleError,
     ParamSet,
     an_selberg_gamma_args,
     an_selberg_rhs,
     contour_feasibility,
+    exponent_row,
     feasibility_check,
     margin_violations,
+    monomial,
     selberg_average_normalizer,
 )
 from ellsel.interpolation import (
@@ -46,6 +52,7 @@ from ellsel.interpolation import (
     interp_hybrid,
     interp_nonskew,
     interp_skew,
+    pole_bases,
     pole_map,
 )
 from ellsel.kernel import ContourError, kernel_k1, kernel_k2
@@ -56,6 +63,7 @@ from ellsel.partitions import (
     spectral_vector,
     sub_bipartitions,
 )
+from ellsel.polytope import SelbergPolytope, selberg_bounds
 from ellsel.quadrature import GridSpec, QuadResult, integrate_adaptive
 from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
 
@@ -299,28 +307,6 @@ def _hybrid_mu_fn(mu, ts6, ctx: SymbolContext, cache: TableCache):
 # ---------------------------------------------------------------------------
 
 
-def _sample_rank1(k: int, rng) -> ParamSet:
-    """Feasible rank-one parameter set; windows shift with k to satisfy
-    |pq| = |t|^(2k-2) |t_1..t_6| inside the unit polydisc."""
-    if k == 1:
-        pw, tw, ww = (0.1, 0.2), (0.2, 0.4), (0.3, 0.6)
-    else:
-        pw, tw, ww = (0.12, 0.18), (0.4, 0.5), (0.6, 0.78)
-    for _ in range(400):
-        p, q, t = _draw(rng, *pw), _draw(rng, *pw), _draw(rng, *tw)
-        ts = [_draw(rng, *ww) for _ in range(5)]
-        t6 = p * q / (t ** (2 * k - 2) * math.prod(ts))
-        if not 0.05 <= abs(t6) <= 0.8:
-            continue
-        try:
-            params = ParamSet(1, (k,), p, q, t, tuple(ts) + (t6,))
-        except ValueError:
-            continue
-        if feasibility_check(params).ok:
-            return params
-    raise InfeasibleError(f"no rank-one draw for k={k}")
-
-
 def _eval_density(case: IdentityCase, rhs: complex) -> Evaluation:
     """Density integral on the case's contour: the torus part plus its
     residue terms, each on the case's per-dimension grid."""
@@ -354,22 +340,58 @@ def _check_size(family: str, params: ParamSet, ok: bool, want: str) -> None:
         raise ValueError(f"family {family} takes {want}; got n={params.n}, k={params.k}")
 
 
+def _density_size(cfg, k) -> tuple[GridSpec, float] | None:
+    """Grid and tolerance of a density case with level sizes k: grid_1d
+    and tol_1d for one variable, and so on up to three; None beyond."""
+    total = sum(k)
+    sizes = {1: (cfg.grid_1d, cfg.tol_1d), 2: (cfg.grid_2d, cfg.tol_2d), 3: (cfg.grid_3d, cfg.tol_3d)}
+    if total not in sizes:
+        return None
+    return GridSpec((sizes[total][0],) * total), sizes[total][1]
+
+
 def _density_case(
     case_id: str, family: str, seed: int, cfg, params: ParamSet, contour: Contour, doublings: int
 ) -> IdentityCase:
-    """A case integrating the density of params on contour, sized by its
-    number of variables: grid_1d and tol_1d for one, grid_2d and tol_2d
-    for two, grid_3d and tol_3d for three.  More, or none, is infeasible."""
-    total = sum(params.k)
-    sizes = {1: (cfg.grid_1d, cfg.tol_1d), 2: (cfg.grid_2d, cfg.tol_2d), 3: (cfg.grid_3d, cfg.tol_3d)}
-    if total not in sizes:
-        reason = f"total dimension {total} beyond suite caps"
+    """A case integrating the density of params on contour, sized by
+    _density_size; a size it does not cover is infeasible."""
+    size = _density_size(cfg, params.k)
+    if size is None:
+        reason = f"total dimension {sum(params.k)} beyond suite caps"
         return _infeasible_case(family, seed, reason, case_id, paramset=params)
-    per_dim, tol = sizes[total]
     return IdentityCase(
-        id=case_id, family=family, seed=seed, grid=GridSpec((per_dim,) * total), tol=tol,
+        id=case_id, family=family, seed=seed, grid=size[0], tol=size[1],
         paramset=params, contour=contour, doublings=doublings,
     )
+
+
+def _sample_on_polytope(family: str, seed: int, cfg, k, rng, at, case_id: str, shapes=None) -> IdentityCase:
+    """The family's case, built by at, at a draw from the log-modulus
+    polytope of the density with level sizes k and, given shapes, of its
+    (lam, mu) interpolation factors.  On the case's grid of N points per
+    dimension, every tower stays below rho = (tol / 10)^(1/N), which
+    keeps the trapezoid error ~ rho^N near tol / 10.  Without shapes, an
+    empty torus polytope gives way to the residue-corrected one.  An
+    empty polytope makes the case infeasible; a draw the checks reject is
+    a bug in the bounds, so it raises."""
+    n, k = len(k), tuple(k)
+    size = _density_size(cfg, k) if shapes is None else _aflt_size(cfg, n)
+    rho = INWARD_CAP if size is None else min(INWARD_CAP, (size[1] / 10) ** (1 / size[0].dims[0]))
+    extra = [] if shapes is None else _interp_pole_bounds(n, *shapes, rho)
+    poly = SelbergPolytope(n, k, selberg_bounds(n, k, rho) + extra, hua=family == "an_hua_kadell")
+    check = feasibility_check
+    if poly.radius <= 0 and shapes is None and k[0] == 1:
+        crossed = SelbergPolytope(n, k, selberg_bounds(n, k, rho, crossed=True))
+        if crossed.radius > 0:
+            poly, check = crossed, contour_feasibility
+    if poly.radius <= 0:
+        return _infeasible_case(family, seed, poly.why_empty(), case_id)
+    params = poly.draw(rng)
+    feas = check(params)
+    bad = feas.violations + ([] if shapes is None else _interp_pole_violations(params, *shapes))
+    if bad:
+        raise AssertionError(f"polytope draw for n={n}, k={k} rejected: {bad}")
+    return at(seed, cfg, params, feas.contour)
 
 
 def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
@@ -378,8 +400,8 @@ def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityC
 
 
 def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
-    params = _sample_rank1(1, np.random.default_rng([seed, 101]))
-    return _beta_k1_at(seed, cfg, params, Contour())
+    rng = np.random.default_rng([seed, 101])
+    return _sample_on_polytope("beta_k1", seed, cfg, (1,), rng, _beta_k1_at, f"beta_k1-s{seed}")
 
 
 def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
@@ -389,11 +411,8 @@ def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> Identi
 
 
 def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
-    try:
-        params = _sample_rank1(k, np.random.default_rng([seed, 102, k]))
-    except InfeasibleError as exc:
-        return _infeasible_case("selberg_A1", seed, str(exc), f"selberg_A1-k{k}-s{seed}")
-    return _selberg_A1_at(seed, cfg, params, Contour())
+    rng, case_id = np.random.default_rng([seed, 102, k]), f"selberg_A1-k{k}-s{seed}"
+    return _sample_on_polytope("selberg_A1", seed, cfg, (k,), rng, _selberg_A1_at, case_id)
 
 
 # ---------------------------------------------------------------------------
@@ -699,108 +718,6 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
 # Families: an_selberg, an_aflt, an_kadell, an_hua_kadell
 # ---------------------------------------------------------------------------
 
-N2_K11_WINDOWS = {
-    "p": (0.3, 0.36),
-    "q": (0.3, 0.36),
-    "t": (0.18, 0.25),
-    "odd": [(0.35, 0.48), (0.25, 0.4)],
-    "shared": (0.72, 0.8),
-}
-
-# k = (1, 2) has no unit-torus draw: the balancing gives
-# |t1/c| |t2/c| = 1 / |t5 t6 t7 t8| > 1, so a level-1 tower always lies
-# outside the circle and the case runs on the residue-corrected contour.
-# These windows put |t1/c| and |t2/c| near 2, with their p- and q-shifts
-# and the towers t_a and c^2/t_a of the residue terms well inside.
-N2_K12_WINDOWS = {
-    "p": (0.28, 0.32),
-    "q": (0.28, 0.32),
-    "t": (0.6, 0.75),
-    "odd": [(0.62, 0.78), (0.62, 0.78)],
-    "shared": (0.68, 0.76),
-}
-
-# (windows, corrected contour, tower reach) per rank-two k; other k use
-# the k = (1, 1) entry.  The trapezoid tail at N points per dimension
-# decays like rho^N in the radius rho of the nearest tower: 0.85 clears
-# the 1e-6 tolerance at 128^2, while 48^3 at 1e-4 needs about 0.78.
-AN_SELBERG_N2 = {
-    (1, 1): (N2_K11_WINDOWS, False, 0.85),
-    (1, 2): (N2_K12_WINDOWS, True, 0.78),
-}
-
-
-def _window_for(windows: dict, key: str, index: int):
-    """windows[key] is either one (lo, hi) pair or a list with one pair
-    per position."""
-    spec = windows[key]
-    if isinstance(spec[0], (tuple, list)):
-        return spec[index]
-    return spec
-
-
-def sample_an_params(
-    n: int,
-    k: tuple[int, ...],
-    rng,
-    windows: dict,
-    hua: bool = False,
-    accept=None,
-    cap: int = 400,
-    corrected: bool = False,
-) -> tuple[ParamSet, Contour]:
-    """Rank-n rejection sampler: draw p, q, t, the four shared parameters
-    and one member of each vertex pair, and solve the partner from the
-    balancing relation; returns the draw and its contour.  windows maps
-    "p", "q", "t", "odd" and "shared" to a modulus window, or to one
-    window per position.  hua imposes t_(2n+2) t_(2n+3) = t.  With
-    corrected, a draw need only be feasible on the residue-corrected
-    contour; otherwise the contour is the unit torus.  accept(params)
-    lists what else a feasible draw violates, and [] accepts it.  When
-    no draw is accepted, the error names what the last draw violated."""
-    check = contour_feasibility if corrected else feasibility_check
-    kk = (0,) + tuple(k)
-    last: list[str] = []
-
-    for _ in range(cap):
-        p = _draw(rng, *windows["p"])
-        q = _draw(rng, *windows["q"])
-        t = _draw(rng, *windows["t"])
-        shared = [_draw(rng, *_window_for(windows, "shared", i)) for i in range(4)]
-        if hua:
-            shared[2] = t / shared[1]
-        tail = math.prod(shared)
-        ts: list[complex] = []
-        for r in range(1, n + 1):
-            odd = _draw(rng, *_window_for(windows, "odd", r - 1))
-            expo = kk[r] - kk[r - 1] + kk[n] - 2
-            ts.extend([odd, p * q / (t**expo * odd * tail)])
-        ts.extend(shared)
-        try:
-            params = ParamSet(n=n, k=tuple(k), p=p, q=q, t=t, ts=tuple(ts))
-        except ValueError as exc:
-            last = [str(exc)]
-            continue
-        feas = check(params)
-        last = feas.violations or (accept(params) if accept is not None else [])
-        if last:
-            continue
-        return params, feas.contour
-    raise InfeasibleError(
-        f"no feasible rank-{n} draw for k={k} after {cap} tries (last violations: {last[:3]})"
-    )
-
-
-def _tower_radius(v: complex, nomes: NomePair) -> float:
-    """How near the tower v p^i q^j comes to the unit circle, as the
-    largest min(|x|, 1/|x|) over its members: |v| for a base inside the
-    circle; for a base outside it, 1/|v| and the moduli of its first p-
-    and q-shifts, which lie inside."""
-    if abs(v) <= 1.0:
-        return abs(v)
-    return max(1.0 / abs(v), abs(v * nomes.p), abs(v * nomes.q))
-
-
 def _an_selberg_id(n: int, k: tuple[int, ...], seed: int) -> str:
     return f"an_selberg-n{n}k{''.join(str(v) for v in k)}-s{seed}"
 
@@ -811,35 +728,8 @@ def _an_selberg_at(seed: int, cfg, params: ParamSet, contour: Contour) -> Identi
 
 
 def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) -> IdentityCase:
-    rng = np.random.default_rng([seed, 107, n, *k])
-    note_id = _an_selberg_id(n, k, seed)
-    if n > 2:
-        return _infeasible_case(
-            "an_selberg", seed, f"no sampling windows exist for rank n={n} > 2", note_id
-        )
-    windows, corrected, reach = AN_SELBERG_N2.get(tuple(k), AN_SELBERG_N2[(1, 1)])
-
-    def tight(params: ParamSet) -> list[str]:
-        # every pole tower within reach of the circle, on whichever side;
-        # a tower u outside it leaves c u and c / u in its residue term
-        towers = [v for r in range(1, n + 1) for v in params.vertex_params(r)]
-        towers += [params.c * f for v in towers if abs(v) > 1.0 for f in (v, 1.0 / v)]
-        return [
-            f"pole tower {v:.4g}: radius {rho:.4g} > reach {reach}"
-            for v in towers
-            if (rho := _tower_radius(v, params.nomes)) > reach
-        ]
-
-    try:
-        if n == 1:
-            params, contour = _sample_rank1(k[0], rng), Contour()
-        else:
-            params, contour = sample_an_params(
-                n, k, rng, windows, accept=tight, corrected=corrected
-            )
-    except InfeasibleError as exc:
-        return _infeasible_case("an_selberg", seed, str(exc), note_id)
-    return _an_selberg_at(seed, cfg, params, contour)
+    rng, case_id = np.random.default_rng([seed, 107, n, *k]), _an_selberg_id(n, k, seed)
+    return _sample_on_polytope("an_selberg", seed, cfg, k, rng, _an_selberg_at, case_id)
 
 
 def _eval_an_selberg(case: IdentityCase) -> Evaluation:
@@ -859,60 +749,6 @@ AFLT_N1_SHAPES = [
 ]
 
 
-def _sample_aflt_n1_params(rng, lam, mu, hua):
-    """Rank-one sampler for interpolation-weighted averages: the two
-    pole-carrying slots t2 (for lam) and t6 (for mu) are drawn inside
-    their interp_b_window windows, which keeps every interpolation pole
-    tower inside the margin, and t5 (never a pole carrier) is solved
-    from the balancing; under the hua constraint t4 t5 = t the solved
-    slot becomes t3 instead."""
-    r1 = max(lam.first[0], mu.first[0])
-    r2 = max(lam.second[0], mu.second[0])
-    depth = lam.first[0] + mu.first[0] + lam.second[0] + mu.second[0]
-    if r1 and r2:
-        raise InfeasibleError(
-            "boxes in both components: the b-slot pole caps multiply to "
-            "m^2 |p| |q| while the balancing needs the product above |pq|"
-        )
-    boxed = (0.44, 0.5) if max(r1, r2) >= 2 else (0.3, 0.36)
-    idle = (0.08, 0.14) if depth <= 1 else ((0.06, 0.11) if depth == 2 else (0.04, 0.08))
-    if hua and depth:
-        # t4 t5 = t removes one free slot: the balancing budget shrinks
-        # by |t|, which the idle nome must absorb.
-        idle = (0.38 * idle[0], 0.42 * idle[1])
-    pw, qw = (boxed, idle) if r1 else ((idle, boxed) if r2 else ((0.12, 0.2), (0.12, 0.2)))
-    for _ in range(500):
-        p, q, t = _draw(rng, *pw), _draw(rng, *qw), _draw(rng, 0.2, 0.35)
-        ctx = SymbolContext(NomePair(p, q), t)
-        lo2, hi2 = interp_b_window(lam, ctx)
-        hi2 = min(hi2, 0.85)
-        t2 = _draw_in_window(rng, max(lo2, 0.05, 0.55 * hi2), hi2)
-        lo6, hi6 = interp_b_window(mu, ctx)
-        hi6 = min(hi6, 0.85)
-        t6 = _draw_in_window(rng, max(lo6, 0.05, 0.55 * hi6), hi6)
-        if t2 is None or t6 is None:
-            continue
-        t1 = _draw(rng, 0.55, 0.85)
-        if hua:
-            t4 = _draw(rng, 0.5, 0.85)
-            t5 = t / t4
-            t3 = p * q / (t1 * t2 * t4 * t5 * t6)
-            solved = t3
-        else:
-            t3, t4 = _draw(rng, 0.55, 0.85), _draw(rng, 0.55, 0.85)
-            t5 = p * q / (t1 * t2 * t3 * t4 * t6)
-            solved = t5
-        if not 0.05 <= abs(solved) <= 0.88:
-            continue
-        try:
-            params = ParamSet(1, (1,), p, q, t, (t1, t2, t3, t4, t5, t6))
-        except ValueError:
-            continue
-        if not feasibility_check(params).ok:
-            continue
-        return params
-    raise InfeasibleError("no feasible rank-one interpolation-average draw")
-
 AFLT_N2_SHAPES = [
     (Bipartition.of((), (1,)), Bipartition.of((), (1,))),
     (Bipartition.of((), (1,)), ZERO),
@@ -920,16 +756,22 @@ AFLT_N2_SHAPES = [
 ]
 
 
+def _interp_pole_bounds(n: int, lam, mu, cap: float) -> list:
+    """The interpolation pole towers of the lam factor on level 1, whose b
+    is c^(1-n) t_2, and of the mu factor on level n, whose b is
+    t_(2n+4), as polytope bounds at cap."""
+    bounds = []
+    for shape, b in ((lam, [(C, 1 - n), (C + 2, 1)]), (mu, [(C + 2 * n + 4, 1)])):
+        for (i, j, l), power, label in pole_bases(shape):
+            row = exponent_row(n, (T, i), (P, j), (Q, l), *[(pos, power * e) for pos, e in b])
+            bounds.append((row, cap, f"interpolation pole of R_{shape} {label}"))
+    return bounds
+
+
 def _interp_pole_violations(params: ParamSet, lam, mu) -> list[str]:
-    """The density margins broken by the interpolation pole towers of
-    the lam factor on level 1 and the mu factor on level n."""
-    ctx = SymbolContext(params.nomes, params.t)
-    factors = ((lam, params.c ** (1 - params.n) * params.ts[1]), (mu, params.ts[2 * params.n + 3]))
-    return [
-        f"interpolation pole of R_{shape} {text}"
-        for shape, b in factors
-        for text in margin_violations(pole_map(shape, b, ctx))
-    ]
+    """The density margins broken by the interpolation pole towers."""
+    bounds = _interp_pole_bounds(params.n, lam, mu, INWARD_CAP)
+    return margin_violations([(monomial(params.bases, row), label) for row, _, label in bounds])
 
 
 def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, Bipartition]:
@@ -941,6 +783,10 @@ def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, B
         return AFLT_N1_SHAPES[seed % len(AFLT_N1_SHAPES)][0], ZERO
     pool = AFLT_N1_SHAPES if n == 1 else AFLT_N2_SHAPES
     return pool[seed % len(pool)]
+
+
+def _aflt_size(cfg, n: int) -> tuple[GridSpec, float]:
+    return GridSpec(((cfg.grid_1d if n == 1 else cfg.grid_2d_aflt),) * n), 1e-8 if n == 1 else 1e-5
 
 
 def _aflt_at(
@@ -956,10 +802,10 @@ def _aflt_at(
     if family == "an_hua_kadell" and hua_gap > 1e-13 * abs(params.t):
         raise ValueError(f"family {family} takes t_(2n+2) t_(2n+3) = t")
     lam, mu = _aflt_shapes(family, n, seed, shapes)
-    grid = GridSpec(((cfg.grid_1d if n == 1 else cfg.grid_2d_aflt),) * n)
+    grid, tol = _aflt_size(cfg, n)
     case = IdentityCase(
         id=f"{family}-n{n}-{lam}-{mu}-s{seed}", family=family, seed=seed, grid=grid,
-        tol=1e-8 if n == 1 else 1e-5, paramset=params, shapes=(lam, mu),
+        tol=tol, paramset=params, shapes=(lam, mu),
     )
     if contour.residues:
         case.extra["infeasible"] = (
@@ -979,36 +825,12 @@ def _aflt_at(
 def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag: int) -> IdentityCase:
     """Sampler shared by an_aflt, an_kadell and an_hua_kadell; tag keeps
     their random streams apart."""
+    note_id = f"{family}-n{n}-s{seed}"
     if n > 2:
-        return _infeasible_case(
-            family, seed, f"no sampling windows exist for rank n={n} > 2", f"{family}-n{n}-s{seed}"
-        )
-    rng = np.random.default_rng([seed, 108, n, tag])
-    hua = family == "an_hua_kadell"
-    lam, mu = _aflt_shapes(family, n, seed, shapes)
-    try:
-        if n == 1:
-            params = _sample_aflt_n1_params(rng, lam, mu, hua)
-        else:
-            # Interpolation pole towers at rank two force the boxes of
-            # both shapes into one component and a strongly asymmetric
-            # nome pair; see the contour analysis in the ledger.
-            qboxes = lam.first.size + mu.first.size == 0
-            small, large = ((0.1, 0.13), (0.48, 0.52))
-            base = {
-                "p": small if qboxes else large,
-                "q": large if qboxes else small,
-                "t": (0.07, 0.09),
-                "odd": [(0.6, 0.78), (0.1, 0.2)],
-                "shared": [(0.78, 0.86), (0.78, 0.86), (0.78, 0.86), (0.3, 0.44)],
-            }
-            params, _ = sample_an_params(
-                2, (1, 1), rng, base, hua=hua,
-                accept=lambda params: _interp_pole_violations(params, lam, mu),
-            )
-    except InfeasibleError as exc:
-        return _infeasible_case(family, seed, str(exc), note_id=f"{family}-n{n}-s{seed}")
-    return _aflt_at(seed, cfg, params, Contour(), family, (lam, mu))
+        return _infeasible_case(family, seed, f"family {family} takes n=1 or n=2, not n={n}", note_id)
+    rng, shapes = np.random.default_rng([seed, 108, n, tag]), _aflt_shapes(family, n, seed, shapes)
+    at = partial(_aflt_at, family=family, shapes=shapes)
+    return _sample_on_polytope(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
 
 
 def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
@@ -1547,15 +1369,8 @@ def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_
     )
     ps = case.paramset
     if ps is not None:
-        rep.n = ps.n
-        rep.k = ps.k
-        rep.params = {
-            "p": ps.p,
-            "q": ps.q,
-            "t": ps.t,
-            "c": ps.c,
-            **{f"t{i + 1}": v for i, v in enumerate(ps.ts)},
-        }
+        rep.n, rep.k = ps.n, ps.k
+        rep.params = dict(zip(["p", "q", "t", "c"] + [f"t{i + 1}" for i in range(len(ps.ts))], ps.bases))
     return rep
 
 

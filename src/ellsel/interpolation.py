@@ -12,9 +12,9 @@ binomial tables:
   skew value on the doubled alphabet [t^(1/2) x^+-, t^(1/2) v].
 
 The x arguments may be numpy arrays; everything downstream broadcasts,
-which is what the quadrature grids rely on.  pole_map lists the bases of
-the inward pole towers of R*_mu, and interp_b_window the modulus window
-of b that keeps them all inside the feasibility margin.
+which is what the quadrature grids rely on.  pole_bases lists the pole
+towers of R*_mu as monomials, pole_map evaluates them at b, and
+interp_b_window gives the window of |b| that keeps them in the margin.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ellsel.binomials import TableCache, binomial, binomial_row
-from ellsel.densities import INWARD_CAP
+from ellsel.densities import INWARD_CAP, monomial
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_shapes
 
@@ -215,35 +215,12 @@ def hybrid_branching_residual(
     return abs(lhs - rhs) / scale, total / scale
 
 
-def _pole_bases(mu: Bipartition, ctx: SymbolContext) -> list[tuple[complex, int, str]]:
-    """The base of each inward pole tower of R*_mu(..; a, b), as
-    (coefficient, power of b, label); the base is coefficient * b^power
-    and each label names the base's own monomial."""
-    p, q, t = ctx.p, ctx.q, ctx.t
-    bases = []
-    for i in range(1, min(mu.first.length, mu.second.length) + 1):
-        for l1 in range(1, mu.first[i - 1] + 1):
-            for l2 in range(1, mu.second[i - 1] + 1):
-                coeff = t ** (i - 1) * p ** (-l1) * q ** (-l2)
-                bases.append((coeff, 1, f"cross row {i}: b t^({i}-1) p^-{l1} q^-{l2}"))
-    for comp, s, o, s_name, o_name, tag in (
-        (mu.first, q, p, "q", "p", "comp1"),
-        (mu.second, p, q, "p", "q", "comp2"),
-    ):
-        for j in range(1, comp.length + 1):
-            for ell in range(1, comp[j - 1] + 1):
-                label = f"{tag}: b^-1 t^(1-{j}) {s_name}^1 {o_name}^{ell}"
-                bases.append((t ** (1 - j) * (s * o**ell), -1, label))
-                label = f"{tag}: b t^({j}-1) {s_name}^0 {o_name}^-{ell}"
-                bases.append((t ** (j - 1) * o ** (-ell), 1, label))
-    return bases
-
-
-def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
-    """Bases of the inward pole towers of R*_mu(..; a, b) (plain or
-    hybrid) in each variable, as (location, label) pairs, under an
-    integrand that also carries the univariate factor Gamma(b z^+-) (as
-    all the densities here do).  The reciprocal of each inward pole is a
+def pole_bases(mu: Bipartition) -> list[tuple[tuple[int, int, int], int, str]]:
+    """The base of each inward pole tower of R*_mu(..; a, b), plain or
+    hybrid, in each variable, under an integrand that also carries the
+    univariate factor Gamma(b z^+-) (as all the densities here do): the
+    base t^i p^j q^l b^power as ((i, j, l), power, label), each label
+    naming the base's monomial.  The reciprocal of each inward pole is a
     pole too, so the unit circle separates the two families when every
     inward pole lies inside it.
 
@@ -257,7 +234,28 @@ def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[comp
     one of the two theta-denominator zeros); the contour induced by the
     kernel derivation must enclose it, which no unit torus can do while
     keeping its reciprocal outside."""
-    return [(coeff * b**power, label) for coeff, power, label in _pole_bases(mu, ctx)]
+    bases = []
+    for i in range(1, min(mu.first.length, mu.second.length) + 1):
+        for l1 in range(1, mu.first[i - 1] + 1):
+            for l2 in range(1, mu.second[i - 1] + 1):
+                bases.append(((i - 1, -l1, -l2), 1, f"cross row {i}: b t^({i}-1) p^-{l1} q^-{l2}"))
+    for comp, s, o, s_name, o_name, tag in (
+        (mu.first, (0, 1), (1, 0), "q", "p", "comp1"),
+        (mu.second, (1, 0), (0, 1), "p", "q", "comp2"),
+    ):
+        for j in range(1, comp.length + 1):
+            for ell in range(1, comp[j - 1] + 1):
+                label = f"{tag}: b^-1 t^(1-{j}) {s_name}^1 {o_name}^{ell}"
+                bases.append(((1 - j, s[0] + ell * o[0], s[1] + ell * o[1]), -1, label))
+                label = f"{tag}: b t^({j}-1) {s_name}^0 {o_name}^-{ell}"
+                bases.append(((j - 1, -ell * o[0], -ell * o[1]), 1, label))
+    return bases
+
+
+def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
+    """The pole_bases of R*_mu(..; a, b) at b, as (location, label) pairs."""
+    tpq = (ctx.t, ctx.p, ctx.q)
+    return [(monomial(tpq, expo) * b**power, label) for expo, power, label in pole_bases(mu)]
 
 
 def interp_b_window(mu: Bipartition, ctx: SymbolContext) -> tuple[float, float]:
@@ -267,10 +265,6 @@ def interp_b_window(mu: Bipartition, ctx: SymbolContext) -> tuple[float, float]:
     lo < |b| < hi.  A base scaling like 1/b bounds |b| from below and
     one scaling like b from above; the members beyond the bases sit
     strictly inside them and add no bound."""
-    lo, hi = 0.0, math.inf
-    for coeff, power, _ in _pole_bases(mu, ctx):
-        if power < 0:
-            lo = max(lo, abs(coeff) / INWARD_CAP)
-        else:
-            hi = min(hi, INWARD_CAP / abs(coeff))
-    return lo, hi
+    bases = [(abs(monomial((ctx.t, ctx.p, ctx.q), expo)), power) for expo, power, _ in pole_bases(mu)]
+    lo = max([coeff / INWARD_CAP for coeff, power in bases if power < 0], default=0.0)
+    return lo, min([INWARD_CAP / coeff for coeff, power in bases if power > 0], default=math.inf)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from ellsel.core import NomePair
 from ellsel.densities import (
+    INWARD_CAP,
     BalancingError,
-    InfeasibleError,
     IntegrandDescriptor,
     ParamSet,
     an_density,
@@ -27,7 +27,8 @@ from ellsel.densities import (
     selberg_edge_density,
     selberg_vertex_density,
 )
-from ellsel.harness import sample_an_params
+from ellsel.harness import sample_case
+from ellsel.polytope import SelbergPolytope, selberg_bounds
 from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
 from oracles import expand_tables, gamma_mp, kernel_draw_inside
 
@@ -160,6 +161,20 @@ class TestParamSet:
         with pytest.raises(ValueError, match=f"branch_tag must be \\+1 or -1, got {tag}"):
             dataclasses.replace(params, branch_tag=tag)
 
+    @pytest.mark.parametrize("name", ["p", "q", "t", "t_1", "t_6"])
+    @pytest.mark.parametrize("value", [float("nan"), complex(0.1, float("nan")), float("inf")])
+    def test_non_finite_value_rejected(self, name, value):
+        # every other check compares moduli, which is false for NaN
+        params = make_balanced_n1(seed=4)
+        ts = list(params.ts)
+        if name.startswith("t_"):
+            ts[int(name[2:]) - 1] = value
+            change = {"ts": tuple(ts)}
+        else:
+            change = {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            dataclasses.replace(params, **change)
+
     @pytest.mark.parametrize(
         "change,message",
         [
@@ -220,8 +235,7 @@ class TestAnDensity:
         assert rel_err(lhs, rhs) < 1e-13
 
     def test_n2_composition(self):
-        rng = np.random.default_rng(7)
-        params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
+        params = sample_case("an_selberg", 7, n=2, k=(1, 1)).paramset
         z1, z2 = (cmath.exp(0.8j),), (cmath.exp(2.0j),)
         lhs = an_density((z1, z2), params)
         rhs = (
@@ -232,8 +246,7 @@ class TestAnDensity:
         assert rel_err(lhs, rhs) < 1e-13
 
     def test_descriptor_matches_point_density(self):
-        rng = np.random.default_rng(8)
-        params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
+        params = sample_case("an_selberg", 8, n=2, k=(1, 1)).paramset
         integrand = IntegrandDescriptor(params).build()
         n, phase = 8, 0.37
         tensor = expand_tables(integrand, n, phase)
@@ -244,23 +257,6 @@ class TestAnDensity:
             z2 = cmath.exp(1j * (2 * _m.pi * b / n + phase))
             want = an_density(((z1,), (z2,)), params)
             assert rel_err(tensor[a, b], want) < 1e-11
-
-
-N2_WINDOWS = {
-    "p": (0.28, 0.34),
-    "q": (0.28, 0.34),
-    "t": (0.2, 0.3),
-    "odd": (0.42, 0.55),
-    "shared": (0.72, 0.8),
-}
-
-WIDE_WINDOWS = {
-    "p": (0.15, 0.3),
-    "q": (0.15, 0.3),
-    "t": (0.2, 0.45),
-    "odd": (0.3, 0.6),
-    "shared": (0.3, 0.6),
-}
 
 
 class TestNormalizer:
@@ -323,40 +319,40 @@ class TestNormalizer:
         assert rel_err(lhs, rhs) < 1e-12
 
 
+def _polytope(n, k, rho=INWARD_CAP):
+    return SelbergPolytope(n, k, selberg_bounds(n, k, rho))
+
+
 class TestSampler:
     def test_n2_k11_feasible_draws(self):
         rng = np.random.default_rng(13)
+        poly = _polytope(2, (1, 1), 0.85)
         for _ in range(3):
-            params, _ = sample_an_params(2, (1, 1), rng, N2_WINDOWS)
+            params = poly.draw(rng)
             assert feasibility_check(params).ok
             assert params.balancing_residual(1) < 1e-13
             assert params.balancing_residual(2) < 1e-13
+            towers = [v for r in (1, 2) for v in params.vertex_params(r)] + [params.c]
+            assert max(abs(v) for v in towers) <= 0.85
 
     def test_n2_k12_is_torus_infeasible(self):
         # The balancing forces |t5 t6 t7 t8| > 1 whenever the rank-1
         # vertex parameters sit inside the unit circle, so no unit-torus
-        # draw can exist for k = (1, 2).
-        from ellsel.densities import InfeasibleError
+        # set exists for k = (1, 2): the LP certifies the polytope empty
+        # even at the widest cap.
+        poly = _polytope(2, (1, 2))
+        assert poly.radius < 0
 
-        rng = np.random.default_rng(14)
-        with pytest.raises(InfeasibleError):
-            sample_an_params(2, (1, 2), rng, WIDE_WINDOWS, cap=60)
+    def test_empty_polytope_names_the_binding_bounds(self):
+        note = _polytope(2, (1, 2)).why_empty()
+        assert note.startswith("no parameter set for n=2, k=(1, 2): the log-modulus polytope is empty")
+        assert "vertex r=1 parameter 1" in note and note.endswith("cannot hold together")
 
-    def test_accept_hook_objections_name_the_give_up(self):
-        # seed 10's first draw is feasible, so only the hook rejects it
-        sample_an_params(2, (1, 1), np.random.default_rng(10), N2_WINDOWS, cap=1)
-        with pytest.raises(InfeasibleError, match=r"last violations: \['always objects'\]"):
-            sample_an_params(
-                2, (1, 1), np.random.default_rng(10), N2_WINDOWS, cap=1,
-                accept=lambda params: ["always objects"],
-            )
-
-    def test_accept_hook_without_objections_accepts(self):
-        want, _ = sample_an_params(2, (1, 1), np.random.default_rng(13), N2_WINDOWS)
-        got, _ = sample_an_params(
-            2, (1, 1), np.random.default_rng(13), N2_WINDOWS, accept=lambda params: []
-        )
-        assert got == want
+    def test_draws_repeat_for_a_repeated_seed(self):
+        poly = _polytope(2, (1, 1), 0.85)
+        want = poly.draw(np.random.default_rng(13))
+        assert poly.draw(np.random.default_rng(13)) == want
+        assert poly.draw(np.random.default_rng(14)) != want
 
 
 KERNEL_SHAPES = (

@@ -62,31 +62,36 @@ class TestFamilies:
         assert rep.rel_err <= rep.tol
 
     def test_infeasible_params_reported_not_thrown(self):
-        # k = (0, 2) on the k = (1, 1) windows, which keep |t|^2 < |pq|: the level-2 balancing gives |t3 t4| =
-        # |pq| / (|t|^2 |t5 t6 t7 t8|) > 1, so a tower crosses on level 2.
-        # That level carries two variables, so no residue term covers it
-        # (tests/test_contours.py pins that diagnosis).
-        case = sample_case("an_selberg", 0, CFG, n=2, k=(0, 2))
+        # k = (2, 2): the balancing gives |t1/c| |t2/c| = 1 / (|t| |t5 t6 t7
+        # t8|) > 1, so a level-1 tower crosses the circle on every torus
+        # set, and level 1 carries two variables, so no residue term
+        # covers it.  The polytope LP certifies that no set exists.
+        case = sample_case("an_selberg", 0, CFG, n=2, k=(2, 2))
         rep = run_case(case)
         assert rep.status == "infeasible"
-        assert "k=(0, 2)" in rep.notes
-        assert "last violations" in rep.notes
+        assert "k=(2, 2)" in rep.notes
+        assert "cannot hold together" in rep.notes
         assert "vertex r=" in rep.notes
 
-    def test_rank_three_an_selberg_reported_infeasible(self):
-        # The an_selberg sampling windows cover ranks one and two only.
-        rep = run_case(sample_case("an_selberg", 0, CFG, n=3, k=(1, 1, 1)))
-        assert rep.status == "infeasible"
-        assert rep.id == "an_selberg-n3k111-s0"
-        assert "rank n=3 > 2" in rep.notes
+    def test_rank_three_an_selberg_passes(self):
+        for seed in range(3):
+            rep = run_case(sample_case("an_selberg", seed, CFG, n=3, k=(1, 1, 1)))
+            assert (rep.status, rep.id) == ("pass", f"an_selberg-n3k111-s{seed}"), rep.notes
+            assert rep.grid == "48x48x48"
 
+    def test_level_without_variables_draws_pass(self):
+        # k = (0, 2): level 1 carries no variable, so its towers bound
+        # nothing, and level 2's towers fit on the torus
+        for seed in range(3):
+            rep = run_case(sample_case("an_selberg", seed, CFG, n=2, k=(0, 2)))
+            assert (rep.status, rep.grid) == ("pass", "128x128"), rep.notes
 
     def test_rank_three_an_aflt_reported_infeasible(self):
-        # no rank-three windows: refused at once, not after futile rank-2 draws
+        # the evaluator covers n <= 2: refused at once, without a draw
         rep = run_case(sample_case("an_aflt", 0, CFG, n=3))
         assert rep.status == "infeasible"
         assert rep.id == "an_aflt-n3-s0"
-        assert rep.notes == "no sampling windows exist for rank n=3 > 2"
+        assert rep.notes == "family an_aflt takes n=1 or n=2, not n=3"
 
 
 class TestRegistry:
@@ -311,18 +316,22 @@ class TestParamsFiles:
         assert (rep["grid"], rep["tol"], rep["id"]) == ("48x48x48", CFG.tol_3d, "selberg_A1-k3-s0")
         assert rep["status"] == "pass"
 
-    def test_selberg_A1_without_draw_reported_infeasible(self):
-        rep = run_case(sample_case("selberg_A1", 0, CFG, k=3))
-        assert (rep.status, rep.id, rep.notes) == ("infeasible", "selberg_A1-k3-s0", "no rank-one draw for k=3")
+    def test_selberg_A1_k3_draws_pass(self):
+        for seed in range(3):
+            rep = run_case(sample_case("selberg_A1", seed, CFG, k=3))
+            assert (rep.status, rep.id, rep.grid) == ("pass", f"selberg_A1-k3-s{seed}", "48x48x48")
 
     def test_aflt_interpolation_pole_infeasible(self, capsys, tmp_path):
-        # Scaling the pole-carrying t2 by 1.2 (and t5 by 1/1.2, keeping the
-        # balancing) leaves the density torus-feasible but moves a pole of
-        # the 1|0 interpolation factor outside the margin.
+        # Scaling the pole-carrying t2 up to |t2| = |p| (and t5 down by the
+        # same factor, keeping the balancing) leaves the density
+        # torus-feasible but moves the pole t2/p of the 1|0 interpolation
+        # factor onto the unit circle, outside the margin.
         case = sample_case("an_aflt", 0, CFG)
         assert str(case.shapes[0]) == "1|0"
         ts = list(case.paramset.ts)
-        ts[1], ts[4] = ts[1] * 1.2, ts[4] / 1.2
+        scale = abs(case.paramset.p / ts[1])
+        assert scale > 1
+        ts[1], ts[4] = ts[1] * scale, ts[4] / scale
         params = ParamSet(1, (1,), case.paramset.p, case.paramset.q, case.paramset.t, tuple(ts))
         rep = self.run_file(capsys, tmp_path, "an_aflt", params, code=2)
         assert rep["status"] == "infeasible"

@@ -1,0 +1,98 @@
+"""Tests for the log-modulus polytope: its Chebyshev LP against an
+independent solver, the empty polytopes it certifies, and the draws the
+samplers take from it."""
+
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from ellsel.densities import INWARD_CAP, contour_feasibility
+from ellsel.harness import sample_case
+from ellsel.polytope import SelbergPolytope, chebyshev_centre, selberg_bounds
+
+# the (n, k) table of ROADMAP item 1
+TABLE = [
+    (1, (1,)), (1, (2,)), (1, (3,)), (2, (1, 1)), (2, (0, 2)), (3, (1, 1, 1)),
+    (4, (1, 1, 1, 1)), (6, (1,) * 6), (8, (1,) * 8),
+    (2, (1, 2)), (2, (2, 2)), (3, (1, 1, 2)), (3, (1, 2, 2)), (3, (1, 2, 3)),
+]
+
+
+def _polytope(n, k, rho=INWARD_CAP, hua=False, crossed=False):
+    return SelbergPolytope(n, k, selberg_bounds(n, k, rho, crossed=crossed), hua=hua)
+
+
+@pytest.mark.parametrize("rho", [INWARD_CAP, 0.8])
+@pytest.mark.parametrize("n,k,hua", [(n, k, False) for n, k in TABLE] + [(2, (1, 1), True), (3, (1, 1, 1), True)])
+def test_centre_radius_matches_linprog(n, k, hua, rho):
+    optimize = pytest.importorskip("scipy.optimize")
+    poly = _polytope(n, k, rho, hua)
+    G, h = poly.G, poly.h
+    g = np.linalg.norm(G, axis=1)
+    res = optimize.linprog(
+        np.r_[np.zeros(G.shape[1]), -1.0], A_ub=np.c_[G, g], b_ub=h,
+        bounds=[(None, None)] * (G.shape[1] + 1), method="highs",
+    )
+    assert res.status == 0
+    assert abs(poly.radius - (-res.fun)) <= 1e-9
+    if poly.radius > 0:
+        assert np.all(G @ poly.centre + poly.radius * g <= h + 1e-9)
+
+
+@pytest.mark.parametrize("n,k,hua", [(2, (1, 2), False), (2, (1, 1), True)])
+def test_torus_polytope_certified_empty(n, k, hua):
+    # k = (1, 2): |t1/c| |t2/c| = 1 / |t5 t6 t7 t8| > 1.  The hua
+    # constraint at rank two leaves no torus set either.
+    poly = _polytope(n, k, hua=hua)
+    assert poly.radius < 0
+    assert "cannot hold together" in poly.why_empty()
+
+
+def test_k12_crossed_polytope_draws_need_both_level_one_residue_terms():
+    poly = _polytope(2, (1, 2), 0.78, crossed=True)
+    assert poly.radius > 0
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        feas = contour_feasibility(poly.draw(rng))
+        assert feas.ok, feas.violations
+        assert [(r.level, r.index) for r in feas.contour.residues] == [(1, 0), (1, 1)]
+
+
+def test_chebyshev_centre_of_a_box():
+    # |y_i| <= 1 in two dimensions: the centre is 0 and the radius 1
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    y, r, weights = chebyshev_centre(G, np.ones(4))
+    assert abs(r - 1.0) < 1e-12 and np.allclose(y, 0.0)
+    assert np.all(weights >= 0)
+
+
+@pytest.mark.parametrize("options", [{"n": 2, "k": (1, 1)}, {"n": 1}])
+def test_sampled_cases_repeat_for_a_repeated_seed(options):
+    family = "an_selberg" if "k" in options else "an_hua_kadell"
+    first = sample_case(family, 4, **options).paramset
+    assert sample_case(family, 4, **options).paramset == first
+    assert sample_case(family, 5, **options).paramset != first
+
+
+def test_sampling_does_not_import_scipy():
+    # scipy costs about half a second to import; the samplers use numpy only
+    code = (
+        "import json, sys\n"
+        "from ellsel.harness import sample_case\n"
+        "for family, options in json.loads(sys.argv[1]):\n"
+        "    sample_case(family, 0, **options)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    entries = [
+        ("beta_k1", {}), ("selberg_A1", {"k": 3}), ("an_selberg", {"n": 2, "k": [1, 2]}),
+        ("an_aflt", {"n": 2}), ("an_kadell", {"n": 1}), ("an_hua_kadell", {"n": 2}),
+    ]
+    res = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(entries)], capture_output=True, text=True, check=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert res.stdout.strip() == "False"
