@@ -24,6 +24,14 @@ failing factor.  The elliptic gamma shift ladder is compacted: only the
 (point, shift) pairs that exist go into its one theta call, because a
 ladder evaluated rung by rung over the whole array costs one theta call
 per rung and mostly evaluates masked filler points.
+
+A product of gamma factors on a whole equispaced circle, the points of
+a quadrature grid, has a cheaper path: elliptic_gamma_circle sums the
+factors' Laurent coefficients of log Gamma into n bins and makes one
+inverse FFT, so its cost follows the number of coefficients, not n
+times the ladder.  It declines (returns None) when a zero or pole so
+close to the circle makes the series longer than the pointwise path
+costs, and the caller then evaluates point by point.
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ POLE_EXCLUSION = 1e-10
 
 # Largest factor table theta builds at once, in complex entries (512 KiB).
 THETA_TABLE_ENTRIES = 1 << 15
+
+# Laurent coefficients per gamma factor and grid point that
+# elliptic_gamma_circle forms at most before it leaves a product to the
+# pointwise evaluators, which then cost less.
+CIRCLE_TERMS_PER_POINT = 32
 
 
 class DomainError(ValueError):
@@ -279,6 +292,133 @@ def elliptic_gamma_multi(zs, nomes: NomePair) -> complex:
                 raise type(exc)(f"factor {idx}: {exc}") from exc
         raise
     return cmath.exp(complex(np.sum(logs)))
+
+
+def circle(n: int, phase: float) -> np.ndarray:
+    """The n points z_j = exp(i (phase + 2 pi j / n)), j = 0..n-1."""
+    return np.exp(1j * (2.0 * math.pi * np.arange(n) / n + phase))
+
+
+def _tower_terms(base, sign, direction, nomes):
+    """Split the tower prod_{i,j>=0} (1 - base p^i q^j z^direction)^sign
+    by the modulus of u = base p^i q^j: rows (u, coefficient sign,
+    exponent direction, weight kind) of the Laurent series of its log,
+    reflected terms |u| > 1 as (log constant, winding), and terms with
+    |u| = 1 to within POLE_EXCLUSION, left to be multiplied in pointwise.
+
+    Row i of the double product keeps its members with |u| >= 1 as single
+    terms; its tail from the first member with |u| < 1 on sums to the row
+    (u, -sign, direction, 1), whose m-th coefficient carries the weight
+    1/(1 - q^m); the first row with |base p^i| < 1 and every row after it
+    sum to (base p^i, -sign, direction, 2), weight 1/((1-p^m)(1-q^m)).
+    Each tail is a closed geometric sum of terms that are all below 1, so
+    no series minus a finite part is ever formed.  A reflected term uses
+    1 - u y = (-u y)(1 - 1/(u y)): a constant sign log(-u), a winding
+    sign * direction in z, and the single row (1/u, -sign, -direction, 0).
+    """
+    p, q = nomes.p, nomes.q
+    rows, reflected, unit = [], [], []
+    row = complex(base)
+    while abs(row) >= 1.0 - POLE_EXCLUSION:
+        u = row
+        while abs(u) >= 1.0 - POLE_EXCLUSION:
+            if abs(u) > 1.0 + POLE_EXCLUSION:
+                reflected.append((sign * cmath.log(-u), sign * direction))
+                rows.append((1.0 / u, -sign, -direction, 0))
+            else:
+                unit.append((u, sign, direction))
+            u *= q
+        rows.append((u, -sign, direction, 1))
+        row *= p
+    rows.append((row, -sign, direction, 2))
+    return rows, reflected, unit
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^1 .. x^count for each entry of x, one row each.  x^(b w + i) is
+    (x^w)^b times x^i from two short cumulative products, so each power
+    carries about w + count / w rounding steps: their error grows like
+    sqrt(count) ulps where exp(m log x) loses m |arg x| ulps."""
+    width = max(1, math.isqrt(count))
+    low = np.cumprod(np.broadcast_to(x[:, None], (x.size, width)), axis=1)
+    high = np.ones((x.size, -(-count // width)), dtype=np.complex128)
+    high[:, 1:] = low[:, -1:]
+    np.cumprod(high, axis=1, out=high)
+    return (high[:, :, None] * low[:, None, :]).reshape(x.size, -1)[:, :count]
+
+
+def elliptic_gamma_circle(factors, n: int, phase: float, nomes: NomePair):
+    """prod_f Gamma(a_f z^e_f) over factors ((a_f, e_f), ...), e_f an
+    integer, on the n-point circle z_j = exp(i (phase + 2 pi j / n)).
+
+    log Gamma(x) = sum_{i,j>=0} [log(1 - p^(i+1) q^(j+1) / x) - log(1 - p^i q^j x)]
+    is a Laurent series in z on any circle that misses the zeros and
+    poles.  Every row of _tower_terms gives its coefficients up to
+    EPS_TAIL, each times exp(i k phase) for its exponent k; they are
+    summed into n bins by k mod n, and one inverse FFT gives the log of
+    the product on the grid.  On equispaced points that folding is
+    exact: it is the aliasing identity of the trapezoid rule.  Terms on
+    the unit circle are multiplied in pointwise; a denominator term within
+    POLE_EXCLUSION of a grid point raises PoleError.
+
+    Returns None when the rows times the terms they need exceed
+    CIRCLE_TERMS_PER_POINT per factor and grid point, where the pointwise
+    evaluators cost less: a slow series means a zero or pole close to
+    the circle.
+    """
+    p, q = nomes.p, nomes.q
+    if p == 0 or q == 0:
+        raise DomainError("elliptic gamma requires nonzero nomes")
+    budget = CIRCLE_TERMS_PER_POINT * len(factors) * n
+    rows, reflected, unit = [], [], []
+    for a, e in factors:
+        if a == 0:
+            raise DomainError("gamma argument must be nonzero")
+        # Gamma(a y) = prod (1 - (pq/a) p^i q^j / y) / prod (1 - a p^i q^j y)
+        for base, sign, direction in ((nomes.pq / a, 1, -e), (a, -1, e)):
+            # at most (I + 2)(J + 2) members with |u| >= 1, |base p^I| = |base q^J| = 1
+            span = max(0.0, math.log(abs(base)))
+            if (span / -math.log(abs(p)) + 2) * (span / -math.log(abs(q)) + 2) > budget:
+                return None
+            terms = _tower_terms(base, sign, direction, nomes)
+            for acc, new in zip((rows, reflected, unit), terms):
+                acc += new
+    u, sign, direction, kind = (np.array(col) for col in zip(*rows))
+
+    # terms until the largest |u|^m falls below EPS_TAIL
+    nterms = int(math.log(EPS_TAIL) / math.log(max(float(np.max(np.abs(u))), 1e-300))) + 2
+    if u.size * nterms > budget:
+        return None
+    # rows with one (direction, kind, sign) share exponents and weights
+    code = (direction * 3 + kind) * 2 + (sign > 0)
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.r_[True, code[order][1:] != code[order][:-1]])
+    step = u[order] * np.exp(1j * phase * direction[order])
+    sums = np.add.reduceat(_powers(step, nterms), starts, axis=0)
+    sign, direction, kind = (col[order][starts] for col in (sign, direction, kind))
+    m = np.arange(1, nterms + 1)
+    pm, qm = (np.cumprod(np.full(nterms, nome)) for nome in (p, q))
+    weights = np.stack([np.ones(nterms), 1.0 / (1.0 - qm), 1.0 / ((1.0 - pm) * (1.0 - qm))])
+    coef = sums * weights[kind] * (sign[:, None] / m)
+    bins = (direction[:, None] * m % n).ravel()
+    folded = np.bincount(bins, coef.real.ravel(), n) + 1j * np.bincount(bins, coef.imag.ravel(), n)
+
+    j = np.arange(n)
+    logs = n * np.fft.ifft(folded)
+    logs += sum(c for c, _ in reflected)
+    wind = sum(w for _, w in reflected)
+    if wind:
+        logs += 1j * (wind * phase + 2.0 * math.pi * ((wind * j) % n) / n)
+    vals = np.exp(logs)
+    for u1, s1, d1 in unit:
+        term = 1.0 - u1 * np.exp(1j * (d1 * phase + 2.0 * math.pi * ((d1 * j) % n) / n))
+        if s1 > 0:
+            vals *= term
+        elif np.any(np.abs(term) < POLE_EXCLUSION):
+            raise PoleError("gamma argument within exclusion radius of a pole on the circle")
+        else:
+            vals /= term
+    return vals
 
 
 def elliptic_shifted_factorial(z: complex, n: int, nomes: NomePair) -> complex:

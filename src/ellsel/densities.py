@@ -19,7 +19,9 @@ import numpy as np
 
 from ellsel.core import (
     NomePair,
+    circle,
     elliptic_gamma,
+    elliptic_gamma_circle,
     elliptic_gamma_multi,
     qpochhammer_inf,
 )
@@ -367,51 +369,67 @@ class Contour:
 # ---------------------------------------------------------------------------
 
 
-def _unary_fn(ts, head: complex, nomes: NomePair):
-    """head prod_r Gamma(t_r z^+-) / Gamma(z^+-2), vectorised over z.
+@dataclass(frozen=True)
+class GammaFactor:
+    """head * prod_f Gamma(a_f z^e_f) over args ((a_f, e_f), ...), as a
+    function of z: pointwise through __call__, and on a whole quadrature
+    circle through on_circle, from one FFT of the folded Laurent
+    coefficients of its log (core.elliptic_gamma_circle)."""
+
+    head: complex
+    args: tuple
+    nomes: NomePair
+
+    def __call__(self, z):
+        vals = [a * z**e if e > 0 else a / z**-e for a, e in self.args]
+        return self.head * _gamma_prod(vals, self.nomes)
+
+    def on_circle(self, n: int, phase: float) -> np.ndarray:
+        """The factor at the n points exp(i (phase + 2 pi j / n)); pointwise
+        when the series is too slow for the circle path."""
+        vals = elliptic_gamma_circle(self.args, n, phase, self.nomes)
+        return self(circle(n, phase)) if vals is None else self.head * vals
+
+
+def _unary_fn(ts, head: complex, nomes: NomePair) -> GammaFactor:
+    """head prod_r Gamma(t_r z^+-) / Gamma(z^+-2).
 
     The reciprocal gammas are evaluated through the reflection formula
     1/Gamma(w) = Gamma(pq/w), which turns the would-be poles at grid
     coincidences into the exact zeros they really are."""
-    params = tuple(ts)
-    pq = nomes.pq
-
-    def fn(z):
-        args = [w for tr in params for w in (tr * z, tr / z)]
-        return head * _gamma_prod(args + [pq / z**2, pq * z**2], nomes)
-
-    return fn
+    args = [(tr, e) for tr in ts for e in (1, -1)]
+    return GammaFactor(head, tuple(args + [(nomes.pq, -2), (nomes.pq, 2)]), nomes)
 
 
-def vertex_unary_fn(ts, t: complex, nomes: NomePair):
+def vertex_unary_fn(ts, t: complex, nomes: NomePair) -> GammaFactor:
     """Univariate part of the vertex density: Gamma(t) prod_r
-    Gamma(t_r z^+-) / Gamma(z^+-2), vectorised over z."""
+    Gamma(t_r z^+-) / Gamma(z^+-2)."""
     return _unary_fn(ts, elliptic_gamma(t, nomes), nomes)
 
 
-def dixon_unary_fn(ts, nomes: NomePair):
+def dixon_unary_fn(ts, nomes: NomePair) -> GammaFactor:
     """Univariate part of the Dixon density: the vertex factor without
     Gamma(t)."""
     return _unary_fn(ts, 1.0, nomes)
 
 
-def vertex_pair_fn(t: complex, nomes: NomePair):
+def vertex_pair_fn(t: complex, nomes: NomePair) -> GammaFactor:
     """Cross factor of the vertex density as a function of one product
     or ratio w: Gamma(t w) Gamma(t / w) / (Gamma(w) Gamma(1/w)), with the
     denominator reflected into Gamma(pq/w) Gamma(pq w)."""
-    pq = nomes.pq
-
-    def fn(w):
-        return _gamma_prod((t * w, t / w, pq / w, pq * w), nomes)
-
-    return fn
+    return GammaFactor(1.0, ((t, 1), (t, -1), (nomes.pq, -1), (nomes.pq, 1)), nomes)
 
 
-def edge_pair_fn(cval: complex, nomes: NomePair):
-    def fn(w):
-        return _gamma_prod((cval * w, cval / w), nomes)
+def edge_pair_fn(cval: complex, nomes: NomePair) -> GammaFactor:
+    """Edge factor Gamma(c w) Gamma(c / w) of one product or ratio w."""
+    return GammaFactor(1.0, ((cval, 1), (cval, -1)), nomes)
 
-    return fn
+
+def pinned_edge_fn(cval: complex, u: complex, nomes: NomePair) -> GammaFactor:
+    """Edge factor to a variable pinned at u, as a function of its
+    neighbour w: Gamma(c u w^+-) Gamma(c w^+- / u)."""
+    args = ((cval * u, 1), (cval / u, -1), (cval * u, -1), (cval / u, 1))
+    return GammaFactor(1.0, args, nomes)
 
 
 @dataclass
@@ -444,16 +462,14 @@ class IntegrandDescriptor:
         unary = []
         pairs = []
         pref = 1.0 + 0.0j
+        # one object per factor function, so values evaluates each table once
+        pfn = vertex_pair_fn(params.t, nomes)
+        efn = edge_pair_fn(params.c, nomes)
         for r in range(1, n + 1):
             lvars = var_of_level[r - 1]
             if pinned is not None and r == pinned.level:
                 pref *= self._residue_value(pinned)
-                efn = edge_pair_fn(params.c, nomes)
-                u = pinned.base
-
-                def pinned_edge(w, efn=efn, u=u):
-                    return efn(u * w) * efn(u / w)
-
+                pinned_edge = pinned_edge_fn(params.c, pinned.base, nomes)
                 for s in (r - 1, r + 1):
                     if 1 <= s <= n:
                         unary.extend((v, pinned_edge) for v in var_of_level[s - 1])
@@ -461,15 +477,13 @@ class IntegrandDescriptor:
             if not lvars:
                 continue
             ufn = vertex_unary_fn(params.vertex_params(r), params.t, nomes)
-            pfn = vertex_pair_fn(params.t, nomes)
             pref *= kappa(len(lvars), nomes)
             for v in lvars:
                 unary.append((v, ufn))
             for i, vi in enumerate(lvars):
                 for vj in lvars[i + 1 :]:
                     pairs.append((vi, vj, pfn))
-            if r < n and var_of_level[r]:
-                efn = edge_pair_fn(params.c, nomes)
+            if r < n:
                 for vi in lvars:
                     for vj in var_of_level[r]:
                         pairs.append((vi, vj, efn))

@@ -14,9 +14,9 @@ bookkeeping.
 Two integrand forms are accepted:
 
 * a TorusFactorizedIntegrand, a product of unary and pairwise factors:
-  only O(N) special-function evaluations are needed per grid whatever
-  the dimension, and its factor tables are contracted in place of a
-  product tensor, so memory is O(pairs * N^2) instead of N^d;
+  each factor function is evaluated on at most three N-point circles per
+  grid whatever the dimension, and its factor tables are contracted in
+  place of a product tensor, so memory is O(pairs * N^2) instead of N^d;
 * an IntegrandSum of factorised integrands of different dimensions (a
   residue-corrected contour), integrated part by part on one
   per-variable grid size.
@@ -32,6 +32,8 @@ from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from ellsel.core import circle
 
 MAX_POINTS = 20_000_000
 
@@ -94,8 +96,11 @@ class TorusFactorizedIntegrand:
     over nvars torus variables.  The pair factor of variables i < j is
     fn(z_i z_j) * fn(z_i / z_j); on a shared uniform grid fn only ever
     sees the N distinct circle points exp(i(2 pi s / N + 2 phase)) and
-    exp(2 pi i s / N), which is what keeps the number of
-    special-function evaluations linear in N.
+    exp(2 pi i s / N), and a unary factor the N grid points, so each
+    factor function is needed on whole circles only.  A function with an
+    on_circle(n, phase) method (densities.GammaFactor) returns a whole
+    circle at once, from one FFT of its folded Laurent coefficients; any
+    other callable is called at the circle's points.
     """
 
     nvars: int
@@ -109,10 +114,13 @@ class TorusFactorizedIntegrand:
         (vi, vj) an n x n matrix indexed [vi, vj], one matrix object per
         distinct function.  The integrand is the prefactor times the
         product of the tables."""
-        idx = np.arange(n)
-        z = np.exp(1j * (2.0 * math.pi * idx / n + phase))
-        circle_prod = np.exp(1j * (2.0 * math.pi * idx / n + 2.0 * phase))
-        circle_ratio = np.exp(2j * math.pi * idx / n)
+        # a factor with an on_circle method evaluates a whole circle at
+        # once; any other function is called on the circle's points, a pair
+        # function once on the product and ratio circles together
+        def on_circles(fn, *phases):
+            if hasattr(fn, "on_circle"):
+                return [fn.on_circle(n, at) for at in phases]
+            return np.split(fn(np.concatenate([circle(n, at) for at in phases])), len(phases))
 
         # a factor function shared by several variables or pairs (a
         # level's vertex factor) is evaluated once per grid
@@ -120,14 +128,13 @@ class TorusFactorizedIntegrand:
         per_var = [np.ones(n, dtype=np.complex128) for _ in range(self.nvars)]
         for var, fn in self.unary:
             if id(fn) not in unary_vals:
-                unary_vals[id(fn)] = fn(z)
+                (unary_vals[id(fn)],) = on_circles(fn, phase)
             per_var[var] *= unary_vals[id(fn)]
         tables = [(vals, (var,)) for var, vals in enumerate(per_var)]
 
-        both = np.concatenate([circle_prod, circle_ratio])
         for vi, vj, fn in self.pairs:
             if id(fn) not in pair_vals:
-                at_prod, at_ratio = np.split(fn(both), 2)
+                at_prod, at_ratio = on_circles(fn, 2.0 * phase, 0.0)
                 # [s, t] -> at_prod[(s + t) % n] * at_ratio[(s - t) % n], read
                 # through sliding windows of the wrapped vectors
                 hankel = sliding_window_view(np.concatenate([at_prod, at_prod[:-1]]), n)

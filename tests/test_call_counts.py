@@ -39,6 +39,31 @@ def test_vertex_unary_factor_is_one_gamma_evaluation(monkeypatch):
     assert vals.shape == z.shape and np.all(np.isfinite(vals))
 
 
+def test_density_tables_on_circles_make_no_grid_sized_gamma_call(monkeypatch):
+    # every density factor evaluates its circles by FFT, so building the
+    # 256^2 tables calls no pointwise gamma on a grid-sized array
+    params = harness.sample_case("an_selberg", 0, n=2, k=(1, 1)).paramset
+    integrand = IntegrandDescriptor(params).build()
+    calls = counting(monkeypatch, core, "_log_gamma")
+    tables = integrand.values(256, 0.5 * np.pi / 256)
+    assert len(tables) == 3 and tables[2][0].shape == (256, 256)
+    assert all(np.size(args[0]) < 256 for args in calls)
+
+
+def test_rank_three_edge_table_is_computed_once_per_grid(monkeypatch):
+    # both edges of a k = (1, 1, 1) integrand share one factor function,
+    # so values evaluates its product and ratio circles once
+    params = harness.sample_case("an_selberg", 0, n=3, k=(1, 1, 1)).paramset
+    integrand = IntegrandDescriptor(params).build()
+    assert [(vi, vj) for vi, vj, _ in integrand.pairs] == [(0, 1), (1, 2)]
+    edge = integrand.pairs[0][2]
+    assert integrand.pairs[1][2] is edge
+    calls = counting(monkeypatch, densities, "elliptic_gamma_circle")
+    phase = 0.5 * np.pi / 48
+    integrand.values(48, phase)
+    assert [args[2] for args in calls if args[0] == edge.args] == [2.0 * phase, 0.0]
+
+
 def test_gamma_product_is_one_gamma_evaluation(monkeypatch):
     zs = [0.3, 0.4 - 0.1j, 1.7, 0.05j, 2.5 + 1.0j, -0.8]
     want = np.prod([elliptic_gamma(z, NOMES) for z in zs])

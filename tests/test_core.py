@@ -1,6 +1,7 @@
 """Tests for theta, the elliptic gamma function and shifted factorials."""
 
 import cmath
+import math
 import warnings
 
 import numpy as np
@@ -8,12 +9,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellsel import core
 from ellsel.core import (
     THETA_TABLE_ENTRIES,
     DomainError,
     NomePair,
     PoleError,
+    circle,
     elliptic_gamma,
+    elliptic_gamma_circle,
     elliptic_gamma_multi,
     elliptic_shifted_factorial,
     theta,
@@ -275,6 +279,95 @@ class TestStackedGamma:
         assert not caught, [str(w.message) for w in caught]
         assert vals[0] == 0 and vals[3] == 0
         assert np.all(np.isfinite(vals)) and np.all(vals[1:3] != 0)
+
+
+class TestGammaOnCircle:
+    """elliptic_gamma_circle, a product of gamma factors on an equispaced
+    circle from one FFT of its folded Laurent coefficients, against
+    pointwise elliptic_gamma on the same points.  The accuracy tests lift
+    the cost rule, which would send the 8-point circles to the pointwise
+    path; the rule is tested on its own."""
+
+    NOMES = {
+        "small": NomePair(0.3 + 0.1j, 0.5j),
+        "large": NomePair(0.9 * cmath.exp(0.4j), 0.85 * cmath.exp(-1.3j)),
+    }
+    # a radius above 1 midway, in log, between two moduli of the poles
+    # p^-i q^-j: 1.054 lies between 1 and 1/0.9
+    ABOVE = {"small": 1.2, "large": 1.054}
+
+    @pytest.fixture
+    def no_cost_rule(self, monkeypatch):
+        monkeypatch.setattr(core, "CIRCLE_TERMS_PER_POINT", 10**6)
+
+    @staticmethod
+    def pointwise(factors, n, phase, nomes):
+        z = circle(n, phase)
+        return np.prod([elliptic_gamma(a * z**e, nomes) for a, e in factors], axis=0)
+
+    def assert_matches(self, factors, n, phase, nomes):
+        got = elliptic_gamma_circle(factors, n, phase, nomes)
+        want = self.pointwise(factors, n, phase, nomes)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.usefixtures("no_cost_rule")
+    @pytest.mark.parametrize("n", [8, 256, 2048])
+    @pytest.mark.parametrize("name", ["small", "large"])
+    @pytest.mark.parametrize("where", ["inside", "above", "below"])
+    def test_radius_classes(self, name, n, where):
+        # inside the annulus |pq| < r < 1, where Gamma has no zero or pole;
+        # above 1, where towers are reflected; below |pq|, where the
+        # reflected towers come from pq/a.  Exponents +-1 and +-2.
+        nomes = self.NOMES[name]
+        pq = abs(nomes.pq)
+        above = self.ABOVE[name]
+        r = {"inside": math.sqrt(pq), "above": above, "below": pq / above}[where]
+        factors = [
+            (r * cmath.exp(1j * arg), e) for arg, e in ((0.7, 1), (-2.1, -1), (1.3, 2), (-0.4, -2))
+        ]
+        self.assert_matches(factors, n, 0.5 * math.pi / n, nomes)
+
+    @pytest.mark.usefixtures("no_cost_rule")
+    @pytest.mark.parametrize("n", [8, 256, 2048])
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_circle_through_a_zero(self, n, e):
+        # Gamma(pq z^+-e) vanishes at z = 1, a grid point at phase 0, and
+        # at z = -1 for e = 2: its unit-circle term is multiplied in
+        nomes = self.NOMES["large"]
+        factors = [(nomes.pq, e), (nomes.pq, -e)]
+        got = elliptic_gamma_circle(factors, n, 0.0, nomes)
+        assert got[0] == 0 and (e == 1 or got[n // 2] == 0)
+        self.assert_matches(factors, n, 0.0, nomes)
+
+    @pytest.mark.usefixtures("no_cost_rule")
+    @pytest.mark.parametrize("r, e", [(0.512, 1), (0.8, -1), (1.054, 1), (None, 2)])
+    def test_spot_values_against_mpmath(self, r, e):
+        # |p| = 0.9 with |q| = 0.6 keeps the literal double product of the
+        # oracle to about 2e4 factors; radius |pq| with z^2 puts a
+        # unit-circle term between the grid points
+        pytest.importorskip("mpmath")
+        nomes = NomePair(0.9 * cmath.exp(0.4j), 0.6 * cmath.exp(-1.3j))
+        a = (abs(nomes.pq) if r is None else r) * cmath.exp(0.9j)
+        n, phase, j = 2048, 0.3 / 2048, 700
+        got = elliptic_gamma_circle([(a, e)], n, phase, nomes)[j]
+        assert rel_err(got, gamma_mp(a * circle(n, phase)[j] ** e, nomes.p, nomes.q)) <= 1e-13
+
+    def test_pole_on_a_grid_point_raises(self):
+        nomes = self.NOMES["small"]
+        with pytest.raises(PoleError):
+            elliptic_gamma_circle([(0.4, 1), (1.0, -1)], 16, 0.0, nomes)
+        with pytest.raises(PoleError):
+            elliptic_gamma(circle(16, 0.0) ** -1, nomes)
+
+    def test_slow_series_is_left_to_the_pointwise_path(self):
+        # a tower base 1e-6 inside the unit circle needs about 4e7 terms
+        nomes = self.NOMES["small"]
+        assert elliptic_gamma_circle([(0.999999 * cmath.exp(0.3j), 1)], 2048, 0.0, nomes) is None
+        assert elliptic_gamma_circle([(0.9 * cmath.exp(0.3j), 1)], 2048, 0.0, nomes) is not None
+
+    def test_zero_nome_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            elliptic_gamma_circle([(0.5, 1)], 8, 0.0, NomePair(0.0, 0.3))
 
 
 class TestGammaMulti:

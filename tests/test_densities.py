@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ellsel.core import NomePair
+from ellsel import densities
+from ellsel.core import NomePair, circle
 from ellsel.densities import (
     INWARD_CAP,
     BalancingError,
+    GammaFactor,
     IntegrandDescriptor,
     ParamSet,
     an_density,
@@ -27,9 +29,15 @@ from ellsel.densities import (
     selberg_edge_density,
     selberg_vertex_density,
 )
-from ellsel.harness import sample_case
+from ellsel.harness import evaluate_case, sample_case
 from ellsel.polytope import SelbergPolytope, selberg_bounds
-from ellsel.quadrature import GridSpec, integrate_adaptive, integrate_torus
+from ellsel.quadrature import (
+    GridSpec,
+    IntegrandSum,
+    TorusFactorizedIntegrand,
+    integrate_adaptive,
+    integrate_torus,
+)
 from oracles import expand_tables, gamma_mp, kernel_draw_inside
 
 NOMES = NomePair(0.15, 0.2)
@@ -451,3 +459,72 @@ class TestKernelWeightedDraws:
 
         check()
         assert seen == {True, False}  # the windows reach both sides of the rule
+
+
+class TestFactorTables:
+    """The factor tables of a density integrand from whole circles
+    (GammaFactor.on_circle) equal the tables of each factor called point
+    by point."""
+
+    @staticmethod
+    def pointwise(integrand):
+        """integrand with every factor function behind a plain callable,
+        one per function, so values calls each at the circle's points."""
+        plain = {}
+
+        def hide(fn):
+            return plain.setdefault(id(fn), lambda z: fn(z))
+
+        return TorusFactorizedIntegrand(
+            integrand.nvars,
+            [(v, hide(fn)) for v, fn in integrand.unary],
+            [(vi, vj, hide(fn)) for vi, vj, fn in integrand.pairs],
+            integrand.prefactor,
+        )
+
+    @pytest.mark.parametrize(
+        "family, options",
+        [
+            ("an_selberg", {"n": 2, "k": (1, 1)}),
+            # residue-corrected: the torus part's level-1 vertex factor has
+            # towers with |u| > 1, which the circle path reflects, and each
+            # residue part carries the pinned edge Gamma(c u w^+-) Gamma(c w^+- / u)
+            ("an_selberg", {"n": 2, "k": (1, 2)}),
+            # the interpolation factors stay opaque, pointwise callables
+            ("an_aflt", {"n": 2}),
+        ],
+        ids=["an_selberg-k11", "an_selberg-k12", "an_aflt-n2"],
+    )
+    def test_circle_tables_equal_pointwise_tables(self, monkeypatch, family, options):
+        taken = []
+        original = densities.elliptic_gamma_circle
+
+        def recording(*args):
+            vals = original(*args)
+            taken.append(vals is not None)
+            return vals
+
+        monkeypatch.setattr(densities, "elliptic_gamma_circle", recording)
+        integrand = evaluate_case(sample_case(family, 0, **options)).integrand
+        parts = integrand.parts if isinstance(integrand, IntegrandSum) else [integrand]
+        n = 256
+        for part in parts:
+            got = part.values(n, 0.5 * math.pi / n)
+            want = self.pointwise(part).values(n, 0.5 * math.pi / n)
+            for (table, axes), (ref, ref_axes) in zip(got, want, strict=True):
+                assert axes == ref_axes
+                assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert taken and all(taken), "a density factor fell back to the pointwise path"
+
+    def test_slow_series_falls_back_to_the_pointwise_path(self, monkeypatch):
+        # a tower base 1e-6 inside the unit circle: the circle path declines
+        factor = GammaFactor(2.0, ((0.999999 * cmath.exp(0.3j), 1), (0.4, -1)), NOMES)
+        calls = []
+        monkeypatch.setattr(
+            densities, "elliptic_gamma_circle", lambda *args: calls.append(args) or None
+        )
+        got = factor.on_circle(256, 0.01)
+        assert len(calls) == 1
+        assert np.array_equal(got, factor(circle(256, 0.01)))
+        monkeypatch.undo()
+        assert np.array_equal(factor.on_circle(256, 0.01), got)
