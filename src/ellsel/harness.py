@@ -1,12 +1,17 @@
 """Identity registry, parameter samplers, case execution and report
 emission.
 
-Each family is one record in FAMILY_TABLE: a seeded sampler (drawing a
-feasible parameter point for the identity, on the unit torus or a
-residue-corrected contour) and an evaluator giving the integrand and
-the closed-form side from gamma/Delta0 products.  run_case alone does
-the adaptive quadrature and decides the status.  Reports carry both the identity residual and the quadrature doubling
-estimate so formula errors and quadrature noise remain distinguishable.
+Each family is one record in FAMILY_TABLE: a seeded sampler and an
+evaluator giving the integrand and the closed-form side from
+gamma/Delta0 products.  Every family that integrates a density samples
+through _sample_on_polytope: a draw from the log-modulus polytope of
+its plan (ellsel.polytope), whose sets are Selberg densities on the
+unit torus or a residue-corrected contour, a kernel Gamma(c x^+- z^+-)
+entering a set as c x and c / x; an empty polytope makes the case
+infeasible.  run_case alone does the adaptive quadrature and decides
+the status.  Reports carry both the identity residual and the
+quadrature doubling estimate so formula errors and quadrature noise
+remain distinguishable.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -27,11 +32,7 @@ import numpy as np
 from ellsel.binomials import TableCache, binomial, binomial_row, jackson_check
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi, theta
 from ellsel.densities import (
-    C,
     INWARD_CAP,
-    P,
-    Q,
-    T,
     Contour,
     IntegrandDescriptor,
     InfeasibleError,
@@ -39,20 +40,16 @@ from ellsel.densities import (
     an_selberg_gamma_args,
     an_selberg_rhs,
     contour_feasibility,
-    exponent_row,
     feasibility_check,
     margin_violations,
-    monomial,
     selberg_average_normalizer,
 )
 from ellsel.interpolation import (
     branching_residual,
     hybrid_branching_residual,
-    interp_b_window,
     interp_hybrid,
     interp_nonskew,
     interp_skew,
-    pole_bases,
     pole_map,
 )
 from ellsel.kernel import ContourError, kernel_k1, kernel_k2
@@ -63,7 +60,7 @@ from ellsel.partitions import (
     spectral_vector,
     sub_bipartitions,
 )
-from ellsel.polytope import SelbergPolytope, selberg_bounds
+from ellsel.polytope import LOWEST, Draw, Plan, SelbergPolytope, selberg_plan, sqrt
 from ellsel.quadrature import GridSpec, QuadResult, integrate_adaptive
 from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
 
@@ -186,30 +183,10 @@ def _unit(rng) -> complex:
     return cmath.exp(2j * math.pi * rng.uniform())
 
 
-def _draw_in_window(rng, lo, hi) -> complex | None:
-    if lo >= hi:
-        return None
-    return _draw(rng, lo, hi)
-
-
-def _density_violations(p, q, t, ts) -> list[str]:
-    """feasibility_check's violations for the rank-n density with every
-    k_r = 1 and the 2n + 4 parameters ts, or ParamSet's ValueError.  A
-    kernel factor Gamma(c x^+- z^+-) enters ts as c x and c / x."""
-    n = len(ts) // 2 - 2
-    try:
-        params = ParamSet(n, (1,) * n, p, q, t, ts)
-    except ValueError as exc:
-        return [str(exc)]
-    return feasibility_check(params).violations
-
-
-def _density_integrand(p, q, t, ts, extra_unary: dict):
-    """The integrand of the density that _density_violations checks for
-    ts, times the extra unary factors keyed by level."""
-    n = len(ts) // 2 - 2
-    params = ParamSet(n, (1,) * n, p, q, t, ts)
-    return IntegrandDescriptor(params, extra_unary=extra_unary).build()
+def _set_integrand(case: IdentityCase, index: int, extra_unary: dict):
+    """The integrand of the index-th density set the case's draw checked,
+    times the extra unary factors keyed by level."""
+    return IntegrandDescriptor(case.extra["sets"][index], extra_unary=extra_unary).build()
 
 
 # ---------------------------------------------------------------------------
@@ -365,33 +342,47 @@ def _density_case(
     )
 
 
-def _sample_on_polytope(family: str, seed: int, cfg, k, rng, at, case_id: str, shapes=None) -> IdentityCase:
-    """The family's case, built by at, at a draw from the log-modulus
-    polytope of the density with level sizes k and, given shapes, of its
-    (lam, mu) interpolation factors.  On the case's grid of N points per
-    dimension, every tower stays below rho = (tol / 10)^(1/N), which
-    keeps the trapezoid error ~ rho^N near tol / 10.  Without shapes, an
-    empty torus polytope gives way to the residue-corrected one.  An
-    empty polytope makes the case infeasible; a draw the checks reject is
-    a bug in the bounds, so it raises."""
-    n, k = len(k), tuple(k)
-    size = _density_size(cfg, k) if shapes is None else _aflt_size(cfg, n)
+def _sample_on_polytope(
+    family: str, seed: int, rng, plan: Plan, size, at, case_id: str, crossable: bool
+) -> IdentityCase:
+    """The family's case at(draw, contour) at a draw of plan.  With size =
+    (grid, tol), every tower stays below rho = (tol / 10)^(1/N) on N grid
+    points per dimension, which keeps the trapezoid error ~ rho^N near
+    tol / 10; else below INWARD_CAP.  When crossable, an empty torus
+    polytope gives way to the residue-corrected one; an empty polytope
+    makes the case infeasible.  feasibility_check (contour_feasibility
+    when crossed) runs on every set and the margin on every pole tower:
+    a draw they reject is a bug in the bounds, so it raises."""
     rho = INWARD_CAP if size is None else min(INWARD_CAP, (size[1] / 10) ** (1 / size[0].dims[0]))
-    extra = [] if shapes is None else _interp_pole_bounds(n, *shapes, rho)
-    poly = SelbergPolytope(n, k, selberg_bounds(n, k, rho) + extra, hua=family == "an_hua_kadell")
-    check = feasibility_check
-    if poly.radius <= 0 and shapes is None and k[0] == 1:
-        crossed = SelbergPolytope(n, k, selberg_bounds(n, k, rho, crossed=True))
+    poly, check = SelbergPolytope(plan, rho, False), feasibility_check
+    if poly.radius <= 0 and crossable:
+        crossed = SelbergPolytope(plan, rho, True)
         if crossed.radius > 0:
             poly, check = crossed, contour_feasibility
     if poly.radius <= 0:
         return _infeasible_case(family, seed, poly.why_empty(), case_id)
-    params = poly.draw(rng)
-    feas = check(params)
-    bad = feas.violations + ([] if shapes is None else _interp_pole_violations(params, *shapes))
+    drawn = poly.draw(rng)
+    feas = [check(params) for params in drawn.sets]
+    bad = [text for f in feas for text in f.violations] + margin_violations(drawn.poles)
     if bad:
-        raise AssertionError(f"polytope draw for n={n}, k={k} rejected: {bad}")
-    return at(seed, cfg, params, feas.contour)
+        raise AssertionError(f"polytope draw for {plan.name} rejected: {bad}")
+    return at(drawn, feas[0].contour)
+
+
+def _sample_density(family: str, seed: int, cfg, k, rng, at, case_id: str, shapes) -> IdentityCase:
+    """The case at(seed, cfg, params, contour) of a family whose draw is
+    one set with level sizes k, carrying the (lam, mu) interpolation
+    factors of shapes when given; without them a set with k_1 = 1 may
+    take the residue-corrected contour."""
+    n, k = len(k), tuple(k)
+    size = _density_size(cfg, k) if shapes is None else _aflt_size(cfg, n)
+    poles = None if shapes is None else partial(_aflt_poles, n, *shapes)
+    plan = selberg_plan(n, k, hua=family == "an_hua_kadell", poles=poles)
+
+    def at_draw(drawn: Draw, contour: Contour) -> IdentityCase:
+        return at(seed, cfg, drawn.sets[0], contour)
+
+    return _sample_on_polytope(family, seed, rng, plan, size, at_draw, case_id, shapes is None and k[0] == 1)
 
 
 def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
@@ -401,7 +392,7 @@ def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityC
 
 def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
     rng = np.random.default_rng([seed, 101])
-    return _sample_on_polytope("beta_k1", seed, cfg, (1,), rng, _beta_k1_at, f"beta_k1-s{seed}")
+    return _sample_density("beta_k1", seed, cfg, (1,), rng, _beta_k1_at, f"beta_k1-s{seed}", None)
 
 
 def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
@@ -412,7 +403,38 @@ def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> Identi
 
 def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
     rng, case_id = np.random.default_rng([seed, 102, k]), f"selberg_A1-k{k}-s{seed}"
-    return _sample_on_polytope("selberg_A1", seed, cfg, (k,), rng, _selberg_A1_at, case_id)
+    return _sample_density("selberg_A1", seed, cfg, (k,), rng, _selberg_A1_at, case_id, None)
+
+
+# ---------------------------------------------------------------------------
+# Kernel-weighted families: each draw is one or two Selberg density sets,
+# a kernel Gamma(c x^+- z^+-) entering a set as c x and c / x.
+# ---------------------------------------------------------------------------
+
+
+def _poles(shape: Bipartition, b, v: dict) -> list:
+    """Draw.poles of the factor R*_shape at b over the nomes and t of v."""
+    towers = pole_map(shape, b, v["t"], v["p"], v["q"])
+    return [(value, f"interpolation pole of R_{shape} {label}") for value, label in towers]
+
+
+def _box(value, name: str) -> list:
+    """Draw.floors boxing a walked value outside every set."""
+    return [(value, INWARD_CAP, f"|{name}| <= {INWARD_CAP}"), (1 / value, 1 / LOWEST, f"|{name}| >= {LOWEST}")]
+
+
+def _sample_kernel_weighted(tag: int, case: IdentityCase, walked: str, phase_only: str, build) -> IdentityCase:
+    """case with a draw's values as params and its checked sets as
+    extra["sets"], drawn by the rng [seed, tag] on the polytope of the
+    case's grid and tol: walked values, then phase-only ones.  An empty
+    polytope gives an infeasible case with id family-sSEED."""
+    plan = Plan(case.id, tuple(walked.split()), tuple(f"{walked} {phase_only}".split()), build)
+
+    def at(drawn: Draw, contour: Contour) -> IdentityCase:
+        return replace(case, params=drawn.values, extra=case.extra | {"sets": drawn.sets})
+
+    rng = np.random.default_rng([case.seed, tag])
+    return _sample_on_polytope(case.family, case.seed, rng, plan, (case.grid, case.tol), at, "", False)
 
 
 # ---------------------------------------------------------------------------
@@ -427,71 +449,21 @@ KEY_SHAPES = [
     Bipartition.of((2,), ()),
     Bipartition.of((), (2,)),
 ]
-# (1|1) is torus-infeasible: diagnosed, not verified
+# (1|1) is torus-infeasible: the LP finds its cross and comp1 poles
+# cannot both keep the margin (ledger §3), so it is diagnosed, not verified
 VDBULT_SHAPES = KEY_SHAPES + [Bipartition.of((1,), (1,))]
-# No b keeps all pole towers of a shape with boxes in both components
-# inside the margin (ledger §3), so the samplers refuse it undrawn.
-MIXED_SHAPE_NOTE = (
-    f"boxes in both components: the cross pole b t^(1-1) p^-1 q^-1 caps |b| below {INWARD_CAP} "
-    f"|pq|, while the comp1 pole b^-1 t^(1-1) q^1 p^1 needs |b| above |pq| / {INWARD_CAP}"
-)
-
-
-def _shape_nome_windows(r1: int, r2: int) -> tuple[tuple, tuple]:
-    """Nome windows for an interpolation factor whose components have
-    max row lengths r1, r2.  The nome carrying an l-box row needs
-    |b| < margin * |nome|^l to keep the pole towers inside, so deeper
-    rows want a larger nome while the idle nome shrinks to keep |pq|
-    and the balancing budgets workable."""
-    two_box = max(r1, r2) >= 2
-
-    def one(r):
-        if r >= 2:
-            return (0.42, 0.5)
-        if r == 1:
-            return (0.25, 0.35)
-        return (0.05, 0.1) if two_box else (0.1, 0.2)
-
-    return one(r1), one(r2)
 
 
 def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCase:
-    rng = np.random.default_rng([seed, 103])
-    if mu is None:
-        mu = VDBULT_SHAPES[seed % len(VDBULT_SHAPES)]
-    r1, r2 = mu.first[0], mu.second[0]
-    if r1 and r2:
-        return _infeasible_case("vdBult", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
-    pw, qw = _shape_nome_windows(r1, r2)
-    two_box = max(r1, r2) >= 2
-    heavy = (0.6, 0.88) if two_box else (0.5, 0.85)
-    tw = (0.05, 0.1) if two_box else (0.1, 0.25)
-    reason = ""
-    for _ in range(400):
-        p, q = _draw(rng, *pw), _draw(rng, *qw)
-        t = _draw(rng, *tw)
-        if abs(p * q / t) >= 0.9:
-            continue
-        ctx = SymbolContext(NomePair(p, q), t)
-        lo, hi = interp_b_window(mu, ctx)
-        t2 = _draw_in_window(rng, max(lo, 0.02), min(hi, 0.9))
-        if t2 is None:
-            reason = "empty admissible window for the pole-carrying parameter"
-            continue
-        t1, t3 = _draw(rng, *heavy), _draw(rng, *heavy)
-        t4 = t / (t1 * t2 * t3)
-        c = cmath.sqrt(p * q / t)
-        x1 = _unit(rng)
-        bad = _density_violations(p, q, t, (t1, t2, t3, t4, c * x1, c / x1))
-        if bad:
-            reason = bad[0]
-            continue
-        return _one_dim_case(
-            f"vdBult-{mu}-s{seed}", "vdBult", seed, cfg, 1e-8,
-            params={"p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3, "t4": t4, "c": c, "x1": x1},
-            shapes=(mu, ZERO),
-        )
-    return _infeasible_case("vdBult", seed, f"no feasible draw for mu={mu}: {reason}")
+    mu = mu if mu is not None else VDBULT_SHAPES[seed % len(VDBULT_SHAPES)]
+
+    def build(v: dict) -> Draw:
+        p, q, t, t1, t2, t3, x1 = map(v.get, "p q t t1 t2 t3 x1".split())
+        t4, c = t / (t1 * t2 * t3), sqrt(p * q / t)
+        return Draw(v | {"t4": t4, "c": c}, [(1, (1,), (t1, t2, t3, t4, c * x1, c / x1))], _poles(mu, t2, v), [])
+
+    case = _one_dim_case(f"vdBult-{mu}-s{seed}", "vdBult", seed, cfg, 1e-8, shapes=(mu, ZERO))
+    return _sample_kernel_weighted(103, case, "p q t t1 t2 t3", "x1", build)
 
 
 def _eval_vdbult(case: IdentityCase) -> Evaluation:
@@ -506,7 +478,7 @@ def _eval_vdbult(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
-    integrand = _density_integrand(p, q, t, (t1, t2, t3, t4, c * x1, c / x1), {1: [interp_fn]})
+    integrand = _set_integrand(case, 0, {1: [interp_fn]})
     rhs = interp_nonskew(mu, (x1,), c * t1, c * t2, ctx, cache)
     rhs *= delta0_bi(mu, t1 / t2, [t1 * t3, t1 * t4], ctx)
     # Gamma over t_r t_s (r < s) and c t_r x1^+-: the normalizer of the
@@ -524,30 +496,19 @@ def _eval_vdbult(case: IdentityCase) -> Evaluation:
 
 
 def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> IdentityCase:
-    rng = np.random.default_rng([seed, 104])
     variant = variant or ("theorem" if seed % 2 == 0 else "corollary")
-    for _ in range(400):
-        p, q = _draw(rng, 0.1, 0.14), _draw(rng, 0.1, 0.14)
-        b = _draw(rng, 0.35, 0.6)
-        d = _draw(rng, 0.55, 0.75)
-        x1, y1 = _unit(rng), _unit(rng)
-        if variant == "theorem":
-            t = _draw(rng, 0.25, 0.45)
-            c = _draw(rng, 0.55, 0.75)
-            spectator = p * q / (b * c**2 * d**2)
-        else:
-            t = _draw(rng, 0.04, 0.08)
-            c = cmath.sqrt(p * q / t)
-            spectator = t / (b * d**2)
-        ts = (b, spectator, c * x1, c / x1, d * y1, d / y1)
-        if _density_violations(p, q, t, ts):
-            continue
-        return _one_dim_case(
-            f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8,
-            params={"p": p, "q": q, "t": t, "b": b, "c": c, "d": d, "x1": x1, "y1": y1},
-            extra={"variant": variant},
-        )
-    return _infeasible_case("kernel_decomp", seed, f"no feasible {variant} draw")
+    theorem = variant == "theorem"
+
+    def build(v: dict) -> Draw:
+        p, q, t, b, d, x1, y1 = map(v.get, "p q t b d x1 y1".split())
+        c = v["c"] if theorem else sqrt(p * q / t)
+        spectator = p * q / (b * c**2 * d**2) if theorem else t / (b * d**2)
+        return Draw(v | {"c": c}, [(1, (1,), (b, spectator, c * x1, c / x1, d * y1, d / y1))], [], [])
+
+    case = _one_dim_case(
+        f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8, extra={"variant": variant}
+    )
+    return _sample_kernel_weighted(104, case, "p q t b c d" if theorem else "p q t b d", "x1 y1", build)
 
 
 def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
@@ -564,7 +525,6 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
     # right side takes on.  The corollary's c factor has none.
     rhs = kernel_k1(x1, y1, c * d, ctx)
     if variant == "theorem":
-        spectator = p * q / (b * c**2 * d**2)
         rhs *= elliptic_gamma_multi(
             _gamma_pm_list(b * c, x1) + _gamma_pm_list(b * d, y1) + [t, t, c**2, d**2], nomes
         )
@@ -572,15 +532,13 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(b * c**2 * d, y1), nomes
         )
     else:
-        spectator = t / (b * d**2)
         rhs *= elliptic_gamma_multi(
             _gamma_pm_list(b * d, y1) + _gamma_pm_list(t / (b * d), y1) + [t, d**2], nomes
         )
         rhs /= elliptic_gamma_multi(
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(c * t / b, x1), nomes
         )
-    six = (b, spectator, c * x1, c / x1, d * y1, d / y1)
-    return Evaluation(rhs, _density_integrand(p, q, t, six, {}))
+    return Evaluation(rhs, _set_integrand(case, 0, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -589,40 +547,18 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
 
 
 def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCase:
-    rng = np.random.default_rng([seed, 105])
     mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
-    r1, r2 = mu.first[0], mu.second[0]
-    if r1 and r2:
-        return _infeasible_case("key_theorem", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
-    pw, qw = _shape_nome_windows(r1, r2)
-    heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.65, 0.88)
-    for _ in range(400):
-        p, q = _draw(rng, *pw), _draw(rng, *qw)
-        t = _draw(rng, 0.25, 0.4)
-        ctx = SymbolContext(NomePair(p, q), t)
-        lo, hi = interp_b_window(mu, ctx)
-        hi = min(hi, 0.9)
-        # bias the pole-carrying parameter upward: |c| shrinks with it
-        t2 = _draw_in_window(rng, max(lo, 0.05, 0.55 * hi), hi)
-        if t2 is None:
-            continue
-        v1 = _draw(rng, 0.7, 0.95)
-        v2 = _draw(rng, 0.4, 0.9)
-        t1, t3 = _draw(rng, *heavy), _draw(rng, *heavy)
+
+    def build(v: dict) -> Draw:
+        p, q, t, t1, t2, t3, v1, x1 = map(v.get, "p q t t1 t2 t3 v1 x1".split())
         t4 = t * v1
-        c = cmath.sqrt(p * q / (t1 * t2 * t3 * t4))
-        x1 = _unit(rng)
-        if abs(c) < 0.1 or _density_violations(p, q, t, (t1, t2, t3, t4, c * x1, c / x1)):
-            continue
-        return _one_dim_case(
-            f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8,
-            params={
-                "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3, "t4": t4,
-                "v1": v1, "v2": v2, "c": c, "x1": x1,
-            },
-            shapes=(mu, ZERO),
-        )
-    return _infeasible_case("key_theorem", seed, f"no feasible draw for mu={mu}")
+        c = sqrt(p * q / (t1 * t2 * t3 * t4))
+        floors = [(1 / c, 10.0, "|c| >= 0.1")] + _box(v1, "v1") + _box(v["v2"], "v2")
+        sets = [(1, (1,), (t1, t2, t3, t4, c * x1, c / x1))]
+        return Draw(v | {"t4": t4, "c": c}, sets, _poles(mu, t2, v), floors)
+
+    case = _one_dim_case(f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8, shapes=(mu, ZERO))
+    return _sample_kernel_weighted(105, case, "p q t t1 t2 t3 v1 v2", "x1", build)
 
 
 def _eval_key_theorem(case: IdentityCase) -> Evaluation:
@@ -639,9 +575,8 @@ def _eval_key_theorem(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_hybrid(mu, (z,), (v1, v2), a_hyb, t2, ctx, cache)
 
-    six = (t1, t2, t3, t4, c * x1, c / x1)
-    integrand = _density_integrand(p, q, t, six, {1: [interp_fn]})
-    rhs = selberg_average_normalizer(1, six, t, nomes)
+    integrand = _set_integrand(case, 0, {1: [interp_fn]})
+    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, nomes)
     head = t * t1 * v1 * v2 / t2
     rhs *= delta0_bi(mu, head, [t * t1 * v1], ctx)
     rhs /= delta0_bi(mu, head, [c**2 * t * t1 * v1], ctx)
@@ -655,36 +590,17 @@ def _eval_key_theorem(case: IdentityCase) -> Evaluation:
 
 
 def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCase:
-    rng = np.random.default_rng([seed, 106])
     mu = mu if mu is not None else KEY_SHAPES[seed % len(KEY_SHAPES)]
-    r1, r2 = mu.first[0], mu.second[0]
-    if r1 and r2:
-        return _infeasible_case("prop_RK", seed, f"no feasible draw for mu={mu}: {MIXED_SHAPE_NOTE}")
-    pw, qw = _shape_nome_windows(r1, r2)
-    heavy = (0.75, 0.9) if max(r1, r2) >= 2 else (0.45, 0.7)
-    for _ in range(400):
-        p, q = _draw(rng, *pw), _draw(rng, *qw)
-        t = _draw(rng, 0.2, 0.35)
-        ctx = SymbolContext(NomePair(p, q), t)
-        lo, hi = interp_b_window(mu, ctx)
-        t2 = _draw_in_window(rng, max(lo, 0.02), min(hi, 0.9))
-        if t2 is None:
-            continue
-        t1 = _draw(rng, 0.4, 0.8)
-        t3, t4, t5 = (_draw(rng, *heavy) for _ in range(3))
-        c = cmath.sqrt(p * q / (t2 * t3 * t4 * t5))
-        x1 = _unit(rng)
-        if abs(c) < 0.1 or _density_violations(p, q, t, (t2, t3, t4, t5, c * x1, c / x1)):
-            continue
-        return _one_dim_case(
-            f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8,
-            params={
-                "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3,
-                "t4": t4, "t5": t5, "c": c, "x1": x1,
-            },
-            shapes=(mu, ZERO),
-        )
-    return _infeasible_case("prop_RK", seed, f"no feasible draw for mu={mu}")
+
+    def build(v: dict) -> Draw:
+        p, q, t, t2, t3, t4, t5, x1 = map(v.get, "p q t t2 t3 t4 t5 x1".split())
+        c = sqrt(p * q / (t2 * t3 * t4 * t5))
+        floors = [(1 / c, 10.0, "|c| >= 0.1")] + _box(v["t1"], "t1")
+        sets = [(1, (1,), (t2, t3, t4, t5, c * x1, c / x1))]
+        return Draw(v | {"c": c}, sets, _poles(mu, t2, v), floors)
+
+    case = _one_dim_case(f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8, shapes=(mu, ZERO))
+    return _sample_kernel_weighted(106, case, "p q t t1 t2 t3 t4 t5", "x1", build)
 
 
 def _eval_prop_rk(case: IdentityCase) -> Evaluation:
@@ -700,9 +616,8 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     def interp_fn(z):
         return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
 
-    six = (t2, t3, t4, t5, c * x1, c / x1)
-    integrand = _density_integrand(p, q, t, six, {1: [interp_fn]})
-    rhs = selberg_average_normalizer(1, six, t, nomes)
+    integrand = _set_integrand(case, 0, {1: [interp_fn]})
+    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     nus = sub_bipartitions(mu)
@@ -729,7 +644,7 @@ def _an_selberg_at(seed: int, cfg, params: ParamSet, contour: Contour) -> Identi
 
 def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) -> IdentityCase:
     rng, case_id = np.random.default_rng([seed, 107, n, *k]), _an_selberg_id(n, k, seed)
-    return _sample_on_polytope("an_selberg", seed, cfg, k, rng, _an_selberg_at, case_id)
+    return _sample_density("an_selberg", seed, cfg, k, rng, _an_selberg_at, case_id, None)
 
 
 def _eval_an_selberg(case: IdentityCase) -> Evaluation:
@@ -756,22 +671,11 @@ AFLT_N2_SHAPES = [
 ]
 
 
-def _interp_pole_bounds(n: int, lam, mu, cap: float) -> list:
-    """The interpolation pole towers of the lam factor on level 1, whose b
-    is c^(1-n) t_2, and of the mu factor on level n, whose b is
-    t_(2n+4), as polytope bounds at cap."""
-    bounds = []
-    for shape, b in ((lam, [(C, 1 - n), (C + 2, 1)]), (mu, [(C + 2 * n + 4, 1)])):
-        for (i, j, l), power, label in pole_bases(shape):
-            row = exponent_row(n, (T, i), (P, j), (Q, l), *[(pos, power * e) for pos, e in b])
-            bounds.append((row, cap, f"interpolation pole of R_{shape} {label}"))
-    return bounds
-
-
-def _interp_pole_violations(params: ParamSet, lam, mu) -> list[str]:
-    """The density margins broken by the interpolation pole towers."""
-    bounds = _interp_pole_bounds(params.n, lam, mu, INWARD_CAP)
-    return margin_violations([(monomial(params.bases, row), label) for row, _, label in bounds])
+def _aflt_poles(n: int, lam, mu, v: dict) -> list:
+    """The pole towers of the lam factor on level 1, whose b is
+    c^(1-n) t_2, and of the mu factor on level n, whose b is t_(2n+4),
+    over the values v of a rank-n set."""
+    return _poles(lam, v["c"] ** (1 - n) * v["t2"], v) + _poles(mu, v[f"t{2 * n + 4}"], v)
 
 
 def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, Bipartition]:
@@ -817,7 +721,7 @@ def _aflt_at(
             f"{family} puts each interpolation factor on a single variable; "
             f"it needs every k_r = 1, not k={params.k}"
         )
-    elif poles := _interp_pole_violations(params, lam, mu):
+    elif poles := margin_violations(_aflt_poles(n, lam, mu, _named(params))):
         case.extra["infeasible"] = "; ".join(poles)
     return case
 
@@ -830,7 +734,7 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
         return _infeasible_case(family, seed, f"family {family} takes n=1 or n=2, not n={n}", note_id)
     rng, shapes = np.random.default_rng([seed, 108, n, tag]), _aflt_shapes(family, n, seed, shapes)
     at = partial(_aflt_at, family=family, shapes=shapes)
-    return _sample_on_polytope(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
+    return _sample_density(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
 
 
 def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
@@ -879,87 +783,39 @@ def _eval_an_aflt(case: IdentityCase) -> Evaluation:
 
 
 def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase:
-    rng = np.random.default_rng([seed, 109])
     variant = variant or ("base" if seed % 2 == 0 else "recursion")
-    shapes = [ZERO, Bipartition.of((1,), ()), Bipartition.of((), (1,))]
-    mu = shapes[seed % len(shapes)]
-    r1, r2 = mu.first[0], mu.second[0]
+    mu = [ZERO, Bipartition.of((1,), ()), Bipartition.of((), (1,))][seed % 3]
+    k0 = (seed // 2) % 2
+
+    def base(v: dict) -> Draw:
+        p, q, t, t1, t3, t4, t5, t6, x1 = map(v.get, "p q t t1 t3 t4 t5 t6 x1".split())
+        d = sqrt(p * q / (t3 * t4 * t5 * t6))
+        floors = [(1 / d, 10.0, "|d| >= 0.1")] + _box(t1, "t1")
+        sets = [(1, (1,), (t3, t4, t5, t6, d * x1, d / x1))]
+        return Draw(v | {"t2": d**2 * t**k0 / t1, "d": d}, sets, _poles(mu, t6, v), floors)
+
+    def recursion(v: dict) -> Draw:
+        # n = 2, (k0, k1, k2) = (0, 1, 1): the kernel Gamma(d x1^+- z^+-)
+        # takes the place of level 1's towers c^-1 t1, c^-1 t2, and c d
+        # is the parameter of the recursed kernel on the right side
+        p, q, t, t1, t3, t5, t6, t7, t8, x1 = map(v.get, "p q t t1 t3 t5 t6 t7 t8 x1".split())
+        c, tail = sqrt(p * q / t), t5 * t6 * t7 * t8
+        t2, t4 = p * q / (t1 * tail), p * q * t / (t3 * tail)
+        d = sqrt(t1 * t2) / c
+        floors = [(1 / d, 1 / 0.08, "|d| >= 0.08"), (c * d, INWARD_CAP, f"|c d| <= {INWARD_CAP}")]
+        floors += _box(t1, "t1")
+        sets = [(2, (1, 1), (c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8))]
+        return Draw(v | {"t2": t2, "t4": t4, "c": c, "d": d}, sets, _poles(mu, t8, v), floors)
+
     if variant == "base":
-        pw = (0.25, 0.35) if r1 >= 1 else (0.12, 0.2)
-        qw = (0.25, 0.35) if r2 >= 1 else (0.12, 0.2)
+        case_id, walked = f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "p q t t1 t3 t4 t5 t6"
+        case = _one_dim_case(case_id, "prop_xselberg_base", seed, cfg, 1e-6, shapes=(mu, ZERO))
     else:
-        # the recursion needs |t8| >= ~0.3 for T > |t|, so a box on the
-        # last node demands the matching nome near 0.4
-        pw = (0.38, 0.45) if r1 >= 1 else (0.1, 0.2)
-        qw = (0.38, 0.45) if r2 >= 1 else (0.1, 0.2)
-
-    if variant == "base":
-        k0 = (seed // 2) % 2
-        for _ in range(400):
-            p, q = _draw(rng, *pw), _draw(rng, *qw)
-            t = _draw(rng, 0.25, 0.4)
-            ctx = SymbolContext(NomePair(p, q), t)
-            lo, hi = interp_b_window(mu, ctx)
-            t6 = _draw_in_window(rng, max(lo, 0.05), min(hi, 0.75))
-            if t6 is None:
-                continue
-            t3, t4, t5 = (_draw(rng, 0.45, 0.7) for _ in range(3))
-            d = cmath.sqrt(p * q / (t3 * t4 * t5 * t6))
-            t1 = _draw(rng, 0.3, 0.7)
-            t2 = d**2 * t**k0 / t1
-            x1 = _unit(rng)
-            if abs(d) < 0.1 or _density_violations(p, q, t, (t3, t4, t5, t6, d * x1, d / x1)):
-                continue
-            return _one_dim_case(
-                f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "prop_xselberg_base", seed, cfg, 1e-6,
-                params={
-                    "p": p, "q": q, "t": t, "t1": t1, "t2": t2, "t3": t3,
-                    "t4": t4, "t5": t5, "t6": t6, "d": d, "x1": x1,
-                },
-                shapes=(mu, ZERO),
-                extra={"variant": "base"},
-            )
-        return _infeasible_case("prop_xselberg_base", seed, "no feasible base draw")
-
-    # recursion variant: n = 2, (k0, k1, k2) = (0, 1, 1).  The recursed
-    # kernel parameter obeys |d| = sqrt(|t|/T) with T = |t5 t6 t7 t8|,
-    # so T must exceed |t|.
-    for _ in range(400):
-        p, q = _draw(rng, *pw), _draw(rng, *qw)
-        t = _draw(rng, 0.14, 0.2)
-        c = cmath.sqrt(p * q / t)
-        ctx = SymbolContext(NomePair(p, q), t)
-        lo, hi = interp_b_window(mu, ctx)
-        t8 = _draw_in_window(rng, max(lo, 0.3), min(hi, 0.6))
-        if t8 is None:
-            continue
-        t5, t6, t7 = (_draw(rng, 0.72, 0.86) for _ in range(3))
-        tail = t5 * t6 * t7 * t8
-        t1 = _draw(rng, 0.35, 0.6)
-        t2 = p * q / (t1 * tail)
-        t3 = _draw(rng, 0.3, 0.6)
-        t4 = p * q * t / (t3 * tail)
-        d = cmath.sqrt(t1 * t2) / c
-        x1 = _unit(rng)
-        # the kernel Gamma(d x1^+- z^+-) takes the place of level 1's
-        # towers c^-1 t1, c^-1 t2, and _eval_xselberg integrates this
-        # set; c d is the parameter of the recursed kernel on the right side
-        level_set = (c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8)
-        if abs(d) < 0.08 or abs(c * d) >= INWARD_CAP or _density_violations(p, q, t, level_set):
-            continue
-        ts = (t1, t2, t3, t4, t5, t6, t7, t8)
-        return IdentityCase(
-            id=f"prop_xselberg-rec-{mu}-s{seed}",
-            family="prop_xselberg_base",
-            seed=seed,
-            grid=GridSpec((cfg.grid_2d_rec,) * 2),
-            tol=1e-6,
-            params={f"t{i + 1}": v for i, v in enumerate(ts)}
-            | {"p": p, "q": q, "t": t, "c": c, "d": d, "x1": x1},
-            shapes=(mu, ZERO),
-            extra={"variant": "recursion"},
-        )
-    return _infeasible_case("prop_xselberg_base", seed, "no feasible recursion draw")
+        walked, grid = "p q t t1 t3 t5 t6 t7 t8", GridSpec((cfg.grid_2d_rec,) * 2)
+        case_id = f"prop_xselberg-rec-{mu}-s{seed}"
+        case = IdentityCase(case_id, "prop_xselberg_base", seed, grid, 1e-6, shapes=(mu, ZERO))
+    case.extra["variant"] = variant
+    return _sample_kernel_weighted(109, case, walked, "x1", base if variant == "base" else recursion)
 
 
 def _eval_xselberg(case: IdentityCase) -> Evaluation:
@@ -978,8 +834,7 @@ def _eval_xselberg(case: IdentityCase) -> Evaluation:
     if case.extra["variant"] == "base":
         ts6 = tuple(pr[f"t{i}"] for i in range(1, 7))
         mu_fn = _hybrid_mu_fn(mu, ts6, ctx, cache)
-        six = ts6[2:] + (d * x1, d / x1)
-        integrand = _density_integrand(p, q, t, six, {1: [mu_fn]})
+        integrand = _set_integrand(case, 0, {1: [mu_fn]})
         rhs = elliptic_gamma_multi([t, d**2], nomes)
         rhs *= xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0)
         return Evaluation(rhs, integrand)
@@ -987,8 +842,7 @@ def _eval_xselberg(case: IdentityCase) -> Evaluation:
     ts = tuple(pr[f"t{i}"] for i in range(1, 9))
     c = pr["c"]
     mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    level_set = (c * d * x1, c * d / x1) + ts[2:]
-    integrand = _density_integrand(p, q, t, level_set, {2: [mu_fn]})
+    integrand = _set_integrand(case, 0, {2: [mu_fn]})
     pref_args = [c * d * t * x1 / ts[2], c * d * t / (x1 * ts[2])]
     pref_args += [c * d * t * x1 / ts[3], c * d * t / (x1 * ts[3])]
     rhs = elliptic_gamma_multi(pref_args + [t, d**2], nomes)
@@ -1009,47 +863,25 @@ EQK_SHAPES = [
 
 
 def _sample_equal_k(seed: int, cfg) -> IdentityCase:
-    rng = np.random.default_rng([seed, 110])
     lam, mu = EQK_SHAPES[seed % len(EQK_SHAPES)]
-    tries, last = 600, []
-    for _ in range(tries):
-        p = _draw(rng, 0.1, 0.15)
-        q = _draw(rng, 0.42, 0.5) if (lam.second.size or mu.second.size) else _draw(rng, 0.2, 0.3)
-        t = _draw(rng, 0.1, 0.16)
-        c = cmath.sqrt(p * q / t)
-        ctx = SymbolContext(NomePair(p, q), t)
-        t5, t6, t7 = (_draw(rng, 0.75, 0.88) for _ in range(3))
-        lo8, hi8 = interp_b_window(mu, ctx)
-        t8 = _draw_in_window(rng, max(lo8, 0.38), min(hi8, 0.8))
-        if t8 is None:
-            continue
-        tail = t5 * t6 * t7 * t8
-        t1 = _draw(rng, 0.55, 0.8)
-        t2 = p * q / (t1 * tail)
-        t3 = _draw(rng, math.sqrt(abs(t * t1 * t2)) * 0.8, math.sqrt(abs(t * t1 * t2)) * 1.25)
-        t4 = t * t1 * t2 / t3
-        ts = (t1, t2, t3, t4, t5, t6, t7, t8)
+
+    def build(v: dict) -> Draw:
         # The right side integrates the rank-one density of t1, t2, t5..t8;
         # lam's pole towers ride on c^(-1) t2 in level 1 and on t2 there.
-        bad = _density_violations(p, q, t, ts)
-        bad += [f"rank-one side: {text}" for text in _density_violations(p, q, t, (t1, t2) + ts[4:])]
-        bad += margin_violations(pole_map(lam, t2 / c, ctx) + pole_map(lam, t2, ctx))
-        if bad:
-            last = bad
-            continue
-        return IdentityCase(
-            id=f"equal_k-{lam}-{mu}-s{seed}",
-            family="equal_k_recursion",
-            seed=seed,
-            grid=GridSpec((cfg.grid_2d_rec,) * 2),
-            tol=1e-6,
-            params={f"t{i + 1}": v for i, v in enumerate(ts)}
-            | {"p": p, "q": q, "t": t, "c": c},
-            shapes=(lam, mu),
-            extra={"grid_1d": cfg.grid_1d},
-        )
-    reason = f"no feasible draw after {tries} tries (last violations: {last[:3]})"
-    return _infeasible_case("equal_k_recursion", seed, reason)
+        p, q, t, t1, t3, t5, t6, t7, t8 = map(v.get, "p q t t1 t3 t5 t6 t7 t8".split())
+        c, tail = sqrt(p * q / t), t5 * t6 * t7 * t8
+        t2 = p * q / (t1 * tail)
+        t4 = t * t1 * t2 / t3
+        ts = (t1, t2, t3, t4, t5, t6, t7, t8)
+        poles = _poles(lam, t2 / c, v) + _poles(lam, t2, v) + _poles(mu, t8, v)
+        return Draw(v | {"t2": t2, "t4": t4, "c": c}, [(2, (1, 1), ts), (1, (1,), (t1, t2) + ts[4:])], poles, [])
+
+    grid = GridSpec((cfg.grid_2d_rec,) * 2)
+    case = IdentityCase(
+        f"equal_k-{lam}-{mu}-s{seed}", "equal_k_recursion", seed, grid, 1e-6,
+        shapes=(lam, mu), extra={"grid_1d": cfg.grid_1d},
+    )
+    return _sample_kernel_weighted(110, case, "p q t t1 t3 t5 t6 t7 t8", "", build)
 
 
 def _eval_equal_k(case: IdentityCase) -> Evaluation:
@@ -1065,7 +897,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
         return interp_nonskew(lam, (z,), ts[0] / c, ts[1] / c, ctx, cache)
 
     mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    integrand = _density_integrand(p, q, t, ts, {1: [lam_fn], 2: [mu_fn]})
+    integrand = _set_integrand(case, 0, {1: [lam_fn], 2: [mu_fn]})
 
     # Right side: prefactor times the rank-one integral with t3, t4 removed.
     pref_num = [ts[0] * ts[1] / c**2]
@@ -1079,7 +911,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
     def lam1_fn(z):
         return interp_nonskew(lam, (z,), ts[0], ts[1], ctx, cache)
 
-    inner = _density_integrand(p, q, t, (ts[0], ts[1]) + ts[4:], {1: [lam1_fn, mu_fn]})
+    inner = _set_integrand(case, 1, {1: [lam1_fn, mu_fn]})
     inner_res = integrate_adaptive(inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 2)
     rhs *= inner_res.value
     return Evaluation(rhs, integrand)
@@ -1369,9 +1201,13 @@ def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_
     )
     ps = case.paramset
     if ps is not None:
-        rep.n, rep.k = ps.n, ps.k
-        rep.params = dict(zip(["p", "q", "t", "c"] + [f"t{i + 1}" for i in range(len(ps.ts))], ps.bases))
+        rep.n, rep.k, rep.params = ps.n, ps.k, _named(ps)
     return rep
+
+
+def _named(ps: ParamSet) -> dict:
+    """p, q, t, c and t1 .. t(2n+4) of ps by name."""
+    return dict(zip(["p", "q", "t", "c"] + [f"t{i + 1}" for i in range(len(ps.ts))], ps.bases))
 
 
 @dataclass

@@ -13,19 +13,18 @@ binomial tables:
 
 The x arguments may be numpy arrays; everything downstream broadcasts,
 which is what the quadrature grids rely on.  pole_bases lists the pole
-towers of R*_mu as monomials, pole_map evaluates them at b, and
-interp_b_window gives the window of |b| that keeps them in the margin.
+towers of R*_mu as monomials and pole_map evaluates them at b; the
+samplers' log-modulus polytope (ellsel.polytope) bounds them.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from ellsel.binomials import TableCache, binomial, binomial_row
-from ellsel.densities import INWARD_CAP, monomial
+from ellsel.densities import monomial
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_shapes
 
@@ -252,19 +251,7 @@ def pole_bases(mu: Bipartition) -> list[tuple[tuple[int, int, int], int, str]]:
     return bases
 
 
-def pole_map(mu: Bipartition, b: complex, ctx: SymbolContext) -> list[tuple[complex, str]]:
-    """The pole_bases of R*_mu(..; a, b) at b, as (location, label) pairs."""
-    tpq = (ctx.t, ctx.p, ctx.q)
-    return [(monomial(tpq, expo) * b**power, label) for expo, power, label in pole_bases(mu)]
-
-
-def interp_b_window(mu: Bipartition, ctx: SymbolContext) -> tuple[float, float]:
-    """Open modulus window (lo, hi) for the pole-carrying parameter b of
-    an interpolation factor R*_mu on a unit-circle variable: every pole
-    tower base of pole_map stays below the margin exactly when
-    lo < |b| < hi.  A base scaling like 1/b bounds |b| from below and
-    one scaling like b from above; the members beyond the bases sit
-    strictly inside them and add no bound."""
-    bases = [(abs(monomial((ctx.t, ctx.p, ctx.q), expo)), power) for expo, power, _ in pole_bases(mu)]
-    lo = max([coeff / INWARD_CAP for coeff, power in bases if power < 0], default=0.0)
-    return lo, min([INWARD_CAP / coeff for coeff, power in bases if power > 0], default=math.inf)
+def pole_map(mu: Bipartition, b, t, p, q) -> list[tuple[complex, str]]:
+    """The pole_bases of R*_mu(..; a, b) at b as (location, label) pairs,
+    over complex b, t, p, q or their polytope.LogModulus rows."""
+    return [(monomial((t, p, q), expo) * b**power, label) for expo, power, label in pole_bases(mu)]

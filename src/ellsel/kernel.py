@@ -84,29 +84,20 @@ def _kernel_k2_branch(x, y, cval, ctx, rt, inner_grid) -> complex:
     x1, x2 = x
     y1, y2 = y
 
-    dixon_params = (
-        rt * x1,
-        rt / x1,
-        rt * x2,
-        rt / x2,
-        pq * y2 / (cval * rt),
-        pq / (y2 * cval * rt),
-    )
+    # Gamma(c z^+- y1^+-) = Gamma(c y1 z^+-) Gamma(c / y1 z^+-) joins the
+    # Dixon parameters, and its 1 / (Gamma(t) Gamma(c^2)) the prefactor
     inner_c = cval / rt
-    unary = dixon_unary_fn(dixon_params, nomes)
-
-    def kern(z):
-        return kernel_k1(z, y1, inner_c, ctx)
-
+    dixon_params = (rt * x1, rt / x1, rt * x2, rt / x2, pq * y2 / (cval * rt), pq / (y2 * cval * rt))
+    dixon_params += (inner_c * y1, inner_c / y1)
     integrand = TorusFactorizedIntegrand(
-        nvars=1, unary=[(0, unary), (0, kern)], prefactor=kappa(1, nomes)
+        nvars=1, unary=[(0, dixon_unary_fn(dixon_params, nomes))], prefactor=kappa(1, nomes)
     )
     integral = integrate_torus(integrand, GridSpec((inner_grid,))).value
 
     pref_num = []
     for xi in (x1, x2):
         pref_num += [cval * xi * y2, cval * xi / y2, cval * y2 / xi, cval / (xi * y2)]
-    pref_den = [ctx.t, ctx.t, cval**2]
+    pref_den = [ctx.t, ctx.t, ctx.t, cval**2, inner_c**2]
     pref_den += [ctx.t * x1 * x2, ctx.t * x1 / x2, ctx.t * x2 / x1, ctx.t / (x1 * x2)]
     prefactor = elliptic_gamma_multi(pref_num, nomes) / elliptic_gamma_multi(
         pref_den, nomes

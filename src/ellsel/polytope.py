@@ -1,26 +1,117 @@
-"""Selberg parameter sets drawn from their log-modulus polytope.
+"""Parameter draws from their log-modulus polytope.
 
-Every condition on a parameter set bounds the modulus of a monomial in
-p, q, t, c and the t_i, and each balancing relation fixes one, so the
-sets form a polytope in the log-moduli with free phases.  A draw starts
-at its Chebyshev centre, found by a dense simplex LP (Boyd &
-Vandenberghe, "Convex Optimization", 2004, §8.5), and walks hit-and-run
-steps (Smith, Operations Research 32, 1984).  A radius at or below zero
-certifies the polytope empty.
+A draw is a set of named complex values: walked ones with uniform
+phases, phase-only ones of modulus 1 and the ones a family's plan
+derives from both.  Every condition on a draw (the torus conditions of
+each Selberg density set it builds, its interpolation pole towers and
+floors) bounds the modulus of a monomial, so the draws form a polytope
+in the walked log-moduli; the plan's build gives its rows when run on
+LogModulus values.  A draw starts at the Chebyshev centre, found by a
+dense simplex LP (Boyd & Vandenberghe, "Convex Optimization", 2004,
+§8.5), and walks hit-and-run steps (Smith, Operations Research 32,
+1984).  A radius at or below zero certifies the polytope empty.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from ellsel.densities import C, INWARD_CAP, P, Q, T, ParamSet, exponent_row, torus_conditions
+from ellsel.densities import C, INWARD_CAP, P, Q, T, ParamSet, exponent_row, monomial, torus_conditions
 
 NOME_CAP = 0.9  # |p|, |q|, |t| and |pq/t|
 LOWEST = 0.05  # every modulus
 WALK_STEPS = 24
+
+
+class LogModulus:
+    """log|v| of a monomial v in the walked values, as the row of its
+    exponents over them: *, / and ** act on rows as on values.  A plain
+    factor must have modulus 1."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def __mul__(self, other):
+        return LogModulus(self.row + _row(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return LogModulus(self.row - _row(other))
+
+    def __rtruediv__(self, other):
+        return LogModulus(_row(other) - self.row)
+
+    def __pow__(self, power):
+        return LogModulus(power * self.row)
+
+
+def _row(value):
+    if isinstance(value, LogModulus):
+        return value.row
+    if abs(value) != 1:
+        raise ValueError(f"a plain factor of a monomial must have modulus 1, got {value!r}")
+    return 0.0
+
+
+def sqrt(value):
+    """cmath.sqrt, the principal root, of a complex value; half the row
+    of a LogModulus."""
+    return value**0.5 if isinstance(value, LogModulus) else cmath.sqrt(value)
+
+
+@dataclass
+class Draw:
+    """What a plan builds from its values: the named values; each density
+    set as (n, k, ts) over their p, q and t, a ParamSet once drawn; the
+    pole towers as (value, label), held at rho and checked at INWARD_CAP;
+    and the floors as (value, cap, label), |value| <= cap."""
+
+    values: dict
+    sets: list
+    poles: list
+    floors: list
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The draws of one family: its name in notes, the walked values in
+    column order, every drawn value (walked or phase-only) in the order
+    its phase is drawn, and build, which derives a Draw from them."""
+
+    name: str
+    walked: tuple
+    phased: tuple
+    build: Callable[[dict], Draw]
+
+
+def selberg_plan(n: int, k, hua: bool = False, poles: Callable | None = None) -> Plan:
+    """The plan of rank-n sets with level sizes k, and t_(2n+2) t_(2n+3) = t
+    with hua: it walks p, q, t, t_(2r-1) on each level r and the shared
+    t_(2n+1) .. t_(2n+4) (less t_(2n+3) with hua), solves each t_(2r)
+    from its balancing relation, and takes pole towers from poles(values)."""
+    kk, names = (0,) + tuple(k), [f"t{i}" for i in range(1, 2 * n + 5)]
+    expos = [kk[r] - kk[r - 1] + kk[n] - 2 for r in range(1, n + 1)]  # of t in each relation
+    level = names[0 : 2 * n : 2]
+    shared = [name for j, name in enumerate(names[2 * n :]) if not (hua and j == 2)]
+
+    def build(v: dict) -> Draw:
+        p, q, t = v["p"], v["q"], v["t"]
+        ts = [v.get(name) for name in names]
+        if hua:
+            ts[2 * n + 2] = t / ts[2 * n + 1]
+        tail = math.prod(ts[2 * n :])
+        for r, expo in enumerate(expos, start=1):
+            ts[2 * r - 1] = p * q / (t**expo * ts[2 * r - 2] * tail)
+        values = {"p": p, "q": q, "t": t, "c": sqrt(p * q / t)} | dict(zip(names, ts))
+        return Draw(values, [(n, tuple(k), tuple(ts))], poles(values) if poles else [], [])
+
+    return Plan(f"n={n}, k={tuple(k)}", ("p", "q", "t", *level, *shared), ("p", "q", "t", *shared, *level), build)
 
 
 def selberg_bounds(n: int, k, rho: float, crossed: bool = False) -> list:
@@ -88,42 +179,40 @@ def chebyshev_centre(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float, n
 
 
 class SelbergPolytope:
-    """The log-modulus polytope of rank-n sets with level sizes k under
-    bounds, with t_(2n+2) t_(2n+3) = t when hua is set.  Its coordinates
-    are the free log-moduli, of p, q, t, t_(2r-1) on each level r and the
-    shared t_(2n+1) .. t_(2n+4) (less t_(2n+3) with hua); radius is the
-    Chebyshev radius in them, and why_empty names the LP's binding rows."""
+    """The log-modulus polytope of a plan's draws: each set's
+    selberg_bounds at rho (crossed as given), each pole tower at rho and
+    each floor.  Its coordinates are the walked log-moduli; radius is the
+    Chebyshev radius in them, and why_empty names the LP's binding
+    rows."""
 
-    def __init__(self, n: int, k, bounds: list, hua: bool = False):
-        self.n, self.k, self.hua, self.bounds = n, tuple(k), hua, bounds
-        # lift maps the free log-moduli to those of p, q, t, t_1 .. t_(2n+4)
-        shared = [3 + 2 * n + j for j in range(4)]
-        self.free = [P, Q, T] + [1 + 2 * r for r in range(1, n + 1)]
-        self.free += [pos for j, pos in enumerate(shared) if not (hua and j == 2)]
-        self.lift = lift = np.zeros((2 * n + 7, len(self.free)))
-        lift[self.free, range(len(self.free))] = 1.0
-        if hua:
-            lift[shared[2]] = lift[T] - lift[shared[1]]
-        kk, tail = (0,) + self.k, lift[shared].sum(axis=0)
-        self.expos = [kk[r] - kk[r - 1] + kk[n] - 2 for r in range(1, n + 1)]  # of t in each relation
-        for r, expo in enumerate(self.expos, start=1):
-            lift[2 + 2 * r] = lift[P] + lift[Q] - expo * lift[T] - lift[1 + 2 * r] - tail
-        rows = np.array([row for row, _, _ in bounds], dtype=float)
-        # c = (pq/t)^(1/2): its exponent moves onto p, q and t
-        logs = np.hstack([rows[:, :3] + np.outer(rows[:, C], (0.5, 0.5, -0.5)), rows[:, 4:]])
-        self.G, self.h = logs @ lift, np.log([cap for _, cap, _ in bounds])
+    def __init__(self, plan: Plan, rho: float, crossed: bool):
+        self.plan = plan
+        unit = np.eye(len(plan.walked))
+        rows = dict(zip(plan.walked, map(LogModulus, unit)))
+        at = plan.build({name: rows.get(name, LogModulus(0 * unit[0])) for name in plan.phased})
+        p, q, t = (at.values[name] for name in "pqt")
+        bounds = []
+        for n, k, ts in at.sets:
+            bases = (p, q, t, sqrt(p * q / t)) + ts
+            bounds += [(monomial(bases, row), cap, label) for row, cap, label in selberg_bounds(n, k, rho, crossed)]
+        bounds += [(value, rho, label) for value, label in at.poles] + at.floors
+        self.labels = [label for _, _, label in bounds]
+        self.G = np.array([value.row for value, _, _ in bounds])
+        if not np.all((self.G > 0).any(axis=0) & (self.G < 0).any(axis=0)):  # needed for a bounded LP
+            raise ValueError(f"a walked value of {plan.name} lacks an upper or a lower bound")
+        self.h = np.log([cap for _, cap, _ in bounds])
         self.centre, self.radius, self.weights = chebyshev_centre(self.G, self.h)
 
     def why_empty(self) -> str:
-        labels = dict.fromkeys(lab for (_, _, lab), w in zip(self.bounds, self.weights) if w > 1e-9)
+        labels = dict.fromkeys(lab for lab, w in zip(self.labels, self.weights) if w > 1e-9)
         return (
-            f"no parameter set for n={self.n}, k={self.k}: the log-modulus polytope is empty "
+            f"no parameter set for {self.plan.name}: the log-modulus polytope is empty "
             f"(Chebyshev radius {self.radius:.3g}); {', '.join(labels)} cannot hold together"
         )
 
-    def draw(self, rng) -> ParamSet:
-        """A set WALK_STEPS hit-and-run steps from the centre: uniform phases
-        on the free parameters, each partner solved from its relation."""
+    def draw(self, rng) -> Draw:
+        """The plan's draw WALK_STEPS hit-and-run steps from the centre,
+        with uniform phases, its sets as ParamSets."""
         G, h, y = self.G, self.h, self.centre
         for _ in range(WALK_STEPS):
             u = rng.standard_normal(len(y))
@@ -131,20 +220,8 @@ class SelbergPolytope:
             gu, slack = G @ u, h - G @ y
             lo, hi = np.max(slack[gu < 0] / gu[gu < 0]), np.min(slack[gu > 0] / gu[gu > 0])
             y = y + rng.uniform(lo, hi) * u
-        moduli = np.exp(self.lift @ y)
-
-        def phased(pos: int) -> complex:
-            return float(moduli[pos]) * cmath.exp(2j * math.pi * rng.uniform())
-
-        n = self.n
-        p, q, t = phased(P), phased(Q), phased(T)
-        ts = [0j] * (2 * n + 4)
-        for pos in self.free[3 + n :]:
-            ts[pos - 3] = phased(pos)
-        if self.hua:
-            ts[2 * n + 2] = t / ts[2 * n + 1]
-        tail = math.prod(ts[2 * n :])
-        for r, expo in enumerate(self.expos, start=1):
-            ts[2 * r - 2] = phased(1 + 2 * r)
-            ts[2 * r - 1] = p * q / (t**expo * ts[2 * r - 2] * tail)
-        return ParamSet(n, self.k, p, q, t, tuple(ts))
+        moduli = dict(zip(self.plan.walked, np.exp(y)))
+        phase = {name: cmath.exp(2j * math.pi * rng.uniform()) for name in self.plan.phased}
+        drawn = self.plan.build({name: float(moduli.get(name, 1.0)) * phase[name] for name in phase})
+        p, q, t = (drawn.values[name] for name in "pqt")
+        return replace(drawn, sets=[ParamSet(n, k, p, q, t, ts) for n, k, ts in drawn.sets])

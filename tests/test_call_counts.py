@@ -7,7 +7,7 @@ sets its evaluator integrates."""
 import numpy as np
 import pytest
 
-from ellsel import binomials, core, densities, harness, symbols
+from ellsel import binomials, core, densities, harness, kernel, symbols
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
 from ellsel.densities import IntegrandDescriptor, vertex_unary_fn
 from ellsel.partitions import Bipartition, sub_bipartitions
@@ -48,6 +48,16 @@ def test_density_tables_on_circles_make_no_grid_sized_gamma_call(monkeypatch):
     tables = integrand.values(256, 0.5 * np.pi / 256)
     assert len(tables) == 3 and tables[2][0].shape == (256, 256)
     assert all(np.size(args[0]) < 256 for args in calls)
+
+
+def test_kernel_k2_inner_circle_makes_no_grid_sized_gamma_call(monkeypatch):
+    # the inner one-pair kernel enters the Dixon factor as two more
+    # parameters, so both branches' 128-point circles come from one FFT
+    pr = harness.sample_case("kernel_consistency", 0, variant="c_factor").params
+    ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
+    calls = counting(monkeypatch, core, "_log_gamma")
+    kernel.kernel_k2((pr["x1"], pr["x2"]), (pr["y1"], pr["y2"]), pr["c"], ctx, inner_grid=128)
+    assert calls and all(np.size(args[0]) < 128 for args in calls)
 
 
 def test_rank_three_edge_table_is_computed_once_per_grid(monkeypatch):

@@ -56,7 +56,7 @@ MIXED = Bipartition.of((1,), (1,))
 def test_mixed_shape_cross_pole_listed():
     ctx = SymbolContext(NomePair(0.3, 0.32), 0.11)
     b = 0.28 + 0.04j
-    cross = [loc for loc, label in pole_map(MIXED, b, ctx) if "cross" in label]
+    cross = [loc for loc, label in pole_map(MIXED, b, ctx.t, ctx.p, ctx.q) if "cross" in label]
     assert len(cross) == 1
     assert abs(cross[0] - b / (0.3 * 0.32)) < 1e-14
 

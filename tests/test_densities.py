@@ -30,7 +30,7 @@ from ellsel.densities import (
     selberg_vertex_density,
 )
 from ellsel.harness import evaluate_case, sample_case
-from ellsel.polytope import SelbergPolytope, selberg_bounds
+from ellsel.polytope import SelbergPolytope, selberg_plan
 from ellsel.quadrature import (
     GridSpec,
     IntegrandSum,
@@ -328,7 +328,7 @@ class TestNormalizer:
 
 
 def _polytope(n, k, rho=INWARD_CAP):
-    return SelbergPolytope(n, k, selberg_bounds(n, k, rho))
+    return SelbergPolytope(selberg_plan(n, k), rho, False)
 
 
 class TestSampler:
@@ -336,7 +336,7 @@ class TestSampler:
         rng = np.random.default_rng(13)
         poly = _polytope(2, (1, 1), 0.85)
         for _ in range(3):
-            params = poly.draw(rng)
+            (params,) = poly.draw(rng).sets
             assert feasibility_check(params).ok
             assert params.balancing_residual(1) < 1e-13
             assert params.balancing_residual(2) < 1e-13

@@ -6,6 +6,9 @@ move a draw.
 Regenerate the fixture only for a change that is meant to move draws:
 
     PYTHONPATH=src python tests/test_pinned_draws.py
+
+It prints the key of each record it changes and the count it leaves
+alone, then rewrites the fixture.
 """
 
 import json
@@ -86,6 +89,13 @@ def test_draw_matches_fixture(family, options, seed):
 
 
 if __name__ == "__main__":
-    records = [draw_record(*case) for case in CASES]
+    old = {}
+    if FIXTURE.exists():
+        old = {_key(r["family"], r["options"], r["seed"]): r for r in json.loads(FIXTURE.read_text())}
+    records = [json.loads(json.dumps(draw_record(*case))) for case in CASES]
+    changed = [key for key, record in zip((_key(*case) for case in CASES), records) if old.get(key) != record]
+    for key in changed:
+        print(f"changed {key}")
+    print(f"{len(records) - len(changed)} of {len(records)} records unchanged")
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} draws to {FIXTURE}")

@@ -1,6 +1,7 @@
 """Tests for the log-modulus polytope: its Chebyshev LP against an
 independent solver, the empty polytopes it certifies, and the draws the
-samplers take from it."""
+samplers take from it, of the ParamSet families and of the
+kernel-weighted ones."""
 
 import json
 import os
@@ -10,9 +11,11 @@ import sys
 import numpy as np
 import pytest
 
+from ellsel import harness
 from ellsel.densities import INWARD_CAP, contour_feasibility
 from ellsel.harness import sample_case
-from ellsel.polytope import SelbergPolytope, chebyshev_centre, selberg_bounds
+from ellsel.partitions import Bipartition
+from ellsel.polytope import Plan, SelbergPolytope, chebyshev_centre, selberg_plan
 
 # the (n, k) table of ROADMAP item 1
 TABLE = [
@@ -22,15 +25,45 @@ TABLE = [
 ]
 
 
+# each kernel-weighted family and variant, by its sampler options
+KERNEL_WEIGHTED = [
+    ("vdBult", {"mu": Bipartition.of((2,), ())}), ("key_theorem", {"mu": Bipartition.of((), (1,))}),
+    ("prop_RK", {"mu": Bipartition.of((1,), ())}), ("kernel_decomp", {"variant": "theorem"}),
+    ("kernel_decomp", {"variant": "corollary"}), ("prop_xselberg_base", {"variant": "base"}),
+    ("prop_xselberg_base", {"variant": "recursion"}), ("equal_k_recursion", {}),
+]
+
+
 def _polytope(n, k, rho=INWARD_CAP, hua=False, crossed=False):
-    return SelbergPolytope(n, k, selberg_bounds(n, k, rho, crossed=crossed), hua=hua)
+    return SelbergPolytope(selberg_plan(n, k, hua), rho, crossed)
+
+
+def _sampler_plan(monkeypatch, family, options):
+    """The plan a sampler draws from at seed 3."""
+    plans = []
+
+    def recording(plan, rho, crossed):
+        plans.append(plan)
+        return SelbergPolytope(plan, rho, crossed)
+
+    monkeypatch.setattr(harness, "SelbergPolytope", recording)
+    sample_case(family, 3, **options)
+    return plans[0]
 
 
 @pytest.mark.parametrize("rho", [INWARD_CAP, 0.8])
-@pytest.mark.parametrize("n,k,hua", [(n, k, False) for n, k in TABLE] + [(2, (1, 1), True), (3, (1, 1, 1), True)])
-def test_centre_radius_matches_linprog(n, k, hua, rho):
+@pytest.mark.parametrize(
+    "n,k,hua",
+    [(n, k, False) for n, k in TABLE] + [(2, (1, 1), True), (3, (1, 1, 1), True)]
+    + [pytest.param(f, o, False, id="-".join([f, *map(str, o.values())])) for f, o in KERNEL_WEIGHTED],
+)
+def test_centre_radius_matches_linprog(n, k, hua, rho, monkeypatch):
+    # n, k name a kernel-weighted sampler and its options in the last entries
     optimize = pytest.importorskip("scipy.optimize")
-    poly = _polytope(n, k, rho, hua)
+    if isinstance(n, str):
+        poly = SelbergPolytope(_sampler_plan(monkeypatch, n, k), rho, False)
+    else:
+        poly = _polytope(n, k, rho, hua)
     G, h = poly.G, poly.h
     g = np.linalg.norm(G, axis=1)
     res = optimize.linprog(
@@ -57,9 +90,18 @@ def test_k12_crossed_polytope_draws_need_both_level_one_residue_terms():
     assert poly.radius > 0
     rng = np.random.default_rng(3)
     for _ in range(3):
-        feas = contour_feasibility(poly.draw(rng))
+        feas = contour_feasibility(poly.draw(rng).sets[0])
         assert feas.ok, feas.violations
         assert [(r.level, r.index) for r in feas.contour.residues] == [(1, 0), (1, 1)]
+
+
+def test_walked_value_without_bounds_refused():
+    # a walked value in no row would leave the LP unbounded and drift
+    # along every hit-and-run line
+    plan = selberg_plan(1, (1,))
+    loose = Plan(plan.name, plan.walked + ("v",), plan.phased + ("v",), plan.build)
+    with pytest.raises(ValueError, match="lacks an upper or a lower bound"):
+        SelbergPolytope(loose, INWARD_CAP, False)
 
 
 def test_chebyshev_centre_of_a_box():
@@ -91,8 +133,23 @@ def test_sampling_does_not_import_scipy():
         ("beta_k1", {}), ("selberg_A1", {"k": 3}), ("an_selberg", {"n": 2, "k": [1, 2]}),
         ("an_aflt", {"n": 2}), ("an_kadell", {"n": 1}), ("an_hua_kadell", {"n": 2}),
     ]
+    entries += [(family, {}) for family in ("vdBult", "key_theorem", "prop_RK", "kernel_decomp")]
+    entries += [("prop_xselberg_base", {}), ("equal_k_recursion", {})]
     res = subprocess.run(
         [sys.executable, "-c", code, json.dumps(entries)], capture_output=True, text=True, check=True,
         timeout=300, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert res.stdout.strip() == "False"
+
+
+# vdBult, key_theorem and prop_RK pick their shape by seed
+SWEEP = [("vdBult", {}), ("key_theorem", {}), ("prop_RK", {})] + KERNEL_WEIGHTED[3:]
+
+
+@pytest.mark.parametrize("family,options", SWEEP, ids=["-".join([f, *o.values()]) for f, o in SWEEP])
+def test_kernel_weighted_seeds_sample_without_rejection(family, options):
+    # a draw that feasibility_check or the pole check rejects raises
+    # AssertionError; only vdBult's (1|1) seeds are certified empty
+    for seed in range(21):
+        case = sample_case(family, seed, **options)
+        assert case.params or case.id == f"vdBult-s{seed}", case.extra
