@@ -435,8 +435,9 @@ def pinned_edge_fn(cval: complex, u: complex, nomes: NomePair) -> GammaFactor:
 @dataclass
 class IntegrandDescriptor:
     """Composable description of a BC-symmetric integrand: the density of
-    params times extra univariate factors keyed by level, such as
-    interpolation functions.  A kernel factor Gamma(c x^+- z^+-) is no
+    params times extra univariate factors keyed by level, such as the
+    values of the interpolation.InterpFactor records a case declares on
+    that level, in their order.  A kernel factor Gamma(c x^+- z^+-) is no
     extra factor: it enters params as the vertex parameters c x and c / x,
     and its normalisation moves to the closed form."""
 

@@ -8,8 +8,10 @@ through _sample_on_polytope: a draw from the log-modulus polytope of
 its plan (ellsel.polytope), whose sets are Selberg densities on the
 unit torus or a residue-corrected contour, a kernel Gamma(c x^+- z^+-)
 entering a set as c x and c / x; an empty polytope makes the case
-infeasible.  run_case alone does the adaptive quadrature and decides
-the status.  Reports carry both the identity residual and the
+infeasible.  The plan declares each interpolation factor R*_mu once, as
+an InterpFactor: the polytope bounds its poles and the evaluator's
+integrands carry it.  run_case alone does the adaptive quadrature and
+decides the status.  Reports carry both the identity residual and the
 quadrature doubling estimate so formula errors and quadrature noise
 remain distinguishable.
 """
@@ -45,12 +47,12 @@ from ellsel.densities import (
     selberg_average_normalizer,
 )
 from ellsel.interpolation import (
+    InterpFactor,
     branching_residual,
     hybrid_branching_residual,
     interp_hybrid,
     interp_nonskew,
     interp_skew,
-    pole_map,
 )
 from ellsel.kernel import ContourError, kernel_k1, kernel_k2
 from ellsel.partitions import (
@@ -183,10 +185,33 @@ def _unit(rng) -> complex:
     return cmath.exp(2j * math.pi * rng.uniform())
 
 
-def _set_integrand(case: IdentityCase, index: int, extra_unary: dict):
-    """The integrand of the index-th density set the case's draw checked,
-    times the extra unary factors keyed by level."""
-    return IntegrandDescriptor(case.extra["sets"][index], extra_unary=extra_unary).build()
+def case_factors(case: IdentityCase) -> list[InterpFactor]:
+    """The interpolation factors of case's integrands: those its draw
+    declared, or an interpolation average's, from its parameter set."""
+    if case.paramset is None or case.shapes is None:
+        return case.extra.get("factors", [])
+    return _aflt_factors(case.paramset.n, *case.shapes, case.family == "an_hua_kadell", _named(case.paramset))
+
+
+def _set_integrand(case: IdentityCase, index: int, ctx: SymbolContext, cache: TableCache):
+    """The integrand of the case's index-th density set, the draw's or its
+    parameter set, times each of case_factors on one of its levels, in
+    order, on ctx and cache."""
+    extra = {}
+    for factor in case_factors(case):
+        for where, level in factor.places:
+            if where == index:
+                extra.setdefault(level, []).append(partial(factor.value, ctx=ctx, cache=cache))
+    return IntegrandDescriptor(case.extra.get("sets", [case.paramset])[index], extra_unary=extra).build()
+
+
+def _evaluation_parts(case: IdentityCase) -> tuple[dict, SymbolContext, TableCache, object]:
+    """A kernel-weighted case's values, their symbol context, the one table
+    cache its factors and closed form share, and its first set's integrand."""
+    pr = case.params
+    ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
+    cache = TableCache(seed=case.seed)
+    return pr, ctx, cache, _set_integrand(case, 0, ctx, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +291,11 @@ def _gamma_pm_list(a, z):
     return [a * z, a / z]
 
 
-def _hybrid_mu_fn(mu, ts6, ctx: SymbolContext, cache: TableCache):
-    """Hybrid factor R*_mu(z; t4/t, t5/t; t tau, t6), tau = t3 t4 t5 / t^2,
-    of a rank-one parameter list ts6 = (t1..t6); a rank-n caller passes
-    its last six parameters t_(2n-1)..t_(2n+4)."""
-    t = ctx.t
-    tau = ts6[2] * ts6[3] * ts6[4] / t**2
-
-    def fn(z):
-        return interp_hybrid(mu, (z,), (ts6[3] / t, ts6[4] / t), t * tau, ts6[5], ctx, cache)
-
-    return fn
+def _hybrid_mu(mu, tail, t, places) -> InterpFactor:
+    """R*_mu(z; t4/t, t5/t; t tau, t6), tau = t3 t4 t5 / t^2, over tail = (t3,
+    t4, t5, t6); a rank-n set passes its t_(2n+1)..t_(2n+4)."""
+    tau = tail[0] * tail[1] * tail[2] / t**2
+    return InterpFactor(mu, t * tau, tail[3], (tail[1] / t, tail[2] / t), places)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +395,8 @@ def _sample_density(family: str, seed: int, cfg, k, rng, at, case_id: str, shape
     take the residue-corrected contour."""
     n, k = len(k), tuple(k)
     size = _density_size(cfg, k) if shapes is None else _aflt_size(cfg, n)
-    poles = None if shapes is None else partial(_aflt_poles, n, *shapes)
-    plan = selberg_plan(n, k, hua=family == "an_hua_kadell", poles=poles)
+    hua = family == "an_hua_kadell"
+    plan = selberg_plan(n, k, hua=hua, factors=shapes and partial(_aflt_factors, n, *shapes, hua))
 
     def at_draw(drawn: Draw, contour: Contour) -> IdentityCase:
         return at(seed, cfg, drawn.sets[0], contour)
@@ -412,26 +431,20 @@ def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
 # ---------------------------------------------------------------------------
 
 
-def _poles(shape: Bipartition, b, v: dict) -> list:
-    """Draw.poles of the factor R*_shape at b over the nomes and t of v."""
-    towers = pole_map(shape, b, v["t"], v["p"], v["q"])
-    return [(value, f"interpolation pole of R_{shape} {label}") for value, label in towers]
-
-
 def _box(value, name: str) -> list:
     """Draw.floors boxing a walked value outside every set."""
     return [(value, INWARD_CAP, f"|{name}| <= {INWARD_CAP}"), (1 / value, 1 / LOWEST, f"|{name}| >= {LOWEST}")]
 
 
 def _sample_kernel_weighted(tag: int, case: IdentityCase, walked: str, phase_only: str, build) -> IdentityCase:
-    """case with a draw's values as params and its checked sets as
-    extra["sets"], drawn by the rng [seed, tag] on the polytope of the
-    case's grid and tol: walked values, then phase-only ones.  An empty
-    polytope gives an infeasible case with id family-sSEED."""
+    """case with a draw's values as params and its checked sets and factors
+    as extra["sets"], extra["factors"], drawn by the rng [seed, tag] on the
+    polytope of the case's grid and tol: walked values, then phase-only
+    ones.  An empty polytope gives an infeasible case with id family-sSEED."""
     plan = Plan(case.id, tuple(walked.split()), tuple(f"{walked} {phase_only}".split()), build)
 
     def at(drawn: Draw, contour: Contour) -> IdentityCase:
-        return replace(case, params=drawn.values, extra=case.extra | {"sets": drawn.sets})
+        return replace(case, params=drawn.values, extra=case.extra | {"sets": drawn.sets, "factors": drawn.factors})
 
     rng = np.random.default_rng([case.seed, tag])
     return _sample_on_polytope(case.family, case.seed, rng, plan, (case.grid, case.tol), at, "", False)
@@ -460,25 +473,17 @@ def _sample_vdbult(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCas
     def build(v: dict) -> Draw:
         p, q, t, t1, t2, t3, x1 = map(v.get, "p q t t1 t2 t3 x1".split())
         t4, c = t / (t1 * t2 * t3), sqrt(p * q / t)
-        return Draw(v | {"t4": t4, "c": c}, [(1, (1,), (t1, t2, t3, t4, c * x1, c / x1))], _poles(mu, t2, v), [])
+        sets = [(1, (1,), (t1, t2, t3, t4, c * x1, c / x1))]
+        return Draw(v | {"t4": t4, "c": c}, sets, [InterpFactor(mu, t1, t2, None, ((0, 1),))], [])
 
     case = _one_dim_case(f"vdBult-{mu}-s{seed}", "vdBult", seed, cfg, 1e-8, shapes=(mu, ZERO))
     return _sample_kernel_weighted(103, case, "p q t t1 t2 t3", "x1", build)
 
 
 def _eval_vdbult(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    p, q, t = pr["p"], pr["q"], pr["t"]
+    pr, ctx, cache, integrand = _evaluation_parts(case)
     t1, t2, t3, t4, c, x1 = pr["t1"], pr["t2"], pr["t3"], pr["t4"], pr["c"], pr["x1"]
     mu = case.shapes[0]
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
-    cache = TableCache(seed=case.seed)
-
-    def interp_fn(z):
-        return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
-
-    integrand = _set_integrand(case, 0, {1: [interp_fn]})
     rhs = interp_nonskew(mu, (x1,), c * t1, c * t2, ctx, cache)
     rhs *= delta0_bi(mu, t1 / t2, [t1 * t3, t1 * t4], ctx)
     # Gamma over t_r t_s (r < s) and c t_r x1^+-: the normalizer of the
@@ -486,7 +491,7 @@ def _eval_vdbult(case: IdentityCase) -> Evaluation:
     tlist, gargs = (t1, t2, t3, t4), []
     for r, tr in enumerate(tlist):
         gargs += [tr * ts for ts in tlist[r + 1 :]] + [c * tr * x1, c * tr / x1]
-    rhs *= elliptic_gamma_multi(gargs, nomes)
+    rhs *= elliptic_gamma_multi(gargs, ctx.nomes)
     return Evaluation(rhs, integrand)
 
 
@@ -512,11 +517,9 @@ def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> Identit
 
 
 def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    p, q, t = pr["p"], pr["q"], pr["t"]
+    pr, ctx, _, integrand = _evaluation_parts(case)
+    t, nomes = ctx.t, ctx.nomes
     b, c, d, x1, y1 = pr["b"], pr["c"], pr["d"], pr["x1"], pr["y1"]
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
     variant = case.extra["variant"]
 
     # The integrand is the density of the set the sampler checks: each
@@ -538,7 +541,7 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
         rhs /= elliptic_gamma_multi(
             _gamma_pm_list(b * c * d**2, x1) + _gamma_pm_list(c * t / b, x1), nomes
         )
-    return Evaluation(rhs, _set_integrand(case, 0, {}))
+    return Evaluation(rhs, integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -555,32 +558,23 @@ def _sample_key_theorem(seed: int, cfg, mu: Bipartition | None = None) -> Identi
         c = sqrt(p * q / (t1 * t2 * t3 * t4))
         floors = [(1 / c, 10.0, "|c| >= 0.1")] + _box(v1, "v1") + _box(v["v2"], "v2")
         sets = [(1, (1,), (t1, t2, t3, t4, c * x1, c / x1))]
-        return Draw(v | {"t4": t4, "c": c}, sets, _poles(mu, t2, v), floors)
+        hybrid = InterpFactor(mu, t * t1 * v1 * v["v2"], t2, (v1, v["v2"]), ((0, 1),))
+        return Draw(v | {"t4": t4, "c": c}, sets, [hybrid], floors)
 
     case = _one_dim_case(f"key_theorem-{mu}-s{seed}", "key_theorem", seed, cfg, 1e-8, shapes=(mu, ZERO))
     return _sample_kernel_weighted(105, case, "p q t t1 t2 t3 v1 v2", "x1", build)
 
 
 def _eval_key_theorem(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    p, q, t = pr["p"], pr["q"], pr["t"]
-    t1, t2, t3, t4 = pr["t1"], pr["t2"], pr["t3"], pr["t4"]
+    pr, ctx, cache, integrand = _evaluation_parts(case)
+    t, t1, t2 = ctx.t, pr["t1"], pr["t2"]
     v1, v2, c, x1 = pr["v1"], pr["v2"], pr["c"], pr["x1"]
     mu = case.shapes[0]
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
-    cache = TableCache(seed=case.seed)
-    a_hyb = t * t1 * v1 * v2
-
-    def interp_fn(z):
-        return interp_hybrid(mu, (z,), (v1, v2), a_hyb, t2, ctx, cache)
-
-    integrand = _set_integrand(case, 0, {1: [interp_fn]})
-    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, nomes)
+    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, ctx.nomes)
     head = t * t1 * v1 * v2 / t2
     rhs *= delta0_bi(mu, head, [t * t1 * v1], ctx)
     rhs /= delta0_bi(mu, head, [c**2 * t * t1 * v1], ctx)
-    rhs *= interp_hybrid(mu, (x1,), (c * v1, v2 / c), c * a_hyb, c * t2, ctx, cache)
+    rhs *= interp_hybrid(mu, (x1,), (c * v1, v2 / c), c * (t * t1 * v1 * v2), c * t2, ctx, cache)
     return Evaluation(rhs, integrand)
 
 
@@ -597,27 +591,18 @@ def _sample_prop_rk(seed: int, cfg, mu: Bipartition | None = None) -> IdentityCa
         c = sqrt(p * q / (t2 * t3 * t4 * t5))
         floors = [(1 / c, 10.0, "|c| >= 0.1")] + _box(v["t1"], "t1")
         sets = [(1, (1,), (t2, t3, t4, t5, c * x1, c / x1))]
-        return Draw(v | {"c": c}, sets, _poles(mu, t2, v), floors)
+        return Draw(v | {"c": c}, sets, [InterpFactor(mu, v["t1"], t2, None, ((0, 1),))], floors)
 
     case = _one_dim_case(f"prop_RK-{mu}-s{seed}", "prop_RK", seed, cfg, 1e-8, shapes=(mu, ZERO))
     return _sample_kernel_weighted(106, case, "p q t t1 t2 t3 t4 t5", "x1", build)
 
 
 def _eval_prop_rk(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    p, q, t = pr["p"], pr["q"], pr["t"]
+    pr, ctx, cache, integrand = _evaluation_parts(case)
     t1, t2, t3, t4, t5 = pr["t1"], pr["t2"], pr["t3"], pr["t4"], pr["t5"]
     c, x1 = pr["c"], pr["x1"]
     mu = case.shapes[0]
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
-    cache = TableCache(seed=case.seed)
-
-    def interp_fn(z):
-        return interp_nonskew(mu, (z,), t1, t2, ctx, cache)
-
-    integrand = _set_integrand(case, 0, {1: [interp_fn]})
-    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, nomes)
+    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, ctx.t, ctx.nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     nus = sub_bipartitions(mu)
@@ -671,11 +656,14 @@ AFLT_N2_SHAPES = [
 ]
 
 
-def _aflt_poles(n: int, lam, mu, v: dict) -> list:
-    """The pole towers of the lam factor on level 1, whose b is
-    c^(1-n) t_2, and of the mu factor on level n, whose b is t_(2n+4),
-    over the values v of a rank-n set."""
-    return _poles(lam, v["c"] ** (1 - n) * v["t2"], v) + _poles(mu, v[f"t{2 * n + 4}"], v)
+def _aflt_factors(n: int, lam, mu, hua: bool, v: dict) -> list[InterpFactor]:
+    """R*_lam(z; c^(1-n) t_1, c^(1-n) t_2) on level 1 and, on level n, with
+    hua R*_mu(z; t_(2n+1), t_(2n+4)), else _hybrid_mu, over the values v."""
+    t, c, ts = v["t"], v["c"], [v[f"t{i}"] for i in range(1, 2 * n + 5)]
+    lam_factor = InterpFactor(lam, c ** (1 - n) * ts[0], c ** (1 - n) * ts[1], None, ((0, 1),))
+    if hua:
+        return [lam_factor, InterpFactor(mu, ts[2 * n], ts[2 * n + 3], None, ((0, n),))]
+    return [lam_factor, _hybrid_mu(mu, ts[2 * n :], t, ((0, n),))]
 
 
 def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, Bipartition]:
@@ -721,7 +709,7 @@ def _aflt_at(
             f"{family} puts each interpolation factor on a single variable; "
             f"it needs every k_r = 1, not k={params.k}"
         )
-    elif poles := margin_violations(_aflt_poles(n, lam, mu, _named(params))):
+    elif poles := margin_violations([pole for f in case_factors(case) for pole in f.poles(_named(params))]):
         case.extra["infeasible"] = "; ".join(poles)
     return case
 
@@ -737,41 +725,17 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
     return _sample_density(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
 
 
-def _aflt_integrand(params: ParamSet, lam, mu, ctx, cache, plain_mu=False):
-    n, ts, c = params.n, params.ts, params.c
-
-    def lam_fn(z):
-        return interp_nonskew(lam, (z,), c ** (1 - n) * ts[0], c ** (1 - n) * ts[1], ctx, cache)
-
-    if plain_mu:
-
-        def mu_fn(z):
-            return interp_nonskew(mu, (z,), ts[2 * n], ts[2 * n + 3], ctx, cache)
-
-    else:
-        mu_fn = _hybrid_mu_fn(mu, ts[2 * n - 2 :], ctx, cache)
-
-    extra = {1: [lam_fn]} if n > 1 else {1: [lam_fn, mu_fn]}
-    if n > 1:
-        extra[n] = [mu_fn]
-    return IntegrandDescriptor(params, extra_unary=extra).build()
-
-
 def _eval_an_aflt(case: IdentityCase) -> Evaluation:
     """The integral over the density's normalizer is compared with the
     closed form of the interpolation-function average."""
     params = case.paramset
     lam, mu = case.shapes
     ctx = SymbolContext(params.nomes, params.t)
-    cache = TableCache(seed=case.seed)
-    hua = case.family == "an_hua_kadell"
-    integrand = _aflt_integrand(params, lam, mu, ctx, cache, plain_mu=hua)
-    notes = ""
-    if hua:
-        notes = (
-            "verified as the t_(2n+2) t_(2n+3) = t specialisation; the printed "
-            "corollary's t_(n+1) is read as t_(2n+1)"
-        )
+    integrand = _set_integrand(case, 0, ctx, TableCache(seed=case.seed))
+    notes = "" if case.family != "an_hua_kadell" else (
+        "verified as the t_(2n+2) t_(2n+3) = t specialisation; the printed "
+        "corollary's t_(n+1) is read as t_(2n+1)"
+    )
     return Evaluation(
         aflt_rhs(params, lam, mu, ctx), integrand, norm=an_selberg_rhs(params), notes=notes
     )
@@ -792,7 +756,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
         d = sqrt(p * q / (t3 * t4 * t5 * t6))
         floors = [(1 / d, 10.0, "|d| >= 0.1")] + _box(t1, "t1")
         sets = [(1, (1,), (t3, t4, t5, t6, d * x1, d / x1))]
-        return Draw(v | {"t2": d**2 * t**k0 / t1, "d": d}, sets, _poles(mu, t6, v), floors)
+        mu_factor = _hybrid_mu(mu, (t3, t4, t5, t6), t, ((0, 1),))
+        return Draw(v | {"t2": d**2 * t**k0 / t1, "d": d}, sets, [mu_factor], floors)
 
     def recursion(v: dict) -> Draw:
         # n = 2, (k0, k1, k2) = (0, 1, 1): the kernel Gamma(d x1^+- z^+-)
@@ -805,7 +770,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
         floors = [(1 / d, 1 / 0.08, "|d| >= 0.08"), (c * d, INWARD_CAP, f"|c d| <= {INWARD_CAP}")]
         floors += _box(t1, "t1")
         sets = [(2, (1, 1), (c * d * x1, c * d / x1, t3, t4, t5, t6, t7, t8))]
-        return Draw(v | {"t2": t2, "t4": t4, "c": c, "d": d}, sets, _poles(mu, t8, v), floors)
+        mu_factor = _hybrid_mu(mu, (t5, t6, t7, t8), t, ((0, 2),))
+        return Draw(v | {"t2": t2, "t4": t4, "c": c, "d": d}, sets, [mu_factor], floors)
 
     if variant == "base":
         case_id, walked = f"prop_xselberg-base-k0{k0}-{mu}-s{seed}", "p q t t1 t3 t4 t5 t6"
@@ -819,12 +785,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
 
 
 def _eval_xselberg(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    mu = case.shapes[0]
-    p, q, t = pr["p"], pr["q"], pr["t"]
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
-    cache = TableCache(seed=case.seed)
+    pr, ctx, _, integrand = _evaluation_parts(case)
+    mu, t, nomes = case.shapes[0], ctx.t, ctx.nomes
     x1, d = pr["x1"], pr["d"]
 
     # The kernel Gamma(d x1^+- z^+-) / (Gamma(t) Gamma(d^2)) enters the
@@ -833,16 +795,12 @@ def _eval_xselberg(case: IdentityCase) -> Evaluation:
     # normalisation.
     if case.extra["variant"] == "base":
         ts6 = tuple(pr[f"t{i}"] for i in range(1, 7))
-        mu_fn = _hybrid_mu_fn(mu, ts6, ctx, cache)
-        integrand = _set_integrand(case, 0, {1: [mu_fn]})
         rhs = elliptic_gamma_multi([t, d**2], nomes)
         rhs *= xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0)
         return Evaluation(rhs, integrand)
 
     ts = tuple(pr[f"t{i}"] for i in range(1, 9))
     c = pr["c"]
-    mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    integrand = _set_integrand(case, 0, {2: [mu_fn]})
     pref_args = [c * d * t * x1 / ts[2], c * d * t / (x1 * ts[2])]
     pref_args += [c * d * t * x1 / ts[3], c * d * t / (x1 * ts[3])]
     rhs = elliptic_gamma_multi(pref_args + [t, d**2], nomes)
@@ -866,15 +824,16 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
     lam, mu = EQK_SHAPES[seed % len(EQK_SHAPES)]
 
     def build(v: dict) -> Draw:
-        # The right side integrates the rank-one density of t1, t2, t5..t8;
-        # lam's pole towers ride on c^(-1) t2 in level 1 and on t2 there.
+        # The right side integrates the rank-one density of t1, t2, t5..t8:
+        # lam sits on level 1 at (c^-1 t1, c^-1 t2) and there at (t1, t2).
         p, q, t, t1, t3, t5, t6, t7, t8 = map(v.get, "p q t t1 t3 t5 t6 t7 t8".split())
         c, tail = sqrt(p * q / t), t5 * t6 * t7 * t8
         t2 = p * q / (t1 * tail)
         t4 = t * t1 * t2 / t3
         ts = (t1, t2, t3, t4, t5, t6, t7, t8)
-        poles = _poles(lam, t2 / c, v) + _poles(lam, t2, v) + _poles(mu, t8, v)
-        return Draw(v | {"t2": t2, "t4": t4, "c": c}, [(2, (1, 1), ts), (1, (1,), (t1, t2) + ts[4:])], poles, [])
+        factors = [InterpFactor(lam, t1 / c, t2 / c, None, ((0, 1),)), InterpFactor(lam, t1, t2, None, ((1, 1),))]
+        factors.append(_hybrid_mu(mu, ts[4:], t, ((0, 2), (1, 1))))
+        return Draw(v | {"t2": t2, "t4": t4, "c": c}, [(2, (1, 1), ts), (1, (1,), (t1, t2) + ts[4:])], factors, [])
 
     grid = GridSpec((cfg.grid_2d_rec,) * 2)
     case = IdentityCase(
@@ -885,19 +844,9 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
 
 
 def _eval_equal_k(case: IdentityCase) -> Evaluation:
-    pr = case.params
-    lam, mu = case.shapes
-    p, q, t, c = pr["p"], pr["q"], pr["t"], pr["c"]
+    pr, ctx, cache, integrand = _evaluation_parts(case)
+    lam, t, nomes, c = case.shapes[0], ctx.t, ctx.nomes, pr["c"]
     ts = tuple(pr[f"t{i}"] for i in range(1, 9))
-    ctx = SymbolContext(NomePair(p, q), t)
-    nomes = ctx.nomes
-    cache = TableCache(seed=case.seed)
-
-    def lam_fn(z):
-        return interp_nonskew(lam, (z,), ts[0] / c, ts[1] / c, ctx, cache)
-
-    mu_fn = _hybrid_mu_fn(mu, ts[2:], ctx, cache)
-    integrand = _set_integrand(case, 0, {1: [lam_fn], 2: [mu_fn]})
 
     # Right side: prefactor times the rank-one integral with t3, t4 removed.
     pref_num = [ts[0] * ts[1] / c**2]
@@ -907,11 +856,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
             pref_num.append(t * ts[r] / ts[s])
     rhs = elliptic_gamma_multi(pref_num, nomes) / elliptic_gamma_multi(pref_den, nomes)
     rhs *= delta0_bi(lam, ts[0] / ts[1], [t * ts[0] / ts[2], t * ts[0] / ts[3]], ctx)
-
-    def lam1_fn(z):
-        return interp_nonskew(lam, (z,), ts[0], ts[1], ctx, cache)
-
-    inner = _set_integrand(case, 1, {1: [lam1_fn, mu_fn]})
+    inner = _set_integrand(case, 1, ctx, cache)
     inner_res = integrate_adaptive(inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 2)
     rhs *= inner_res.value
     return Evaluation(rhs, integrand)

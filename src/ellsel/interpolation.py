@@ -13,13 +13,15 @@ binomial tables:
 
 The x arguments may be numpy arrays; everything downstream broadcasts,
 which is what the quadrature grids rely on.  pole_bases lists the pole
-towers of R*_mu as monomials and pole_map evaluates them at b; the
-samplers' log-modulus polytope (ellsel.polytope) bounds them.
+towers of R*_mu as monomials and pole_map evaluates them at b.  An
+InterpFactor declares one factor of a case's integrands; the samplers'
+log-modulus polytope (ellsel.polytope) bounds its pole_map.
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +36,10 @@ def interp_nonskew(lam: Bipartition, xs, a, b, ctx: SymbolContext, cache: TableC
     than k.  Entries of xs may be arrays."""
     cache = cache if cache is not None else TableCache()
     k = len(xs)
-    if lam.max_length > k:
-        return 0.0
-    if lam.is_zero():
+    if lam.max_length > k or lam.is_zero():
         shape = np.broadcast(*[np.asarray(x) for x in xs]).shape if xs else ()
-        return 1.0 if shape == () else np.ones(shape, dtype=np.complex128)
+        fill = 0.0 if lam.max_length > k else 1.0
+        return fill if shape == () else np.full(shape, fill, dtype=np.complex128)
     t, pq = ctx.t, ctx.pq
     big_a = t ** (k - 1) * a / b
     big_b = t**k * a * b / pq
@@ -255,3 +256,31 @@ def pole_map(mu: Bipartition, b, t, p, q) -> list[tuple[complex, str]]:
     """The pole_bases of R*_mu(..; a, b) at b as (location, label) pairs,
     over complex b, t, p, q or their polytope.LogModulus rows."""
     return [(monomial((t, p, q), expo) * b**power, label) for expo, power, label in pole_bases(mu)]
+
+
+@dataclass(frozen=True)
+class InterpFactor:
+    """One interpolation factor of a case's integrands, declared where the
+    case builds its density sets: R*_shape(z; a, b), or R*_shape(z; v1,
+    v2; a, b) when vs = (v1, v2), on the variable of each (set, level) in
+    places.  On polytope.LogModulus rows only its poles at b are read."""
+
+    shape: Bipartition
+    a: object
+    b: object
+    vs: tuple | None
+    places: tuple
+
+    def __post_init__(self):
+        if self.vs is None and self.shape.max_length > 1:
+            raise ValueError(f"the one-variable factor R*_{self.shape}(z; a, b) takes one row per component at most")
+
+    def poles(self, v: dict) -> list[tuple[object, str]]:
+        """Its pole_map at b over the t, p and q of the values v, labelled."""
+        towers = pole_map(self.shape, self.b, v["t"], v["p"], v["q"])
+        return [(value, f"interpolation pole of R_{self.shape} {label}") for value, label in towers]
+
+    def value(self, z, ctx: SymbolContext, cache: TableCache):
+        if self.vs is None:
+            return interp_nonskew(self.shape, (z,), self.a, self.b, ctx, cache)
+        return interp_hybrid(self.shape, (z,), self.vs, self.a, self.b, ctx, cache)

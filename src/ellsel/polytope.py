@@ -3,10 +3,10 @@
 A draw is a set of named complex values: walked ones with uniform
 phases, phase-only ones of modulus 1 and the ones a family's plan
 derives from both.  Every condition on a draw (the torus conditions of
-each Selberg density set it builds, its interpolation pole towers and
-floors) bounds the modulus of a monomial, so the draws form a polytope
-in the walked log-moduli; the plan's build gives its rows when run on
-LogModulus values.  A draw starts at the Chebyshev centre, found by a
+each Selberg density set it builds, the pole towers of each
+interpolation factor it declares, and floors) bounds the modulus of a
+monomial, so the draws form a polytope in the walked log-moduli; the
+plan's build gives its rows when run on LogModulus values.  A draw starts at the Chebyshev centre, found by a
 dense simplex LP (Boyd & Vandenberghe, "Convex Optimization", 2004,
 §8.5), and walks hit-and-run steps (Smith, Operations Research 32,
 1984).  A radius at or below zero certifies the polytope empty.
@@ -68,14 +68,18 @@ def sqrt(value):
 @dataclass
 class Draw:
     """What a plan builds from its values: the named values; each density
-    set as (n, k, ts) over their p, q and t, a ParamSet once drawn; the
-    pole towers as (value, label), held at rho and checked at INWARD_CAP;
-    and the floors as (value, cap, label), |value| <= cap."""
+    set as (n, k, ts) over their p, q and t, a ParamSet once drawn; its
+    interpolation.InterpFactor list, whose poles are held at rho and
+    checked at INWARD_CAP; and floors (value, cap, label), |value| <= cap."""
 
     values: dict
     sets: list
-    poles: list
+    factors: list
     floors: list
+
+    @property
+    def poles(self) -> list:
+        return [pole for factor in self.factors for pole in factor.poles(self.values)]
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,11 @@ class Plan:
     build: Callable[[dict], Draw]
 
 
-def selberg_plan(n: int, k, hua: bool = False, poles: Callable | None = None) -> Plan:
+def selberg_plan(n: int, k, hua: bool = False, factors: Callable | None = None) -> Plan:
     """The plan of rank-n sets with level sizes k, and t_(2n+2) t_(2n+3) = t
     with hua: it walks p, q, t, t_(2r-1) on each level r and the shared
     t_(2n+1) .. t_(2n+4) (less t_(2n+3) with hua), solves each t_(2r)
-    from its balancing relation, and takes pole towers from poles(values)."""
+    from its balancing relation, and declares factors(values)."""
     kk, names = (0,) + tuple(k), [f"t{i}" for i in range(1, 2 * n + 5)]
     expos = [kk[r] - kk[r - 1] + kk[n] - 2 for r in range(1, n + 1)]  # of t in each relation
     level = names[0 : 2 * n : 2]
@@ -109,7 +113,7 @@ def selberg_plan(n: int, k, hua: bool = False, poles: Callable | None = None) ->
         for r, expo in enumerate(expos, start=1):
             ts[2 * r - 1] = p * q / (t**expo * ts[2 * r - 2] * tail)
         values = {"p": p, "q": q, "t": t, "c": sqrt(p * q / t)} | dict(zip(names, ts))
-        return Draw(values, [(n, tuple(k), tuple(ts))], poles(values) if poles else [], [])
+        return Draw(values, [(n, tuple(k), tuple(ts))], factors(values) if factors else [], [])
 
     return Plan(f"n={n}, k={tuple(k)}", ("p", "q", "t", *level, *shared), ("p", "q", "t", *shared, *level), build)
 

@@ -607,6 +607,20 @@ class TestCli:
         assert f"family {family} takes --shapes {form}, got '{shapes}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "family,shapes", [("vdBult", "1,1|0"), ("prop_RK", "1,1|0"), ("an_hua_kadell", "0|0;1,1|0")]
+    )
+    def test_two_row_shape_on_one_variable_exit_3(self, capsys, family, shapes):
+        # a plain factor R*_mu(z; a, b) has one variable, so (1,1|0) would
+        # make it vanish; an_hua_kadell's mu factor is plain too
+        assert main(["case", "--family", family, "--shapes", shapes]) == 3
+        assert "factor R*_1,1|0(z; a, b) takes one row per component" in capsys.readouterr().err
+
+    def test_key_theorem_takes_a_two_row_mu(self):
+        # its hybrid factor has the variables z, v1 and v2
+        rep = run_case(sample_case("key_theorem", 0, mu=Bipartition.of((1, 1), ())))
+        assert rep.status == "pass", rep.notes
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             (["verify", "--grid", "0"], "--grid"),

@@ -13,6 +13,7 @@ from ellsel.core import NomePair
 from ellsel.binomials import TableCache, binomial
 from ellsel.densities import INWARD_CAP, margin_violations
 from ellsel.interpolation import (
+    InterpFactor,
     branching_residual,
     hybrid_branching_residual,
     interp_hybrid,
@@ -52,6 +53,13 @@ class TestNonskew:
     def test_too_long_vanishes(self):
         lam = Bipartition.of((1, 1), ())
         assert interp_nonskew(lam, (0.8,), 0.5, 0.4, CTX) == 0.0
+
+    def test_too_long_vanishes_on_arrays(self):
+        # zeros shaped like the broadcast arguments, as a quadrature grid
+        # needs, like the ones of the zero shape
+        z = np.exp(1j * np.linspace(0.0, 6.0, 7))
+        got = interp_nonskew(Bipartition.of((1, 1), ()), (z,), 0.5, 0.4, CTX)
+        assert isinstance(got, np.ndarray) and got.shape == (7,) and not got.any()
 
     @pytest.mark.parametrize("lam", SMALL_SHAPES)
     def test_vanishing_at_spectral_points(self, lam):
@@ -327,6 +335,31 @@ class TestBranching:
         x = (rand_c(rng, 0.8, 1.2),)
         res, _ = hybrid_branching_residual(lam, x, v1, v2, a, b, CTX)
         assert res < 1e-9
+
+
+class TestInterpFactor:
+    def test_values_are_the_evaluators(self):
+        z = np.exp(1j * np.linspace(0.0, 6.0, 5))
+        lam, cache = Bipartition.of((1,), ()), TableCache()
+        plain = InterpFactor(lam, 0.5, 0.4, None, ((0, 1),))
+        hybrid = InterpFactor(lam, 0.5, 0.4, (0.6, 0.7), ((0, 1),))
+        assert np.array_equal(plain.value(z, CTX, cache), interp_nonskew(lam, (z,), 0.5, 0.4, CTX, cache))
+        want = interp_hybrid(lam, (z,), (0.6, 0.7), 0.5, 0.4, CTX, cache)
+        assert np.array_equal(hybrid.value(z, CTX, cache), want)
+
+    def test_poles_are_the_pole_map(self):
+        mu = Bipartition.of((1,), (1,))
+        factor = InterpFactor(mu, 0.5, 0.4, None, ((0, 1),))
+        got = factor.poles({"t": CTX.t, "p": CTX.p, "q": CTX.q})
+        want = pole_map(mu, 0.4, CTX.t, CTX.p, CTX.q)
+        assert [value for value, _ in got] == [value for value, _ in want]
+        assert [label for _, label in got] == [f"interpolation pole of R_1|1 {label}" for _, label in want]
+
+    def test_plain_factor_refuses_two_rows(self):
+        # R*_lam in one variable vanishes for a shape of two rows
+        with pytest.raises(ValueError, match=r"1,1\|0"):
+            InterpFactor(Bipartition.of((1, 1), ()), 0.5, 0.4, None, ((0, 1),))
+        InterpFactor(Bipartition.of((1, 1), ()), 0.5, 0.4, (0.6, 0.7), ((0, 1),))
 
 
 class TestPoleMap:

@@ -1,14 +1,15 @@
 """Pinned draws: for seeds 0..2 of every entry of SUITES["all"], the
-parameters sample_case draws equal a stored fixture to 1e-12 relative,
-so a refactor of a sampler or of a feasibility check cannot silently
-move a draw.
+parameters sample_case draws, and the interpolation factors its case
+declares (shape, places, a, b, vs), equal a stored fixture to 1e-12
+relative, so a refactor of a sampler, of a feasibility check or of
+where an integrand's factor sits cannot silently move a draw.
 
 Regenerate the fixture only for a change that is meant to move draws:
 
     PYTHONPATH=src python tests/test_pinned_draws.py
 
-It prints the key of each record it changes and the count it leaves
-alone, then rewrites the fixture.
+It prints the key of each record it changes with the fields that
+change, and the count it leaves alone, then rewrites the fixture.
 """
 
 import json
@@ -16,7 +17,7 @@ import pathlib
 
 import pytest
 
-from ellsel.harness import SUITES, sample_case
+from ellsel.harness import SUITES, case_factors, sample_case
 
 FIXTURE = pathlib.Path(__file__).with_name("pinned_draws.json")
 SEEDS = range(3)
@@ -51,6 +52,13 @@ def draw_record(family: str, options: dict, seed: int) -> dict:
         "params": {key: _c2(val) for key, val in case.params.items()},
         "paramset": None if ps is None else ps.to_json_dict(),
         "residues": [[term.level, term.index] for term in case.contour.residues],
+        "factors": [
+            {
+                "shape": str(factor.shape), "places": factor.places, "a": _c2(factor.a), "b": _c2(factor.b),
+                "vs": None if factor.vs is None else [_c2(v) for v in factor.vs],
+            }
+            for factor in case_factors(case)
+        ],
     }
 
 
@@ -93,9 +101,10 @@ if __name__ == "__main__":
     if FIXTURE.exists():
         old = {_key(r["family"], r["options"], r["seed"]): r for r in json.loads(FIXTURE.read_text())}
     records = [json.loads(json.dumps(draw_record(*case))) for case in CASES]
-    changed = [key for key, record in zip((_key(*case) for case in CASES), records) if old.get(key) != record]
-    for key in changed:
-        print(f"changed {key}")
+    changed = [(key, record) for key, record in zip((_key(*case) for case in CASES), records) if old.get(key) != record]
+    for key, record in changed:
+        fields = [name for name in record if old.get(key, {}).get(name) != record[name]]
+        print(f"changed {key}: {', '.join(fields)}")
     print(f"{len(records) - len(changed)} of {len(records)} records unchanged")
     FIXTURE.write_text(json.dumps(records, indent=1) + "\n")
     print(f"wrote {len(records)} draws to {FIXTURE}")

@@ -13,8 +13,8 @@ import pytest
 
 from ellsel import harness
 from ellsel.densities import INWARD_CAP, contour_feasibility
-from ellsel.harness import sample_case
-from ellsel.partitions import Bipartition
+from ellsel.harness import evaluate_case, sample_case
+from ellsel.partitions import ZERO, Bipartition
 from ellsel.polytope import Plan, SelbergPolytope, chebyshev_centre, selberg_plan
 
 # the (n, k) table of ROADMAP item 1
@@ -32,6 +32,19 @@ KERNEL_WEIGHTED = [
     ("kernel_decomp", {"variant": "corollary"}), ("prop_xselberg_base", {"variant": "base"}),
     ("prop_xselberg_base", {"variant": "recursion"}), ("equal_k_recursion", {}),
 ]
+
+
+# the interpolation-average families, each with a shape that has boxes
+AFLT = [
+    ("an_aflt", {"n": 1, "shapes": (Bipartition.of((2,), ()), Bipartition.of((1,), ()))}),
+    ("an_aflt", {"n": 2, "shapes": (Bipartition.of((), (1,)), Bipartition.of((), (1,)))}),
+    ("an_kadell", {"n": 1, "shapes": (Bipartition.of((1,), ()), ZERO)}),
+    ("an_hua_kadell", {"n": 1, "shapes": (Bipartition.of((1,), ()), Bipartition.of((1,), ()))}),
+]
+
+
+def _id(family, options):
+    return "-".join([family] + [";".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in options.values()])
 
 
 def _polytope(n, k, rho=INWARD_CAP, hua=False, crossed=False):
@@ -55,10 +68,11 @@ def _sampler_plan(monkeypatch, family, options):
 @pytest.mark.parametrize(
     "n,k,hua",
     [(n, k, False) for n, k in TABLE] + [(2, (1, 1), True), (3, (1, 1, 1), True)]
-    + [pytest.param(f, o, False, id="-".join([f, *map(str, o.values())])) for f, o in KERNEL_WEIGHTED],
+    + [pytest.param(f, o, False, id=_id(f, o)) for f, o in KERNEL_WEIGHTED + AFLT],
 )
 def test_centre_radius_matches_linprog(n, k, hua, rho, monkeypatch):
-    # n, k name a kernel-weighted sampler and its options in the last entries
+    # n, k name a sampler with interpolation factors and its options in
+    # the last entries
     optimize = pytest.importorskip("scipy.optimize")
     if isinstance(n, str):
         poly = SelbergPolytope(_sampler_plan(monkeypatch, n, k), rho, False)
@@ -153,3 +167,45 @@ def test_kernel_weighted_seeds_sample_without_rejection(family, options):
     for seed in range(21):
         case = sample_case(family, seed, **options)
         assert case.params or case.id == f"vdBult-s{seed}", case.extra
+
+
+FACTORED = [
+    "vdBult", "key_theorem", "prop_RK", "an_aflt", "an_kadell", "an_hua_kadell",
+    "prop_xselberg_base", "equal_k_recursion",
+]
+
+
+@pytest.mark.parametrize("family", FACTORED)
+def test_integrands_carry_the_declared_factors(family, monkeypatch):
+    # each integrand level holds the factors the case declares on its
+    # (set, level), in order, and the polytope bounds every declared
+    # factor's pole towers
+    polys, built = [], []
+    real_polytope, real_descriptor = harness.SelbergPolytope, harness.IntegrandDescriptor
+
+    def polytope(plan, rho, crossed):
+        polys.append(real_polytope(plan, rho, crossed))
+        return polys[-1]
+
+    def descriptor(params, extra_unary):
+        built.append((params, extra_unary))
+        return real_descriptor(params, extra_unary=extra_unary)
+
+    monkeypatch.setattr(harness, "SelbergPolytope", polytope)
+    monkeypatch.setattr(harness, "IntegrandDescriptor", descriptor)
+    for seed in range(3):
+        polys.clear()
+        built.clear()
+        case = sample_case(family, seed)
+        evaluate_case(case)
+        sets, factors = case.extra.get("sets", [case.paramset]), harness.case_factors(case)
+        declared = {place for factor in factors for place in factor.places}
+        assert factors and {index for index, _ in declared} == {sets.index(params) for params, _ in built}
+        for params, extra in built:
+            index = sets.index(params)
+            for level in range(1, params.n + 1):
+                want = [factor for factor in factors if (index, level) in factor.places]
+                assert [fn.func.__self__ for fn in extra.get(level, [])] == want, (case.id, index, level)
+        values = {"p": sets[0].p, "q": sets[0].q, "t": sets[0].t}
+        labels = {label for factor in factors for _, label in factor.poles(values)}
+        assert labels <= set(polys[0].labels), case.id
