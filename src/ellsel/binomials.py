@@ -10,6 +10,10 @@ sampled at twice as many random (c, d) pairs as unknowns and solved by
 least squares.  Correctness is certified post hoc: the table endpoints,
 the b = 1 and b = t degenerations, held-out Jackson equations and the
 two-matrix inverse identity are all asserted by the test suite.
+
+Batching: a solve attempt takes its neq rows, the HOLDOUT rows after them
+in the table's (c, d) stream and both endpoints from one delta0_bi_groups
+call; a rejected attempt moves neq pairs on, so its holdout pairs recur.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
-from ellsel.symbols import SymbolContext, cplus_bi, delta0_bi, delta0_bi_shapes
+from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_groups, delta0_bi_shapes
 
 COND_CAP = 1e8
 MAX_RESAMPLE = 5
@@ -72,12 +76,11 @@ def _table_seed(lam: Bipartition, a: complex, b: complex, ctx: SymbolContext, se
     return [seed & 0xFFFFFFFF, hash(payload) & 0xFFFFFFFF]
 
 
-def _draw_pair(rng) -> tuple[complex, complex]:
-    mc, md = rng.uniform(0.3, 0.9, size=2)
-    phc, phd = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    return mc * complex(math.cos(phc), math.sin(phc)), md * complex(
-        math.cos(phd), math.sin(phd)
-    )
+def _draw_pairs(rng, count: int) -> np.ndarray:
+    """count (c, d) rows, moduli in [0.3, 0.9] and uniform phases, from one call."""
+    draws = rng.uniform([0.3, 0.3, 0.0, 0.0], [0.9, 0.9, 2.0 * math.pi, 2.0 * math.pi], (count, 4))
+    units = [complex(math.cos(ph), math.sin(ph)) for ph in draws[:, 2:].ravel().tolist()]
+    return draws[:, :2] * np.array(units, dtype=np.complex128).reshape(count, 2)
 
 
 def solve_binomial_table(
@@ -99,36 +102,35 @@ def solve_binomial_table(
         return BinomialTable(lam, a, b, ctx, {lam: 1.0 + 0.0j}, 0.0, 1.0)
 
     pq = ctx.pq
-    val_zero = endpoint_zero(lam, a, b, ctx)
-    val_full = endpoint_full(lam, a, b, ctx)
     interior = [mu for mu in subs if mu != lam and not mu.is_zero()]
     nunk = len(interior)
 
     rng = np.random.default_rng(_table_seed(lam, a, b, ctx, rng_seed))
-    neq = max(OVERSAMPLE * nunk, 2)
-
-    def make_rows(count):
-        # one (c, d) pair per row, drawn in row order from the table's rng;
-        # then each symbol is evaluated once over all rows
-        c, d = np.array([_draw_pair(rng) for _ in range(count)]).T
-        e = a * pq / (b * c * d)
-        args = [d, e, c / b]
-        full_rhs = delta0_bi(lam, a, [b * d, b * e, c], ctx)
-        t_zero, t_full, *cols = delta0_bi_shapes([ZERO, lam, *interior], a / b, args, ctx)
-        t_zero, t_full = t_zero * val_zero, t_full * val_full
-        rows = np.empty((count, nunk), dtype=np.complex128)
-        for col, vals in enumerate(cols):
-            rows[:, col] = vals
-        scales = np.abs(full_rhs) + np.abs(t_zero) + np.abs(t_full)
-        return rows, full_rhs - t_zero - t_full, scales
+    neq = OVERSAMPLE * nunk
+    pairs = np.empty((0, 2), dtype=np.complex128)  # the table's (c, d) stream, in row order
 
     last_cond = math.inf
     for attempt in range(MAX_RESAMPLE):
+        start = attempt * neq  # a rejected attempt moves neq pairs on
+        pairs = np.concatenate([pairs, _draw_pairs(rng, start + neq + HOLDOUT - len(pairs))])
+        c, d = pairs[start : start + neq + HOLDOUT].T
+        e = a * pq / (b * c * d)
+        right = ([lam], a, [b * d, b * e, c])
+        left = ([ZERO, lam, *interior], a / b, [d, e, c / b])
+        (val_zero,), (full_rhs,), (t_zero, t_full, *cols), (num, den) = delta0_bi_groups(
+            [([lam], a, [b]), right, left], ctx, plus=(lam, np.array([a, a / b]))
+        )
+        val_full = complex(num / den)
+        t_zero, t_full = t_zero * val_zero, t_full * val_full
+        rows = np.array(cols, dtype=np.complex128).reshape(nunk, neq + HOLDOUT).T.copy()
+        rhs = full_rhs - t_zero - t_full
+        scales = np.abs(full_rhs) + np.abs(t_zero) + np.abs(t_full)
+
         if nunk == 0:
             values = {Bipartition(): val_zero, lam: val_full}
             sol = np.empty(0, dtype=np.complex128)
         else:
-            mat, vec, _ = make_rows(neq)
+            mat, vec = rows[:neq], rhs[:neq]
             row_scale = np.maximum(np.abs(mat).max(axis=1), 1e-300)
             mat = mat / row_scale[:, None]
             vec = vec / row_scale
@@ -148,7 +150,7 @@ def solve_binomial_table(
 
         # Backward-style holdout residual: relative to the total term
         # magnitude, so a near-cancelling right-hand side cannot inflate it.
-        hrows, hrhs, hscales = make_rows(HOLDOUT)
+        hrows, hrhs, hscales = rows[neq:], rhs[neq:], scales[neq:]
         hold_res = 0.0
         for r in range(HOLDOUT):
             pred = hrows[r] @ sol if nunk else 0.0
@@ -232,8 +234,8 @@ def binomial_row(
     live = [mu for mu, val in zip(mus, base) if val != 0.0]
     if not bracket or not live:
         return base
-    num = delta0_bi(lam, a, list(bracket), ctx)
-    den = dict(zip(live, delta0_bi_shapes(live, a / b, list(bracket), ctx)))
+    (num,), dens = delta0_bi_groups([([lam], a, list(bracket)), (live, a / b, list(bracket))], ctx)
+    den = dict(zip(live, dens))
     return [val if val == 0.0 else val * num / den[mu] for mu, val in zip(mus, base)]
 
 
@@ -290,7 +292,7 @@ def jackson_check(
     cache = cache if cache is not None else TableCache()
     best = math.inf
     for _ in range(GENERIC_TRIES):
-        c, d = _draw_pair(rng)
+        ((c, d),) = _draw_pairs(rng, 1)
         res, ratio = jackson_residual(lam, nu, a, b, c, d, ctx, cache)
         if ratio <= MAX_CANCELLATION:
             return res
@@ -306,7 +308,7 @@ def draw_generic_ab(lam: Bipartition, ctx: SymbolContext, rng) -> tuple[complex,
     boxes = max(lam.size, 1)
     a = b = 0.5 + 0.0j
     for _ in range(GENERIC_TRIES):
-        a, b = _draw_pair(rng)
+        ((a, b),) = _draw_pairs(rng, 1)
         z = abs(endpoint_zero(lam, a, b, ctx)) ** (1.0 / boxes)
         f = abs(endpoint_full(lam, a, b, ctx)) ** (1.0 / boxes)
         if 1e-2 <= z <= 1e2 and 1e-2 <= f <= 1e2:
@@ -322,5 +324,5 @@ def endpoint_zero(lam: Bipartition, a: complex, b: complex, ctx: SymbolContext) 
 def endpoint_full(lam: Bipartition, a: complex, b: complex, ctx: SymbolContext) -> complex:
     """Closed form for <lam over lam>: C+_lam(a) / C+_lam(a/b), both
     from one C+ evaluation on the pair (a, a/b)."""
-    num, den = cplus_bi(lam, np.array([a, a / b]), ctx)
+    ((num, den),) = delta0_bi_groups([], ctx, plus=(lam, np.array([a, a / b])))
     return complex(num / den)

@@ -208,6 +208,9 @@ class SelbergPolytope:
         self.centre, self.radius, self.weights = chebyshev_centre(self.G, self.h)
 
     def why_empty(self) -> str:
+        """The infeasible note.  Its radius is the Chebyshev radius in the free
+        (walked) log-moduli y, max_y min_i (h_i - G_i y) / |G_i|; it is not the
+        common margin max_y min_i (h_i - G_i y) that every bound keeps at once."""
         labels = dict.fromkeys(lab for lab, w in zip(self.labels, self.weights) if w > 1e-9)
         return (
             f"no parameter set for {self.plan.name}: the log-modulus polytope is empty "

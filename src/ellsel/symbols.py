@@ -8,15 +8,14 @@ the nomes is the same as swapping the components.
 
 Batching: a C0 cell factor depends only on its cell, so Delta0_mu(a | bs)
 for every mu inside some lam is a product over a subset of lam's
-per-cell theta ratios.  delta0_shapes and delta0_bi_shapes evaluate
-those ratios with one theta call per component and hand each shape its
-own cells; delta0 and delta0_bi are their one-shape case, so there is
-one code path.  Each shape is still checked on its own: its PoleError
-names the first argument index and cell of that shape, its
-OverflowError the first argument index, and a list of shapes raises the
-error of the first failing shape in list order.  Callers that sum over
-mu (Jackson rows, interpolation sums) take all their shapes from one
-call.
+per-cell theta ratios.  delta0_bi_groups evaluates the ratios of several
+(shapes, a, bs) groups under one hull, and optionally a C+ pair, with
+one theta call per component, and hands each shape its own cells; the
+other Delta0 functions are its one-group case, so there is one code
+path.  Each shape is still checked on its own: its PoleError names the
+first argument index and cell of that shape, its OverflowError the first
+argument index, and the first failing shape in list order raises.  Table
+solves and bracketed binomial rows make one grouped call each.
 """
 
 from __future__ import annotations
@@ -58,36 +57,42 @@ class SymbolContext:
         raise ValueError(f"series role must be 'p' or 'q', got {series!r}")
 
 
-def _c0_exponents(i, j, lam, conj):
+def _c0_exponents(i, j, lam):
     return j - 1, 1 - i
 
 
-def _cell_thetas(lam: Partition, z, ctx: SymbolContext, series: str, exponents=_c0_exponents):
-    """theta(z base^be t^te) for every cell (i, j) of lam, with (be, te)
-    = exponents(i, j, lam, lam'), from one theta call on the whole stack
-    of arguments z.  The cells run along a new leading axis."""
+def _cplus_exponents(i, j, lam):
+    return lam[i - 1] + j - 1, 2 - sum(part >= j for part in lam) - i  # the sum is lam'_j
+
+
+def _cell_thetas(blocks, ctx: SymbolContext, series: str) -> list:
+    """For each block (lam, z, exponents): theta(z base^be t^te) for every
+    cell (i, j) of lam, with (be, te) = exponents(i, j, lam), the
+    cells along a new leading axis.  Every block's arguments go into one
+    theta call, made when some block has a cell."""
     base, nome = ctx.roles(series)
-    conj = lam.conjugate()
-    cells = list(lam.cells())
-    z = np.asarray(z, dtype=np.complex128)
-    shifts = np.array(
-        [base**be * ctx.t**te for be, te in (exponents(i, j, lam, conj) for i, j in cells)],
-        dtype=np.complex128,
-    )
-    args = shifts.reshape((len(cells),) + (1,) * z.ndim) * z
-    if not cells:  # no theta factors to evaluate
+    cells, args = [], []
+    for lam, z, exponents in blocks:
+        cells.append(list(lam.cells()))
+        z = np.asarray(z, dtype=np.complex128)
+        expo = [exponents(i, j, lam) for i, j in cells[-1]]
+        shifts = np.array([base**be * ctx.t**te for be, te in expo], dtype=np.complex128)
+        args.append(shifts.reshape((len(cells[-1]),) + (1,) * z.ndim) * z)
+    if not any(cells):  # no theta factors to evaluate
         return args
     try:
-        return theta(args, nome)
-    except DomainError as exc:  # a zero argument: name its first cell
-        zero = np.any((args == 0).reshape(len(cells), z.size), axis=1)
-        i, j = cells[int(np.argmax(zero))]
+        values = theta(np.concatenate([arg.reshape(-1) for arg in args]), nome)
+    except DomainError as exc:  # a zero argument: name the first block's first such cell
+        k = next(k for k, arg in enumerate(args) if np.any(arg == 0))
+        i, j = cells[k][next(c for c, cell in enumerate(args[k]) if np.any(cell == 0))]
         raise DomainError(f"cell (i={i}, j={j}): {exc}") from exc
+    ends = np.cumsum([arg.size for arg in args])
+    return [values[end - arg.size : end].reshape(arg.shape) for end, arg in zip(ends, args)]
 
 
 def _cell_product(lam: Partition, z, exponents, ctx: SymbolContext, series: str):
     z = np.asarray(z, dtype=np.complex128)
-    result = np.prod(_cell_thetas(lam, z, ctx, series, exponents), axis=0)
+    result = np.prod(_cell_thetas([(lam, z, exponents)], ctx, series)[0], axis=0)
     return complex(result) if z.ndim == 0 else result
 
 
@@ -98,16 +103,13 @@ def c0(lam: Partition, z, ctx: SymbolContext, series: str = "q"):
 
 def cplus(lam: Partition, z, ctx: SymbolContext, series: str = "q"):
     """C+_lam(z): product of theta(z q^(lam_i+j-1) t^(2-lam'_j-i))."""
-    return _cell_product(
-        lam, z, lambda i, j, l, c: (l[i - 1] + j - 1, 2 - c[j - 1] - i), ctx, series
-    )
+    return _cell_product(lam, z, _cplus_exponents, ctx, series)
 
 
 def cminus(lam: Partition, z, ctx: SymbolContext, series: str = "q"):
     """C-_lam(z): product of theta(z q^(lam_i-j) t^(lam'_j-i))."""
-    return _cell_product(
-        lam, z, lambda i, j, l, c: (l[i - 1] - j, c[j - 1] - i), ctx, series
-    )
+    conj = lam.conjugate()
+    return _cell_product(lam, z, lambda i, j, l: (l[i - 1] - j, conj[j - 1] - i), ctx, series)
 
 
 def c0_bi(lam: Bipartition, z, ctx: SymbolContext):
@@ -122,31 +124,41 @@ def cminus_bi(lam: Bipartition, z, ctx: SymbolContext):
     return cminus(lam.first, z, ctx, "p") * cminus(lam.second, z, ctx, "q")
 
 
-def _delta0_each(lams, a, bs, ctx: SymbolContext, series: str) -> list:
-    """Delta0_mu(a | bs) for every mu in lams, each entry the value or the
-    error delta0 raises for that mu.
-
-    The per-cell ratios prod_i theta(b_i x_c) / theta(pq a x_c / b_i),
-    x_c = base^(j-1) t^(1-i), depend only on the cell c = (i, j), so they
-    come from one theta call over the cells of the hull of lams, the
-    smallest partition containing them all; each mu multiplies the
-    ratios of its own cells, in its own cell order."""
-    a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
-    nargs = len(bs)
-    rows = max((mu.length for mu in lams), default=0)
-    hull = Partition(tuple(max(mu[i] for mu in lams) for i in range(rows)))
+def _delta0_each(groups, ctx: SymbolContext, series: str, plus=None) -> list:
+    """For each group (lams, a, bs), [Delta0_mu(a | bs) for mu in lams], each
+    entry the value or the error delta0 raises for that mu; with plus =
+    (lam, z), C+_lam(z) last.  The per-cell ratios prod_i theta(b_i x_c) /
+    theta(pq a x_c / b_i), x_c = base^(j-1) t^(1-i), of every group come
+    from one theta call over the hull of all the shapes, C+'s cells with
+    them; each mu multiplies its own cells' ratios in its cell order, then
+    runs a product over its arguments."""
+    shapes = [mu for lams, _, _ in groups for mu in lams]
+    rows = max((mu.length for mu in shapes), default=0)
+    hull = Partition(tuple(max(mu[i] for mu in shapes) for i in range(rows)))
     # cell (i, j) of any mu is entry offset[i - 1] + j - 1 of the hull's
     offset = list(itertools.accumulate(hull.parts, initial=0))
-    bs = np.array(bs).reshape((nargs,) + a.shape)
-    num, den = _cell_thetas(hull, [bs, ctx.pq * a / bs], ctx, series).swapaxes(0, 1)
-    vanishing = (den == 0).reshape(hull.size, nargs, a.size).any(axis=2)
+    points, blocks = [], []
+    for _, a, bs in groups:
+        a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
+        bs = np.array(bs).reshape((len(bs),) + a.shape)
+        points.append(a)
+        blocks.append((hull, [bs, ctx.pq * a / bs], _c0_exponents))
+    if plus is not None:
+        blocks.append((*plus, _cplus_exponents))
+    thetas = _cell_thetas(blocks, ctx, series)
     out = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratio = num / den
-        for mu in lams:
-            sel = [offset[i] + j for i, part in enumerate(mu.parts) for j in range(part)]
-            running = np.cumprod(np.prod(ratio[sel], axis=0), axis=0)
-            out.append(_delta0_checked(running, vanishing[sel], mu, a))
+        for (lams, _, _), a, cells in zip(groups, points, thetas):
+            num, den = cells.swapaxes(0, 1)  # each (cell, argument, *a.shape)
+            vanishing = (den == 0).reshape(*den.shape[:2], a.size).any(axis=2)
+            ratio = num / den
+            out.append([])
+            for mu in lams:
+                sel = [offset[i] + j for i, part in enumerate(mu.parts) for j in range(part)]
+                running = np.cumprod(np.prod(ratio[sel], axis=0), axis=0)
+                out[-1].append(_delta0_checked(running, vanishing[sel], mu, a))
+    if plus is not None:
+        out.append(np.prod(thetas[-1], axis=0))
     return out
 
 
@@ -179,7 +191,7 @@ def delta0_shapes(lams, a, bs, ctx: SymbolContext, series: str = "q") -> list:
     """[delta0(mu, a, bs, ctx, series) for mu in lams] from one theta
     call; each mu is checked as delta0 checks it, and the first mu in
     list order that fails raises."""
-    return _raise_first(_delta0_each(lams, a, bs, ctx, series))
+    return _raise_first(_delta0_each([(lams, a, bs)], ctx, series)[0])
 
 
 def delta0(lam: Partition, a, bs, ctx: SymbolContext, series: str = "q"):
@@ -193,19 +205,32 @@ def delta0(lam: Partition, a, bs, ctx: SymbolContext, series: str = "q"):
     return delta0_shapes([lam], a, bs, ctx, series)[0]
 
 
+def delta0_bi_groups(groups, ctx: SymbolContext, plus=None) -> list:
+    """[delta0_bi_shapes(lams, a, bs, ctx) for lams, a, bs in groups],
+    and with plus = (lam, z) then cplus_bi(lam, z, ctx) as an array, all
+    from one theta call per component over the distinct first and second
+    components; the groups raise in list order, as delta0_bi_shapes
+    would one after another."""
+    by_role = []
+    for role, series in (("first", "p"), ("second", "q")):
+        comps = [list(dict.fromkeys(getattr(mu, role) for mu in lams)) for lams, _, _ in groups]
+        part = None if plus is None else (getattr(plus[0], role), plus[1])
+        each = _delta0_each([(c, a, bs) for c, (_, a, bs) in zip(comps, groups)], ctx, series, part)
+        by_role.append([dict(zip(c, values)) for c, values in zip(comps, each)] + each[len(groups) :])
+    out = []
+    for (lams, _, _), by_first, by_second in zip(groups, *by_role):
+        pairs = [_raise_first([by_first[mu.first], by_second[mu.second]]) for mu in lams]
+        out.append([first * second for first, second in pairs])
+    if plus is not None:
+        out.append(by_role[0][-1] * by_role[1][-1])
+    return out
+
+
 def delta0_bi_shapes(lams, a, bs, ctx: SymbolContext) -> list:
     """[delta0_bi(mu, a, bs, ctx) for mu in lams] from one theta call per
     component, over the distinct first and second components; the first
     mu in list order that fails raises, its first component first."""
-    firsts = list(dict.fromkeys(mu.first for mu in lams))
-    seconds = list(dict.fromkeys(mu.second for mu in lams))
-    by_first = dict(zip(firsts, _delta0_each(firsts, a, bs, ctx, "p")))
-    by_second = dict(zip(seconds, _delta0_each(seconds, a, bs, ctx, "q")))
-    out = []
-    for mu in lams:
-        first, second = _raise_first([by_first[mu.first], by_second[mu.second]])
-        out.append(first * second)
-    return out
+    return delta0_bi_groups([(lams, a, bs)], ctx)[0]
 
 
 def delta0_bi(lam: Bipartition, a, bs, ctx: SymbolContext):

@@ -1,6 +1,8 @@
 """Tests for the numerically solved elliptic binomial coefficients."""
 
 import cmath
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -39,6 +41,53 @@ SHAPES = [
     Bipartition.of((1, 1), (1,)),
     Bipartition.of((2,), (2,)),
 ]
+
+
+# Every value, residual, condition and resample count of the SHAPES
+# tables at PINNED_SEEDS, and of one table forced through two resamples,
+# as hex floats.  Recorded when each table made separate theta calls for
+# its endpoints, its rows and its holdout rows, so a change to how a
+# solve batches its symbols must leave every bit, and the (c, d) stream
+# of a resampled table, where they are.  Regenerate only for a change
+# that is meant to move table values:
+#
+#     PYTHONPATH=src python tests/test_binomials.py
+PINNED_TABLES = pathlib.Path(__file__).with_name("pinned_tables.json")
+PINNED_SEEDS = (0, 1)
+RESAMPLED = Bipartition.of((2,), (1,))
+
+
+def table_record(table) -> dict:
+    def hexes(z):
+        return [complex(z).real.hex(), complex(z).imag.hex()]
+
+    return {
+        "values": {str(mu): hexes(val) for mu, val in table.values.items()},
+        "residual": float(table.residual).hex(),
+        "condition": float(table.condition).hex(),
+        "resamples": table.resamples,
+    }
+
+
+def pinned_table(lam, seed):
+    a, b = draw_generic_ab(lam, CTX, np.random.default_rng(seed))
+    return solve_binomial_table(lam, a, b, CTX, rng_seed=seed)
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("seed", PINNED_SEEDS)
+    @pytest.mark.parametrize("lam", SHAPES, ids=str)
+    def test_table_keeps_every_bit(self, lam, seed):
+        pinned = json.loads(PINNED_TABLES.read_text())[f"{lam}@{seed}"]
+        assert table_record(pinned_table(lam, seed)) == pinned
+
+    def test_resampled_table_keeps_every_bit(self, ill_conditioned):
+        # the first two attempts read as ill-conditioned, so the solve
+        # takes its rows from the stream's third block of neq pairs
+        ill_conditioned(2)
+        table = pinned_table(RESAMPLED, 0)
+        assert table.resamples == 2
+        assert table_record(table) == json.loads(PINNED_TABLES.read_text())["resampled"]
 
 
 class TestTableEndpoints:
@@ -157,3 +206,16 @@ class TestMatrixInverse:
                 m2[i, j] = binomial(lam_i, mu_j, pq / b**2, pq / (a * b), CTX, cache)
         prod = m1 @ m2
         assert np.max(np.abs(prod - np.eye(n))) < 1e-8
+
+
+if __name__ == "__main__":
+    from conftest import read_ill_conditioned
+
+    records = {
+        f"{lam}@{seed}": table_record(pinned_table(lam, seed)) for seed in PINNED_SEEDS for lam in SHAPES
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        read_ill_conditioned(mp, 2)
+        records["resampled"] = table_record(pinned_table(RESAMPLED, 0))
+    PINNED_TABLES.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} tables to {PINNED_TABLES.name}")

@@ -1,8 +1,9 @@
 """Call counts: a product of gamma factors is one elliptic gamma
 evaluation, a sum of Delta0 symbols over many shapes is one theta call
-per component, however many factors or shapes, and every kernel-weighted
-draw passes through densities.feasibility_check, which accepts the very
-sets its evaluator integrates."""
+per component, however many factors or shapes (a binomial table solve,
+endpoints and holdout rows included, is one such call per attempt), and
+every kernel-weighted draw passes through densities.feasibility_check,
+which accepts the very sets its evaluator integrates."""
 
 import numpy as np
 import pytest
@@ -90,24 +91,53 @@ def test_failing_gamma_product_still_names_its_factor(monkeypatch):
     assert len(calls) == 1 + 3  # the batch, then factors 0..2 one by one
 
 
+TABLE_CTX = SymbolContext(NomePair(0.1, 0.2), 0.25)
+TABLE_A, TABLE_B = 0.45 + 0.1j, 0.6 - 0.2j
+
+
 @pytest.mark.parametrize(
-    "lam", [Bipartition.of((2,), (1,)), Bipartition.of((2, 1), (1, 1))], ids=str
+    "lam",
+    [Bipartition.of((2,), (1,)), Bipartition.of((2, 1), (1, 1)), Bipartition.of((2, 1), ())],
+    ids=str,
 )
-def test_table_rows_take_four_theta_calls_whatever_the_shapes(monkeypatch, lam):
-    # a row block is Delta0_lam on the right side plus Delta0_mu(a/b | ...)
-    # for every mu inside lam, on the left: each is one theta call per
-    # component, so 4 calls, for 4 interior shapes as for 13
-    ctx = SymbolContext(NomePair(0.1, 0.2), 0.25)
-    a, b = 0.45 + 0.1j, 0.6 - 0.2j
+def test_table_solve_takes_one_theta_call_per_component_per_attempt(monkeypatch, lam):
+    # an attempt's rows are Delta0_lam on the right side plus Delta0_mu(a/b
+    # | ...) for every mu inside lam on the left, its holdout rows the
+    # same, and its endpoints Delta0_lam(a | b) and C+_lam at (a, a/b):
+    # one grouped call, one theta call per nonempty component, for 4
+    # interior shapes as for 13
     calls = counting(monkeypatch, symbols, "theta")
-    binomials.endpoint_zero(lam, a, b, ctx)
-    binomials.endpoint_full(lam, a, b, ctx)
-    endpoints = len(calls)
-    calls.clear()
-    table = binomials.solve_binomial_table(lam, a, b, ctx)
-    assert len(sub_bipartitions(lam)) in (6, 15)
-    blocks = table.resamples + 2  # one per attempt, plus the holdout rows
-    assert len(calls) - endpoints == 4 * blocks
+    table = binomials.solve_binomial_table(lam, TABLE_A, TABLE_B, TABLE_CTX)
+    assert len(sub_bipartitions(lam)) in (5, 6, 15)
+    assert table.resamples == 0
+    assert len(calls) == sum(1 for part in (lam.first, lam.second) if part.size)
+
+
+def test_resampled_table_takes_one_theta_call_per_component_per_attempt(
+    monkeypatch, ill_conditioned
+):
+    ill_conditioned(1)
+    calls = counting(monkeypatch, symbols, "theta")
+    table = binomials.solve_binomial_table(Bipartition.of((2,), (1,)), TABLE_A, TABLE_B, TABLE_CTX)
+    assert table.resamples == 1
+    assert len(calls) == 2 * 2  # two nonempty components, two attempts
+
+
+def test_bracketed_row_takes_one_theta_call_per_component(monkeypatch):
+    # the bracket ratio Delta0_lam(a | v) / Delta0_mu(a/b | v) of every
+    # live mu comes from one grouped call once the table is solved
+    lam = Bipartition.of((2, 1), (1,))
+    cache = binomials.TableCache()
+    table = cache.get(lam, TABLE_A, TABLE_B, TABLE_CTX)
+    bracket = (0.7 - 0.1j, 0.35j)
+    calls = counting(monkeypatch, symbols, "theta")
+    mus = sub_bipartitions(lam)
+    row = binomials.binomial_row(lam, mus, TABLE_A, TABLE_B, TABLE_CTX, cache, bracket)
+    assert len(calls) == 2
+    num = symbols.delta0_bi(lam, TABLE_A, list(bracket), TABLE_CTX)
+    for mu, val in zip(mus, row):
+        den = symbols.delta0_bi(mu, TABLE_A / TABLE_B, list(bracket), TABLE_CTX)
+        assert val == table[mu] * num / den
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,10 @@ from ellsel.symbols import (
     c0_bi,
     cminus,
     cplus,
+    cplus_bi,
     delta0,
     delta0_bi,
+    delta0_bi_groups,
     delta0_bi_shapes,
     delta0_shapes,
     gamma_delta_bridge,
@@ -405,6 +407,97 @@ class TestSharedCellEvaluator:
     def test_no_shapes_and_empty_shapes(self):
         assert delta0_shapes([], 0.4, [0.3], CTX) == []
         assert delta0_bi_shapes([Bipartition(), Bipartition()], 0.4, [0.3], CTX) == [1.0, 1.0]
+
+
+HULLS = [
+    Bipartition(Partition(first), Partition(second))
+    for first in all_partitions_up_to(3)
+    for second in all_partitions_up_to(2)
+]
+
+
+def _points(modulus):
+    """A scalar, or an array of three points, of the given modulus."""
+    return st.one_of(
+        _complex(modulus), st.lists(_complex(modulus), min_size=3, max_size=3).map(np.array)
+    )
+
+
+@st.composite
+def _groups(draw, hull, point):
+    """One to three (shapes inside hull, a, bs) groups."""
+    subs = sub_bipartitions(hull)
+    return [
+        (
+            draw(st.lists(st.sampled_from(subs), min_size=1, max_size=4)),
+            draw(point),
+            draw(st.lists(point, max_size=3)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+def _group_error(groups, ctx):
+    """The error delta0_bi_shapes raises for the first group that fails."""
+    for lams, a, bs in groups:
+        try:
+            delta0_bi_shapes(lams, a, bs, ctx)
+        except (PoleError, OverflowError) as exc:
+            return exc
+    return None
+
+
+class TestGroupedEvaluator:
+    """delta0_bi_groups, which reads several (shapes, a, bs) groups and a
+    C+ pair off one theta call per component over one hull, against one
+    delta0_bi_shapes call per group and one cplus_bi call.  theta's term
+    count follows the largest reduced |w| of its call, but at CTX's
+    nomes it is the same for any batch, so the values agree bit for bit.
+    A one-point theta call multiplies its terms in another order than a
+    wider one, so the C+ points come as an array of two or three, as a
+    table solve passes (a, a/b)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), hull=st.sampled_from(HULLS))
+    def test_each_group_as_its_own_call(self, data, hull):
+        groups = data.draw(_groups(hull, _points(st.floats(0.5, 2.0))))
+        z = np.array(data.draw(st.lists(_complex(st.floats(0.5, 2.0)), min_size=2, max_size=3)))
+        expected = _group_error(groups, CTX)
+        if expected is not None:  # a draw on a theta zero
+            with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+                delta0_bi_groups(groups, CTX, plus=(hull, z))
+            return
+        *got, plus = delta0_bi_groups(groups, CTX, plus=(hull, z))
+        assert plus.tobytes() == cplus_bi(hull, z, CTX).tobytes()
+        assert len(got) == len(groups)
+        for (lams, a, bs), values in zip(groups, got):
+            want = delta0_bi_shapes(lams, a, bs, CTX)
+            assert [type(v) for v in values] == [type(v) for v in want]
+            assert all(np.asarray(g).tobytes() == np.asarray(w).tobytes() for g, w in zip(values, want))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data(), hull=st.sampled_from([h for h in HULLS if not h.is_zero()]))
+    def test_vanishing_denominator_raises_as_its_own_call(self, data, hull):
+        # plant b = pq a x_c in some groups, x_c the shift of a cell c of
+        # either component: its denominator theta(pq a x_c / b) = theta(1)
+        # vanishes, exactly, since EXACT's nomes, t and a are powers of
+        # two; the first failing group, then shape, must name its error
+        ctx = TestDelta0Contract.EXACT
+        groups = data.draw(_groups(hull, _points(st.floats(0.5, 2.0))))
+        roles = [pair for pair in (("first", "p"), ("second", "q")) if getattr(hull, pair[0]).size]
+        planted = data.draw(st.sets(st.integers(0, len(groups) - 1), min_size=1))
+        for g in planted:
+            lams, _, bs = groups[g]
+            a = 2.0 ** data.draw(st.integers(-1, 1))
+            for role, series in data.draw(st.lists(st.sampled_from(roles), min_size=1, max_size=2)):
+                i, j = data.draw(st.sampled_from(list(getattr(hull, role).cells())))
+                x = ctx.roles(series)[0] ** (j - 1) * ctx.t ** (1 - i)
+                bs.insert(data.draw(st.integers(0, len(bs))), ctx.pq * a * x)
+            groups[g] = (lams + [hull], a, bs)
+        expected = _group_error(groups, ctx)
+        assert isinstance(expected, PoleError)
+        with pytest.raises(PoleError, match=f"^{re.escape(str(expected))}$"):
+            delta0_bi_groups(groups, ctx)
 
 
 class TestGammaDeltaBridge:
