@@ -178,6 +178,19 @@ def gamma_mp(z: complex, p: complex, q: complex, dps: int = 40, eps: float = 1e-
         return complex(num / den)
 
 
+def dense_table(table):
+    """A factor table as a plain array: a vector as it is, a pair record
+    as its n x n matrix [s, t] = at_prod[(s + t) % n] * at_ratio[(s - t) % n],
+    gathered by explicit index arrays."""
+    import numpy as np
+
+    if not hasattr(table, "at_prod"):
+        return table
+    n = len(table.at_prod)
+    s, t = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    return table.at_prod[(s + t) % n] * table.at_ratio[(s - t) % n]
+
+
 def expand_tables(integrand, n: int, phase: float):
     """A factorised integrand's samples on the n-point grid at `phase` as
     one (n,) * nvars tensor: its factor tables broadcast to full shape,
@@ -189,7 +202,7 @@ def expand_tables(integrand, n: int, phase: float):
         shape = [1] * integrand.nvars
         for axis in axes:
             shape[axis] = n
-        tensor = tensor * table.reshape(shape)
+        tensor = tensor * dense_table(table).reshape(shape)
     return tensor
 
 

@@ -42,12 +42,13 @@ def test_vertex_unary_factor_is_one_gamma_evaluation(monkeypatch):
 
 def test_density_tables_on_circles_make_no_grid_sized_gamma_call(monkeypatch):
     # every density factor evaluates its circles by FFT, so building the
-    # 256^2 tables calls no pointwise gamma on a grid-sized array
+    # tables of the 256^2 grid calls no pointwise gamma on a grid-sized
+    # array, and the pair table is its two 256-point circles
     params = harness.sample_case("an_selberg", 0, n=2, k=(1, 1)).paramset
     integrand = IntegrandDescriptor(params).build()
     calls = counting(monkeypatch, core, "_log_gamma")
     tables = integrand.values(256, 0.5 * np.pi / 256)
-    assert len(tables) == 3 and tables[2][0].shape == (256, 256)
+    assert len(tables) == 3 and tables[2][0].at_prod.shape == tables[2][0].at_ratio.shape == (256,)
     assert all(np.size(args[0]) < 256 for args in calls)
 
 

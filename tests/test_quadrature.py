@@ -2,16 +2,21 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ellsel import quadrature
 from ellsel.quadrature import (
     MAX_POINTS,
     BudgetError,
     GridSpec,
     IntegrandSum,
     TorusFactorizedIntegrand,
+    _contract,
     convergence_csv,
     convergence_table,
     doubling_ladder,
@@ -180,6 +185,19 @@ class TestFactorizedIntegrand:
         assert peak < 8e6
         assert res.evals == 256**3
 
+    def test_one_pair_sum_builds_no_pair_table(self):
+        # the 2048^2 pair table alone would take 64 MB; its circles take 64 kB
+        fact = TorusFactorizedIntegrand(nvars=2, unary=[(0, g), (1, g)], pairs=[(0, 1, h)])
+        grid = GridSpec((2048, 2048))
+        tracemalloc.start()
+        try:
+            res = integrate_torus(fact, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert res.evals == 2048**2
+
     def test_nonfinite_sample_reported(self):
         def nan_at_3(z):
             vals = np.ones(z.size, dtype=complex)
@@ -194,6 +212,18 @@ class TestFactorizedIntegrand:
         with pytest.raises(ArithmeticError, match=r"pair \(0, 1\) at grid index \(0, 3\)"):
             integrate_torus(f, GridSpec((8, 8)))
 
+    def test_overflowing_pair_product_reports_index(self):
+        # both circles are finite; only [s, t] with s + t = 5 and s - t = 1
+        # (mod 8), that is (3, 2) and (7, 6), multiplies 1e200 by 1e200
+        def peaks(z):
+            vals = np.ones(z.size, dtype=complex)
+            vals[[5, 8 + 1]] = 1e200  # product circle index 5, ratio circle index 1
+            return vals
+
+        f = TorusFactorizedIntegrand(nvars=3, unary=[(0, g)], pairs=[(0, 2, h), (1, 2, peaks)])
+        with pytest.raises(ArithmeticError, match=r"pair \(1, 2\) at grid index \(3, 2\)"):
+            integrate_torus(f, GridSpec((8, 8, 8)))
+
     def test_overflowing_product_raises(self):
         def big(z):
             return np.full(z.size, 1e200, dtype=complex)
@@ -205,6 +235,66 @@ class TestFactorizedIntegrand:
     def test_other_integrand_types_rejected(self):
         with pytest.raises(TypeError):
             integrate_torus(lambda pts: np.ones(len(pts)), GridSpec((8,)))
+
+
+_COEFFICIENTS = st.lists(
+    st.builds(complex, st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=3, max_size=3
+)
+
+
+@st.composite
+def factorised_integrands(draw):
+    """1-4 variables whose pairs form a chain, a triangle, a star, two
+    disconnected edges or a complete graph, some pairs sharing one
+    function, some variables with no factor at all."""
+    nvars = draw(st.integers(1, 4))
+    graphs = {
+        "chain": [(v, v + 1) for v in range(nvars - 1)],
+        "triangle": [(0, 1), (0, 2), (1, 2)] if nvars >= 3 else [],
+        "star": [(0, v) for v in range(1, nvars)],
+        "disconnected": [(0, 1), (2, 3)] if nvars == 4 else [(0, nvars - 1)] if nvars > 1 else [],
+        "complete": [(vi, vj) for vi in range(nvars) for vj in range(vi + 1, nvars)],
+    }
+    edges = graphs[draw(st.sampled_from(sorted(graphs)))]
+    nfns = draw(st.integers(1, max(1, len(edges))))
+    fns = [
+        (lambda w, a=a, b=b, c=c: (1.0 + a * w + b / w) / (1.0 - c * w))
+        for a, b, c in (draw(_COEFFICIENTS) for _ in range(nfns))
+    ]
+    pairs = [(vi, vj, fns[draw(st.integers(0, nfns - 1))]) for vi, vj in edges]
+    unary = [
+        (v, lambda z, a=a, b=b, c=c: 1.0 + a * z + b / z + c * z * z)
+        for v in range(nvars)
+        if draw(st.booleans())
+        for a, b, c in [draw(_COEFFICIENTS)]
+    ]
+    prefactor = complex(*draw(st.tuples(st.floats(0.5, 2.0), st.floats(-1.0, 1.0))))
+    return TorusFactorizedIntegrand(nvars, unary, pairs, prefactor)
+
+
+class TestElimination:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(
+        factorised_integrands(),
+        st.sampled_from([4, 6, 8, 10, 12]),
+        st.floats(0.0, 1.0),
+        st.sampled_from([quadrature.PAIR_BLOCK_ENTRIES, 30, 7]),
+    )
+    def test_matches_the_expanded_tensor(self, f, n, phase, block_entries):
+        # the value and the step-2 subgrid value against the sum of the
+        # broadcast product of the tables; small blocks leave partial ones
+        tables = f.values(n, phase)
+        tensor = expand_tables(f, n, phase)
+        sub = tensor[(slice(None, None, 2),) * f.nvars]
+        for step, want in ((1, tensor.sum()), (2, sub.sum())):
+            with mock.patch.object(quadrature, "PAIR_BLOCK_ENTRIES", block_entries):
+                got = f.prefactor * _contract(tables, step)
+            if f.nvars == 1:
+                # a single variable has no pairs: the one unoptimised einsum
+                (vec, _), = tables
+                want_bits = complex(np.einsum(vec[::step], [0], [], optimize=False))
+                assert _contract(tables, step) == want_bits
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 class TestIntegrandSum:
