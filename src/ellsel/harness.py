@@ -10,7 +10,8 @@ unit torus or a residue-corrected contour, a kernel Gamma(c x^+- z^+-)
 entering a set as c x and c / x; an empty polytope makes the case
 infeasible.  The plan declares each interpolation factor R*_mu once, as
 an InterpFactor: the polytope bounds its poles and the evaluator's
-integrands carry it.  run_case alone does the adaptive quadrature and
+integrands carry it.  A case holds its draw once, and both sides of its
+identity read it.  run_case alone does the adaptive quadrature and
 decides the status.  Reports carry both the identity residual and the
 quadrature doubling estimate so formula errors and quadrature noise
 remain distinguishable.
@@ -69,17 +70,39 @@ from ellsel.symbols import SymbolContext, delta0_bi, gamma_delta_bridge
 
 @dataclass
 class IdentityCase:
+    """One identity at one parameter point, its draw: the closed form
+    reads its values, the integrands its sets and factors; None for
+    algebraic_suite and before any draw.  A density family's draw is one
+    set, paramset, with its shapes' factors; setting paramset rebuilds the
+    whole draw, so both sides move.  variant picks one of a family's
+    identities, infeasible says why the case cannot run, and inner_grid
+    is equal_k's right-side 1-d grid."""
+
     id: str
     family: str
     seed: int
     grid: GridSpec
     tol: float
-    params: dict = field(default_factory=dict)  # named complex values
-    paramset: ParamSet | None = None
+    draw: Draw | None
     shapes: tuple[Bipartition, Bipartition] | None = None
-    extra: dict = field(default_factory=dict)
+    variant: str | None = None
+    infeasible: str | None = None
+    inner_grid: int | None = None
     contour: Contour = field(default_factory=Contour)  # density families only
     doublings: int = 0  # grid doublings the main integral's quadrature may take
+
+    @property
+    def paramset(self) -> ParamSet | None:
+        """The draw's one set for a family with Family.at, else None."""
+        if self.draw is None or FAMILY_TABLE[self.family].at is None:
+            return None
+        return self.draw.sets[0]
+
+    @paramset.setter
+    def paramset(self, params: ParamSet) -> None:
+        if FAMILY_TABLE[self.family].at is None:
+            raise ValueError(f"family {self.family} draws no single parameter set")
+        self.draw = _density_draw(self.family, params, self.shapes)
 
 
 @dataclass
@@ -185,30 +208,30 @@ def _unit(rng) -> complex:
     return cmath.exp(2j * math.pi * rng.uniform())
 
 
-def case_factors(case: IdentityCase) -> list[InterpFactor]:
-    """The interpolation factors of case's integrands: those its draw
-    declared, or an interpolation average's, from its parameter set."""
-    if case.paramset is None or case.shapes is None:
-        return case.extra.get("factors", [])
-    return _aflt_factors(case.paramset.n, *case.shapes, case.family == "an_hua_kadell", _named(case.paramset))
+def _density_draw(family: str, params: ParamSet, shapes) -> Draw:
+    """The draw of a density family's case at params: its values by name,
+    params as its one set and, with shapes (lam, mu), the family's
+    interpolation factors over those values."""
+    values = _named(params)
+    factors = [] if shapes is None else _aflt_factors(params.n, *shapes, family == "an_hua_kadell", values)
+    return Draw(values, [params], factors, [])
 
 
 def _set_integrand(case: IdentityCase, index: int, ctx: SymbolContext, cache: TableCache):
-    """The integrand of the case's index-th density set, the draw's or its
-    parameter set, times each of case_factors on one of its levels, in
-    order, on ctx and cache."""
-    extra = {}
-    for factor in case_factors(case):
+    """The integrand of the index-th set of the case's draw, times each of
+    its factors on one of that set's levels, in order, on ctx and cache."""
+    unary = {}
+    for factor in case.draw.factors:
         for where, level in factor.places:
             if where == index:
-                extra.setdefault(level, []).append(partial(factor.value, ctx=ctx, cache=cache))
-    return IntegrandDescriptor(case.extra.get("sets", [case.paramset])[index], extra_unary=extra).build()
+                unary.setdefault(level, []).append(partial(factor.value, ctx=ctx, cache=cache))
+    return IntegrandDescriptor(case.draw.sets[index], extra_unary=unary).build()
 
 
 def _evaluation_parts(case: IdentityCase) -> tuple[dict, SymbolContext, TableCache, object]:
     """A kernel-weighted case's values, their symbol context, the one table
     cache its factors and closed form share, and its first set's integrand."""
-    pr = case.params
+    pr = case.draw.values
     ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
     cache = TableCache(seed=case.seed)
     return pr, ctx, cache, _set_integrand(case, 0, ctx, cache)
@@ -318,16 +341,9 @@ def _eval_selberg(case: IdentityCase) -> Evaluation:
 
 
 def _one_dim_case(case_id: str, family: str, seed: int, cfg, tol: float, **fields) -> IdentityCase:
-    """A case with one variable on the 1-d grid, allowed two doublings."""
-    return IdentityCase(
-        id=case_id,
-        family=family,
-        seed=seed,
-        grid=GridSpec((cfg.grid_1d,)),
-        tol=tol,
-        doublings=2,
-        **fields,
-    )
+    """A case with one variable on the 1-d grid, allowed two doublings,
+    before its draw."""
+    return IdentityCase(case_id, family, seed, GridSpec((cfg.grid_1d,)), tol, None, doublings=2, **fields)
 
 
 def _check_size(family: str, params: ParamSet, ok: bool, want: str) -> None:
@@ -351,14 +367,11 @@ def _density_case(
 ) -> IdentityCase:
     """A case integrating the density of params on contour, sized by
     _density_size; a size it does not cover is infeasible."""
-    size = _density_size(cfg, params.k)
+    size, draw = _density_size(cfg, params.k), _density_draw(family, params, None)
     if size is None:
         reason = f"total dimension {sum(params.k)} beyond suite caps"
-        return _infeasible_case(family, seed, reason, case_id, paramset=params)
-    return IdentityCase(
-        id=case_id, family=family, seed=seed, grid=size[0], tol=size[1],
-        paramset=params, contour=contour, doublings=doublings,
-    )
+        return _infeasible_case(family, seed, reason, case_id, draw)
+    return IdentityCase(case_id, family, seed, size[0], size[1], draw, contour=contour, doublings=doublings)
 
 
 def _sample_on_polytope(
@@ -379,7 +392,7 @@ def _sample_on_polytope(
         if crossed.radius > 0:
             poly, check = crossed, contour_feasibility
     if poly.radius <= 0:
-        return _infeasible_case(family, seed, poly.why_empty(), case_id)
+        return _infeasible_case(family, seed, poly.why_empty(), case_id, None)
     drawn = poly.draw(rng)
     feas = [check(params) for params in drawn.sets]
     bad = [text for f in feas for text in f.violations] + margin_violations(drawn.poles)
@@ -437,14 +450,14 @@ def _box(value, name: str) -> list:
 
 
 def _sample_kernel_weighted(tag: int, case: IdentityCase, walked: str, phase_only: str, build) -> IdentityCase:
-    """case with a draw's values as params and its checked sets and factors
-    as extra["sets"], extra["factors"], drawn by the rng [seed, tag] on the
-    polytope of the case's grid and tol: walked values, then phase-only
-    ones.  An empty polytope gives an infeasible case with id family-sSEED."""
+    """case with its draw, the one build derives from values drawn by the
+    rng [seed, tag] on the polytope of the case's grid and tol: walked
+    values, then phase-only ones.  An empty polytope gives an infeasible
+    case with id family-sSEED."""
     plan = Plan(case.id, tuple(walked.split()), tuple(f"{walked} {phase_only}".split()), build)
 
     def at(drawn: Draw, contour: Contour) -> IdentityCase:
-        return replace(case, params=drawn.values, extra=case.extra | {"sets": drawn.sets, "factors": drawn.factors})
+        return replace(case, draw=drawn)
 
     rng = np.random.default_rng([case.seed, tag])
     return _sample_on_polytope(case.family, case.seed, rng, plan, (case.grid, case.tol), at, "", False)
@@ -510,9 +523,7 @@ def _sample_kernel_decomp(seed: int, cfg, variant: str | None = None) -> Identit
         spectator = p * q / (b * c**2 * d**2) if theorem else t / (b * d**2)
         return Draw(v | {"c": c}, [(1, (1,), (b, spectator, c * x1, c / x1, d * y1, d / y1))], [], [])
 
-    case = _one_dim_case(
-        f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8, extra={"variant": variant}
-    )
+    case = _one_dim_case(f"kernel_decomp-{variant}-s{seed}", "kernel_decomp", seed, cfg, 1e-8, variant=variant)
     return _sample_kernel_weighted(104, case, "p q t b c d" if theorem else "p q t b d", "x1 y1", build)
 
 
@@ -520,7 +531,7 @@ def _eval_kernel_decomp(case: IdentityCase) -> Evaluation:
     pr, ctx, _, integrand = _evaluation_parts(case)
     t, nomes = ctx.t, ctx.nomes
     b, c, d, x1, y1 = pr["b"], pr["c"], pr["d"], pr["x1"], pr["y1"]
-    variant = case.extra["variant"]
+    variant = case.variant
 
     # The integrand is the density of the set the sampler checks: each
     # kernel Gamma(c x1^+- z^+-) / (Gamma(t) Gamma(c^2)) enters it as the
@@ -570,7 +581,7 @@ def _eval_key_theorem(case: IdentityCase) -> Evaluation:
     t, t1, t2 = ctx.t, pr["t1"], pr["t2"]
     v1, v2, c, x1 = pr["v1"], pr["v2"], pr["c"], pr["x1"]
     mu = case.shapes[0]
-    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, t, ctx.nomes)
+    rhs = selberg_average_normalizer(1, case.draw.sets[0].ts, t, ctx.nomes)
     head = t * t1 * v1 * v2 / t2
     rhs *= delta0_bi(mu, head, [t * t1 * v1], ctx)
     rhs /= delta0_bi(mu, head, [c**2 * t * t1 * v1], ctx)
@@ -602,7 +613,7 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
     t1, t2, t3, t4, t5 = pr["t1"], pr["t2"], pr["t3"], pr["t4"], pr["t5"]
     c, x1 = pr["c"], pr["x1"]
     mu = case.shapes[0]
-    rhs = selberg_average_normalizer(1, case.extra["sets"][0].ts, ctx.t, ctx.nomes)
+    rhs = selberg_average_normalizer(1, case.draw.sets[0].ts, ctx.t, ctx.nomes)
     total = 0.0
     bracket = (t1 * t3, t1 * t4, t1 * t5)
     nus = sub_bipartitions(mu)
@@ -668,8 +679,11 @@ def _aflt_factors(n: int, lam, mu, hua: bool, v: dict) -> list[InterpFactor]:
 
 def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, Bipartition]:
     """The (lam, mu) pair of a case: shapes when given, else the family's
-    pick for seed."""
+    pick for seed.  an_kadell is the mu = 0 average and refuses any other
+    mu."""
     if shapes is not None:
+        if family == "an_kadell" and not shapes[1].is_zero():
+            raise ValueError(f"family {family} takes mu = {ZERO}, got mu = {shapes[1]}")
         return shapes
     if family == "an_kadell":
         return AFLT_N1_SHAPES[seed % len(AFLT_N1_SHAPES)][0], ZERO
@@ -695,22 +709,20 @@ def _aflt_at(
         raise ValueError(f"family {family} takes t_(2n+2) t_(2n+3) = t")
     lam, mu = _aflt_shapes(family, n, seed, shapes)
     grid, tol = _aflt_size(cfg, n)
-    case = IdentityCase(
-        id=f"{family}-n{n}-{lam}-{mu}-s{seed}", family=family, seed=seed, grid=grid,
-        tol=tol, paramset=params, shapes=(lam, mu),
-    )
+    draw = _density_draw(family, params, (lam, mu))
+    case = IdentityCase(f"{family}-n{n}-{lam}-{mu}-s{seed}", family, seed, grid, tol, draw, shapes=(lam, mu))
     if contour.residues:
-        case.extra["infeasible"] = (
+        case.infeasible = (
             f"{family} is evaluated on the unit torus only; these parameters "
             f"need the contour {contour.describe()}"
         )
     elif params.k != (1,) * n:
-        case.extra["infeasible"] = (
+        case.infeasible = (
             f"{family} puts each interpolation factor on a single variable; "
             f"it needs every k_r = 1, not k={params.k}"
         )
-    elif poles := margin_violations([pole for f in case_factors(case) for pole in f.poles(_named(params))]):
-        case.extra["infeasible"] = "; ".join(poles)
+    elif poles := margin_violations(draw.poles):
+        case.infeasible = "; ".join(poles)
     return case
 
 
@@ -719,7 +731,7 @@ def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag
     their random streams apart."""
     note_id = f"{family}-n{n}-s{seed}"
     if n > 2:
-        return _infeasible_case(family, seed, f"family {family} takes n=1 or n=2, not n={n}", note_id)
+        return _infeasible_case(family, seed, f"family {family} takes n=1 or n=2, not n={n}", note_id, None)
     rng, shapes = np.random.default_rng([seed, 108, n, tag]), _aflt_shapes(family, n, seed, shapes)
     at = partial(_aflt_at, family=family, shapes=shapes)
     return _sample_density(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
@@ -779,8 +791,8 @@ def _sample_xselberg(seed: int, cfg, variant: str | None = None) -> IdentityCase
     else:
         walked, grid = "p q t t1 t3 t5 t6 t7 t8", GridSpec((cfg.grid_2d_rec,) * 2)
         case_id = f"prop_xselberg-rec-{mu}-s{seed}"
-        case = IdentityCase(case_id, "prop_xselberg_base", seed, grid, 1e-6, shapes=(mu, ZERO))
-    case.extra["variant"] = variant
+        case = IdentityCase(case_id, "prop_xselberg_base", seed, grid, 1e-6, None, shapes=(mu, ZERO))
+    case.variant = variant
     return _sample_kernel_weighted(109, case, walked, "x1", base if variant == "base" else recursion)
 
 
@@ -793,7 +805,7 @@ def _eval_xselberg(case: IdentityCase) -> Evaluation:
     # density the sampler checks as the vertex parameters d x1^+-, at rank
     # two as c d x1^+- in place of t1, t2; the right side takes on its
     # normalisation.
-    if case.extra["variant"] == "base":
+    if case.variant == "base":
         ts6 = tuple(pr[f"t{i}"] for i in range(1, 7))
         rhs = elliptic_gamma_multi([t, d**2], nomes)
         rhs *= xselberg_rhs(1, (1,), (x1,), ts6, d, mu, ctx, 1.0)
@@ -837,8 +849,8 @@ def _sample_equal_k(seed: int, cfg) -> IdentityCase:
 
     grid = GridSpec((cfg.grid_2d_rec,) * 2)
     case = IdentityCase(
-        f"equal_k-{lam}-{mu}-s{seed}", "equal_k_recursion", seed, grid, 1e-6,
-        shapes=(lam, mu), extra={"grid_1d": cfg.grid_1d},
+        f"equal_k-{lam}-{mu}-s{seed}", "equal_k_recursion", seed, grid, 1e-6, None,
+        shapes=(lam, mu), inner_grid=cfg.grid_1d,
     )
     return _sample_kernel_weighted(110, case, "p q t t1 t3 t5 t6 t7 t8", "", build)
 
@@ -857,7 +869,7 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
     rhs = elliptic_gamma_multi(pref_num, nomes) / elliptic_gamma_multi(pref_den, nomes)
     rhs *= delta0_bi(lam, ts[0] / ts[1], [t * ts[0] / ts[2], t * ts[0] / ts[3]], ctx)
     inner = _set_integrand(case, 1, ctx, cache)
-    inner_res = integrate_adaptive(inner, GridSpec((case.extra["grid_1d"],)), case.tol * 0.1, 2)
+    inner_res = integrate_adaptive(inner, GridSpec((case.inner_grid,)), case.tol * 0.1, 2)
     rhs *= inner_res.value
     return Evaluation(rhs, integrand)
 
@@ -868,6 +880,9 @@ def _eval_equal_k(case: IdentityCase) -> Evaluation:
 
 
 def _sample_kernel_consistency(seed: int, cfg, variant: str | None = None) -> IdentityCase:
+    # Hand windows, not a plan, which would move the pinned draws: each keeps
+    # kernel.branching_pole_report's towers t^(1/2) x_i, c t^(-1/2) y1 and
+    # pq y2 / (c t^(1/2)) below INWARD_CAP on both branches, at spectral's y too.
     rng = np.random.default_rng([seed, 111])
     variants = ("c_factor", "spectral", "swap")
     variant = variant or variants[seed % 3]
@@ -886,24 +901,17 @@ def _sample_kernel_consistency(seed: int, cfg, variant: str | None = None) -> Id
         "y1": _unit(rng),
         "y2": _unit(rng),
     }
-    return IdentityCase(
-        id=f"kernel_consistency-{variant}-s{seed}",
-        family="kernel_consistency",
-        seed=seed,
-        grid=GridSpec((cfg.grid_1d,)),
-        tol=1e-6,
-        params=params,
-        extra={"variant": variant},
-    )
+    case_id, grid = f"kernel_consistency-{variant}-s{seed}", GridSpec((cfg.grid_1d,))
+    return IdentityCase(case_id, "kernel_consistency", seed, grid, 1e-6, Draw(params, [], [], []), variant=variant)
 
 
 def _eval_kernel_consistency(case: IdentityCase) -> Evaluation:
-    pr = case.params
+    pr = case.draw.values
     ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
     nomes = ctx.nomes
     c = pr["c"]
     x = (pr["x1"], pr["x2"])
-    variant = case.extra["variant"]
+    variant = case.variant
     inner = case.grid.dims[0]
     if variant == "c_factor":
         y = (pr["y1"], pr["y2"])
@@ -1083,13 +1091,7 @@ def _eval_algebraic(case: IdentityCase) -> Evaluation:
 
 
 def _sample_algebraic(seed: int, cfg) -> IdentityCase:
-    return IdentityCase(
-        id=f"algebraic-s{seed}",
-        family="algebraic_suite",
-        seed=seed,
-        grid=GridSpec((8,)),
-        tol=1.0,
-    )
+    return IdentityCase(f"algebraic-s{seed}", "algebraic_suite", seed, GridSpec((8,)), 1.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -1103,16 +1105,9 @@ def _shapes_str(case: IdentityCase) -> str:
     return ";".join(str(s) for s in case.shapes)
 
 
-def _infeasible_case(family: str, seed: int, reason: str, note_id: str = "", **fields) -> IdentityCase:
-    return IdentityCase(
-        id=note_id or f"{family}-s{seed}",
-        family=family,
-        seed=seed,
-        grid=GridSpec((8,)),
-        tol=1.0,
-        extra={"infeasible": reason},
-        **fields,
-    )
+def _infeasible_case(family: str, seed: int, reason: str, note_id: str, draw: Draw | None) -> IdentityCase:
+    """A case infeasible for reason, with id note_id or else family-sSEED."""
+    return IdentityCase(note_id or f"{family}-s{seed}", family, seed, GridSpec((8,)), 1.0, draw, infeasible=reason)
 
 
 def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_ms: int) -> VerificationReport:
@@ -1139,14 +1134,14 @@ def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_
         doubling_estimate=estimate,
         grid=ev.grid or "x".join(str(n) for n in case.grid.dims),
         tol=case.tol,
-        params=dict(case.params),
+        params={} if case.draw is None else dict(case.draw.values),
         shapes=_shapes_str(case),
         runtime_ms=runtime_ms,
         notes=ev.notes,
     )
     ps = case.paramset
     if ps is not None:
-        rep.n, rep.k, rep.params = ps.n, ps.k, _named(ps)
+        rep.n, rep.k = ps.n, ps.k
     return rep
 
 
@@ -1195,11 +1190,11 @@ class HarnessConfig:
 class Family:
     """One identity family.  `sample(seed, cfg, **options)` draws a case
     and `evaluate(case)` gives its Evaluation.  `at(seed, cfg, params,
-    contour, **options)`, set for the families whose case is a ParamSet,
-    builds the case its sampler builds from a draw, at params on contour;
-    `ellsel case --params` runs it.  `shapes_option`: the option of both
-    that `ellsel case --shapes` fills, "mu" for one bipartition or
-    "shapes" for a pair."""
+    contour, **options)`, set for the density families, whose draw is one
+    ParamSet with the factors of its shapes, builds the case its sampler
+    builds from a drawn set, at params on contour; `ellsel case --params`
+    runs it.  `shapes_option`: the option of both that `ellsel case
+    --shapes` fills, "mu" for one bipartition or "shapes" for a pair."""
 
     sample: Callable[..., IdentityCase]
     evaluate: Callable[[IdentityCase], Evaluation]
@@ -1251,15 +1246,15 @@ def case_at(family: str, seed: int, cfg: HarnessConfig, params: ParamSet, **opti
     feas = contour_feasibility(params)
     case = at(seed, cfg, params, feas.contour, **options)
     if not feas.ok:
-        case.extra["infeasible"] = "; ".join(feas.violations)
+        case.infeasible = "; ".join(feas.violations)
     return case
 
 
 def evaluate_case(case: IdentityCase) -> Evaluation:
     """The family's Evaluation of case.  InfeasibleError when the case is
     marked infeasible or its evaluation finds no valid contour."""
-    if "infeasible" in case.extra:
-        raise InfeasibleError(case.extra["infeasible"])
+    if case.infeasible is not None:
+        raise InfeasibleError(case.infeasible)
     try:
         return FAMILY_TABLE[case.family].evaluate(case)
     except ContourError as exc:

@@ -55,7 +55,7 @@ def test_density_tables_on_circles_make_no_grid_sized_gamma_call(monkeypatch):
 def test_kernel_k2_inner_circle_makes_no_grid_sized_gamma_call(monkeypatch):
     # the inner one-pair kernel enters the Dixon factor as two more
     # parameters, so both branches' 128-point circles come from one FFT
-    pr = harness.sample_case("kernel_consistency", 0, variant="c_factor").params
+    pr = harness.sample_case("kernel_consistency", 0, variant="c_factor").draw.values
     ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
     calls = counting(monkeypatch, core, "_log_gamma")
     kernel.kernel_k2((pr["x1"], pr["x2"]), (pr["y1"], pr["y2"]), pr["c"], ctx, inner_grid=128)
@@ -159,9 +159,9 @@ def test_kernel_weighted_draw_runs_the_density_check(monkeypatch, family, option
     # the accepted draw is the last one checked, and it passes
     calls = counting(monkeypatch, harness, "feasibility_check")
     case = harness.sample_case(family, 0, **options)
-    assert "infeasible" not in case.extra and calls
+    assert case.infeasible is None and calls
     (params,) = calls[-1]
-    assert (params.p, params.q, params.t) == tuple(case.params[key] for key in "pqt")
+    assert (params.p, params.q, params.t) == tuple(case.draw.values[key] for key in "pqt")
     accepted = {params for (params,) in calls if densities.feasibility_check(params).ok}
     assert params in accepted
 

@@ -144,7 +144,7 @@ class TestConsistencyChains:
         # identity under (c, t1, t2, t3, v1, v2) -> (d, t3, t6, t5, t4/t, t5/t).
         rng = np.random.default_rng(77)
         case = sample_case("prop_xselberg_base", 1, CFG, variant="base")
-        pr = case.params
+        pr = case.draw.values
         mu = case.shapes[0]
         ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
         cache = TableCache()
@@ -176,7 +176,7 @@ class TestConsistencyChains:
     def test_xselberg_closed_form_satisfies_recursion(self):
         # prefactor * rank-one closed form == rank-two closed form.
         case = sample_case("prop_xselberg_base", 1, CFG, variant="recursion")
-        pr = case.params
+        pr = case.draw.values
         mu = case.shapes[0]
         ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
         ts = tuple(pr[f"t{i}"] for i in range(1, 9))
@@ -191,6 +191,36 @@ class TestConsistencyChains:
         )
         rhs = pref * xselberg_rhs(1, (1,), (x1,), ts[2:], c * d, mu, ctx, 1.0)
         assert abs(lhs - rhs) / abs(rhs) < 1e-10
+
+
+class TestOneDraw:
+    """A case holds its parameter point once, as its draw, and both sides
+    of its identity read it."""
+
+    def test_replaced_draw_moves_both_sides(self):
+        mu = Bipartition.of((1,), ())
+        case, other = (sample_case("key_theorem", seed, CFG, mu=mu) for seed in (0, 1))
+        case.draw = other.draw
+        got, want = run_case(case), run_case(other)
+        assert got.params == want.params
+        for side in ("lhs", "rhs"):
+            g, w = getattr(got, side), getattr(want, side)
+            assert abs(g - w) <= 1e-12 * abs(w), (side, g, w)
+
+    def test_assigned_paramset_rebuilds_the_draw(self):
+        case = sample_case("an_aflt", 0, CFG, n=1)
+        params = sample_case("an_aflt", 1, CFG, n=1).paramset
+        assert params != case.paramset
+        case.paramset = params
+        values = harness._named(params)
+        assert case.draw.values == values and case.draw.sets == [params]
+        assert case.draw.factors == harness._aflt_factors(1, *case.shapes, False, values)
+
+    def test_kernel_weighted_case_refuses_a_paramset(self):
+        case = sample_case("vdBult", 0, CFG)
+        with pytest.raises(ValueError, match="family vdBult draws no single parameter set"):
+            case.paramset = sample_case("beta_k1", 0, CFG).paramset
+        assert case.paramset is None and "x1" in case.draw.values
 
 
 class TestReports:
@@ -272,16 +302,18 @@ class TestBuilders:
             return
         runs = [(opts, {}) for name, opts in SUITES["all"] if name == family]
         if FAMILY_TABLE[family].shapes_option == "shapes":
-            shapes = {"shapes": AFLT_N1_SHAPES[2]}
+            # an_kadell takes mu = 0|0 only
+            shapes = {"shapes": AFLT_N1_SHAPES[0 if family == "an_kadell" else 2]}
             runs.append(({"n": 1, **shapes}, shapes))
         assert runs
         for options, at_options in runs:
             # a paramset carries the sizes n and k; only shapes are passed on
             for seed in range(3):
                 case = sample_case(family, seed, CFG, **options)
-                assert case.paramset is not None, case.extra
+                assert case.paramset is not None, case.infeasible
                 built = at(seed, CFG, case.paramset, case.contour, **at_options)
-                for name in ("id", "grid", "tol", "doublings", "shapes", "contour", "extra"):
+                fields = ("id", "grid", "tol", "doublings", "shapes", "contour", "draw", "variant", "infeasible")
+                for name in fields:
                     assert getattr(built, name) == getattr(case, name), (case.id, name)
 
 
@@ -606,6 +638,16 @@ class TestCli:
         assert main(["case", "--family", family, "--shapes", shapes]) == 3
         assert f"family {family} takes --shapes {form}, got '{shapes}'" in capsys.readouterr().err
 
+    def test_an_kadell_nonzero_mu_exit_3(self, capsys, tmp_path):
+        # an_kadell is the mu = 0 average; with another mu the case would be
+        # an_aflt's integral filed under an_kadell
+        assert main(["case", "--family", "an_kadell", "--shapes", "1|0;1|0", "--seed", "2"]) == 3
+        assert "error: family an_kadell takes mu = 0|0, got mu = 1|0" in capsys.readouterr().err
+        pfile = tmp_path / "p.json"
+        pfile.write_text(sample_case("an_kadell", 2, CFG, n=1).paramset.to_json())
+        assert main(["case", "--family", "an_kadell", "--params", str(pfile), "--shapes", "1|0;0|1"]) == 3
+        assert "family an_kadell takes mu = 0|0, got mu = 0|1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "family,shapes", [("vdBult", "1,1|0"), ("prop_RK", "1,1|0"), ("an_hua_kadell", "0|0;1,1|0")]
     )
@@ -721,7 +763,7 @@ class TestGiveUpNotes:
 
         monkeypatch.setattr(harness.SelbergPolytope, "draw", no_draw)
         case = sample_case(family, 0, mu=Bipartition.of((1,), (1,)))
-        note = case.extra["infeasible"]
+        note = case.infeasible
         assert note.startswith(f"no parameter set for {family}-1|1-s0: the log-modulus polytope is empty")
         assert "cross row 1: b t^(1-1) p^-1 q^-1" in note and note.endswith("cannot hold together")
         assert case.id == f"{family}-s0"

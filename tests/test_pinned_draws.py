@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from ellsel.harness import SUITES, case_factors, sample_case
+from ellsel.harness import SUITES, sample_case
 
 FIXTURE = pathlib.Path(__file__).with_name("pinned_draws.json")
 SEEDS = range(3)
@@ -41,15 +41,17 @@ def _entries() -> list[tuple[str, dict]]:
 
 
 def draw_record(family: str, options: dict, seed: int) -> dict:
+    """The case's draw as the fixture records it: a density family's by
+    its paramset, any other's by its named values."""
     case = sample_case(family, seed, **options)
-    ps = case.paramset
+    ps, draw = case.paramset, case.draw
     return {
         "family": family,
         "options": options,
         "seed": seed,
         "id": case.id,
-        "infeasible": "infeasible" in case.extra,
-        "params": {key: _c2(val) for key, val in case.params.items()},
+        "infeasible": case.infeasible is not None,
+        "params": {} if ps is not None or draw is None else {key: _c2(val) for key, val in draw.values.items()},
         "paramset": None if ps is None else ps.to_json_dict(),
         "residues": [[term.level, term.index] for term in case.contour.residues],
         "factors": [
@@ -57,7 +59,7 @@ def draw_record(family: str, options: dict, seed: int) -> dict:
                 "shape": str(factor.shape), "places": factor.places, "a": _c2(factor.a), "b": _c2(factor.b),
                 "vs": None if factor.vs is None else [_c2(v) for v in factor.vs],
             }
-            for factor in case_factors(case)
+            for factor in ([] if draw is None else draw.factors)
         ],
     }
 

@@ -166,7 +166,7 @@ def test_kernel_weighted_seeds_sample_without_rejection(family, options):
     # AssertionError; only vdBult's (1|1) seeds are certified empty
     for seed in range(21):
         case = sample_case(family, seed, **options)
-        assert case.params or case.id == f"vdBult-s{seed}", case.extra
+        assert case.draw or case.id == f"vdBult-s{seed}", case.infeasible
 
 
 FACTORED = [
@@ -198,7 +198,7 @@ def test_integrands_carry_the_declared_factors(family, monkeypatch):
         built.clear()
         case = sample_case(family, seed)
         evaluate_case(case)
-        sets, factors = case.extra.get("sets", [case.paramset]), harness.case_factors(case)
+        sets, factors = case.draw.sets, case.draw.factors
         declared = {place for factor in factors for place in factor.places}
         assert factors and {index for index, _ in declared} == {sets.index(params) for params, _ in built}
         for params, extra in built:
