@@ -4,14 +4,17 @@ emission.
 Each family is one record in FAMILY_TABLE: a seeded sampler and an
 evaluator giving the integrand and the closed-form side from
 gamma/Delta0 products.  Every family that integrates a density samples
-through _sample_on_polytope: a draw from the log-modulus polytope of
-its plan (ellsel.polytope), whose sets are Selberg densities on the
-unit torus or a residue-corrected contour, a kernel Gamma(c x^+- z^+-)
+through _sample_on_plan: a draw from the log-modulus polytope of its
+plan (ellsel.polytope), whose sets are Selberg densities on the unit
+torus or a residue-corrected contour, a kernel Gamma(c x^+- z^+-)
 entering a set as c x and c / x; an empty polytope makes the case
 infeasible.  The plan declares each interpolation factor R*_mu once, as
 an InterpFactor: the polytope bounds its poles and the evaluator's
 integrands carry it.  A case holds its draw once, and both sides of its
-identity read it.  run_case alone does the adaptive quadrature and
+identity read it.  A parameter point reaches a case by one gate,
+_at_draw, which checks the draw's sets and pole towers and picks the
+contour: the sampler's draw, a --params file's set and an assigned
+paramset alike.  run_case alone does the adaptive quadrature and
 decides the status.  Reports carry both the identity residual and the
 quadrature doubling estimate so formula errors and quadrature noise
 remain distinguishable.
@@ -43,7 +46,6 @@ from ellsel.densities import (
     an_selberg_gamma_args,
     an_selberg_rhs,
     contour_feasibility,
-    feasibility_check,
     margin_violations,
     selberg_average_normalizer,
 )
@@ -74,9 +76,9 @@ class IdentityCase:
     reads its values, the integrands its sets and factors; None for
     algebraic_suite and before any draw.  A density family's draw is one
     set, paramset, with its shapes' factors; setting paramset rebuilds the
-    whole draw, so both sides move.  variant picks one of a family's
-    identities, infeasible says why the case cannot run, and inner_grid
-    is equal_k's right-side 1-d grid."""
+    whole draw, so both sides move, and reruns the checks --params runs.
+    variant picks one of a family's identities, infeasible says why the
+    case cannot run, and inner_grid is equal_k's right-side 1-d grid."""
 
     id: str
     family: str
@@ -100,9 +102,15 @@ class IdentityCase:
 
     @paramset.setter
     def paramset(self, params: ParamSet) -> None:
-        if FAMILY_TABLE[self.family].at is None:
+        """The family's case at params, keeping this case's id, grid and
+        tol; a set of other sizes, which would change them, is refused."""
+        at = FAMILY_TABLE[self.family].at
+        if at is None:
             raise ValueError(f"family {self.family} draws no single parameter set")
-        self.draw = _density_draw(self.family, params, self.shapes)
+        built = at(self.seed, HarnessConfig(), params, shapes=self.shapes)
+        if built.id != self.id:
+            raise ValueError(f"case {self.id} cannot take a set that makes case {built.id}")
+        self.draw, self.contour, self.infeasible = built.draw, built.contour, built.infeasible
 
 
 @dataclass
@@ -217,20 +225,61 @@ def _density_draw(family: str, params: ParamSet, shapes) -> Draw:
     return Draw(values, [params], factors, [])
 
 
+def _at_draw(case: IdentityCase, draw: Draw, crossable: bool) -> IdentityCase:
+    """case, before its draw, at draw: on the contour contour_feasibility
+    picks for the first set, which must be the unit torus unless
+    crossable.  Its infeasible note is the first that applies: the sets'
+    violations, the residue terms it may not take, the case's own
+    reason, the pole towers that keep no margin."""
+    feas = [contour_feasibility(params) for params in draw.sets]
+    contour, notes = feas[0].contour, [text for f in feas for text in f.violations]
+    if contour.residues and not crossable:
+        notes.append(
+            f"{case.family} is evaluated on the unit torus only; these parameters "
+            f"need the contour {contour.describe()}"
+        )
+    note = "; ".join(notes) or case.infeasible or "; ".join(margin_violations(draw.poles))
+    return replace(case, draw=draw, contour=contour, infeasible=note or None)
+
+
+def _sample_on_plan(case: IdentityCase, plan: Plan, rng, crossable: bool, empty_id: str) -> IdentityCase:
+    """case, before its draw, at a draw of plan by _at_draw.  Every tower
+    stays below rho = (tol / 10)^(1/N) on the case's N grid points per
+    dimension, which keeps the trapezoid error ~ rho^N near tol / 10;
+    below INWARD_CAP for a case infeasible by its own reason.  When
+    crossable, an empty torus polytope gives way to the residue-corrected
+    one; an empty polytope gives an infeasible case with id empty_id, or
+    family-sSEED.  A draw that _at_draw rejects is a bug in the bounds,
+    so it raises."""
+    rho = INWARD_CAP if case.infeasible else min(INWARD_CAP, (case.tol / 10) ** (1 / case.grid.dims[0]))
+    poly = SelbergPolytope(plan, rho, False)
+    if poly.radius <= 0 and crossable:
+        crossed = SelbergPolytope(plan, rho, True)
+        poly = crossed if crossed.radius > 0 else poly
+    if poly.radius <= 0:
+        return _infeasible_case(case.family, case.seed, poly.why_empty(), empty_id, None)
+    checked = _at_draw(case, poly.draw(rng), poly.crossed)
+    if checked.infeasible != case.infeasible:
+        raise AssertionError(f"polytope draw for {plan.name} rejected: {checked.infeasible}")
+    return checked
+
+
 def _set_integrand(case: IdentityCase, index: int, ctx: SymbolContext, cache: TableCache):
     """The integrand of the index-th set of the case's draw, times each of
-    its factors on one of that set's levels, in order, on ctx and cache."""
+    its factors on one of that set's levels, in order, on ctx and cache;
+    the first set's on the case's contour."""
     unary = {}
     for factor in case.draw.factors:
         for where, level in factor.places:
             if where == index:
                 unary.setdefault(level, []).append(partial(factor.value, ctx=ctx, cache=cache))
-    return IntegrandDescriptor(case.draw.sets[index], extra_unary=unary).build()
+    descriptor = IntegrandDescriptor(case.draw.sets[index], extra_unary=unary)
+    return descriptor.build_on(case.contour) if index == 0 else descriptor.build()
 
 
 def _evaluation_parts(case: IdentityCase) -> tuple[dict, SymbolContext, TableCache, object]:
-    """A kernel-weighted case's values, their symbol context, the one table
-    cache its factors and closed form share, and its first set's integrand."""
+    """A case's values, their symbol context, the one table cache its
+    factors and closed form share, and its first set's integrand."""
     pr = case.draw.values
     ctx = SymbolContext(NomePair(pr["p"], pr["q"]), pr["t"])
     cache = TableCache(seed=case.seed)
@@ -329,9 +378,8 @@ def _hybrid_mu(mu, tail, t, places) -> InterpFactor:
 def _eval_density(case: IdentityCase, rhs: complex) -> Evaluation:
     """Density integral on the case's contour: the torus part plus its
     residue terms, each on the case's per-dimension grid."""
-    integrand = IntegrandDescriptor(case.paramset).build_on(case.contour)
     notes = f"contour: {case.contour.describe()}" if case.contour.residues else ""
-    return Evaluation(rhs, integrand, notes=notes)
+    return Evaluation(rhs, _evaluation_parts(case)[3], notes=notes)
 
 
 def _eval_selberg(case: IdentityCase) -> Evaluation:
@@ -346,96 +394,68 @@ def _one_dim_case(case_id: str, family: str, seed: int, cfg, tol: float, **field
     return IdentityCase(case_id, family, seed, GridSpec((cfg.grid_1d,)), tol, None, doublings=2, **fields)
 
 
-def _check_size(family: str, params: ParamSet, ok: bool, want: str) -> None:
-    """Refuse a parameter set of a size the family's identity does not cover."""
-    if not ok:
-        raise ValueError(f"family {family} takes {want}; got n={params.n}, k={params.k}")
-
-
-def _density_size(cfg, k) -> tuple[GridSpec, float] | None:
-    """Grid and tolerance of a density case with level sizes k: grid_1d
-    and tol_1d for one variable, and so on up to three; None beyond."""
-    total = sum(k)
+def _density_case(family: str, seed: int, cfg, n: int, k: tuple[int, ...], shapes) -> IdentityCase:
+    """A density family's case before its draw, with its own reason to be
+    infeasible.  With shapes (lam, mu), an interpolation average: n
+    variables on grid_1d or grid_2d_aflt, one on each level.  Else the
+    bare density: sum(k) variables on grid_1d and tol_1d, and so on up
+    to three, beyond which it is infeasible."""
+    if shapes is not None:
+        grid, tol = GridSpec(((cfg.grid_1d if n == 1 else cfg.grid_2d_aflt),) * n), 1e-8 if n == 1 else 1e-5
+        reason = None if k == (1,) * n else (
+            f"{family} puts each interpolation factor on a single variable; "
+            f"it needs every k_r = 1, not k={k}"
+        )
+        case_id = f"{family}-n{n}-{shapes[0]}-{shapes[1]}-s{seed}"
+        return IdentityCase(case_id, family, seed, grid, tol, None, shapes=shapes, infeasible=reason)
+    ids = {"beta_k1": f"beta_k1-s{seed}", "selberg_A1": f"selberg_A1-k{k[0]}-s{seed}"}
+    case_id = ids.get(family, f"an_selberg-n{n}k{''.join(str(v) for v in k)}-s{seed}")
     sizes = {1: (cfg.grid_1d, cfg.tol_1d), 2: (cfg.grid_2d, cfg.tol_2d), 3: (cfg.grid_3d, cfg.tol_3d)}
-    if total not in sizes:
-        return None
-    return GridSpec((sizes[total][0],) * total), sizes[total][1]
+    if sum(k) not in sizes:
+        return _infeasible_case(family, seed, f"total dimension {sum(k)} beyond suite caps", case_id, None)
+    grid, tol = sizes[sum(k)]
+    doublings = 2 if family == "beta_k1" else 0
+    return IdentityCase(case_id, family, seed, GridSpec((grid,) * sum(k)), tol, None, doublings=doublings)
 
 
-def _density_case(
-    case_id: str, family: str, seed: int, cfg, params: ParamSet, contour: Contour, doublings: int
-) -> IdentityCase:
-    """A case integrating the density of params on contour, sized by
-    _density_size; a size it does not cover is infeasible."""
-    size, draw = _density_size(cfg, params.k), _density_draw(family, params, None)
-    if size is None:
-        reason = f"total dimension {sum(params.k)} beyond suite caps"
-        return _infeasible_case(family, seed, reason, case_id, draw)
-    return IdentityCase(case_id, family, seed, size[0], size[1], draw, contour=contour, doublings=doublings)
-
-
-def _sample_on_polytope(
-    family: str, seed: int, rng, plan: Plan, size, at, case_id: str, crossable: bool
-) -> IdentityCase:
-    """The family's case at(draw, contour) at a draw of plan.  With size =
-    (grid, tol), every tower stays below rho = (tol / 10)^(1/N) on N grid
-    points per dimension, which keeps the trapezoid error ~ rho^N near
-    tol / 10; else below INWARD_CAP.  When crossable, an empty torus
-    polytope gives way to the residue-corrected one; an empty polytope
-    makes the case infeasible.  feasibility_check (contour_feasibility
-    when crossed) runs on every set and the margin on every pole tower:
-    a draw they reject is a bug in the bounds, so it raises."""
-    rho = INWARD_CAP if size is None else min(INWARD_CAP, (size[1] / 10) ** (1 / size[0].dims[0]))
-    poly, check = SelbergPolytope(plan, rho, False), feasibility_check
-    if poly.radius <= 0 and crossable:
-        crossed = SelbergPolytope(plan, rho, True)
-        if crossed.radius > 0:
-            poly, check = crossed, contour_feasibility
-    if poly.radius <= 0:
-        return _infeasible_case(family, seed, poly.why_empty(), case_id, None)
-    drawn = poly.draw(rng)
-    feas = [check(params) for params in drawn.sets]
-    bad = [text for f in feas for text in f.violations] + margin_violations(drawn.poles)
-    if bad:
-        raise AssertionError(f"polytope draw for {plan.name} rejected: {bad}")
-    return at(drawn, feas[0].contour)
-
-
-def _sample_density(family: str, seed: int, cfg, k, rng, at, case_id: str, shapes) -> IdentityCase:
-    """The case at(seed, cfg, params, contour) of a family whose draw is
-    one set with level sizes k, carrying the (lam, mu) interpolation
-    factors of shapes when given; without them a set with k_1 = 1 may
-    take the residue-corrected contour."""
+def _sample_density(family: str, seed: int, cfg, k, rng, shapes) -> IdentityCase:
+    """The case of a family whose draw is one set with level sizes k,
+    carrying the (lam, mu) interpolation factors of shapes when given;
+    without them a set with k_1 = 1 may take the residue-corrected
+    contour.  An interpolation average's empty polytope gives the id
+    family-nN-sSEED."""
     n, k = len(k), tuple(k)
-    size = _density_size(cfg, k) if shapes is None else _aflt_size(cfg, n)
     hua = family == "an_hua_kadell"
     plan = selberg_plan(n, k, hua=hua, factors=shapes and partial(_aflt_factors, n, *shapes, hua))
-
-    def at_draw(drawn: Draw, contour: Contour) -> IdentityCase:
-        return at(seed, cfg, drawn.sets[0], contour)
-
-    return _sample_on_polytope(family, seed, rng, plan, size, at_draw, case_id, shapes is None and k[0] == 1)
+    case = _density_case(family, seed, cfg, n, k, shapes)
+    empty_id = case.id if shapes is None else f"{family}-n{n}-s{seed}"
+    return _sample_on_plan(case, plan, rng, shapes is None and k[0] == 1, empty_id)
 
 
-def _beta_k1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
-    _check_size("beta_k1", params, params.k == (1,), "n=1, k=(1,)")
-    return _density_case(f"beta_k1-s{seed}", "beta_k1", seed, cfg, params, contour, doublings=2)
+def _density_at(family: str, seed: int, cfg, params: ParamSet, shapes=None) -> IdentityCase:
+    """The density family's case at params, built and checked as its
+    sampler builds and checks a drawn set; ValueError for a set its
+    identity does not cover."""
+    n, k = params.n, params.k
+    sizes = {"beta_k1": (k == (1,), "n=1, k=(1,)"), "selberg_A1": (n == 1, "n=1"), "an_selberg": (True, "")}
+    covered, want = sizes.get(family, (n <= 2, "n=1 or n=2"))
+    if not covered:
+        raise ValueError(f"family {family} takes {want}; got n={n}, k={k}")
+    hua_gap = abs(params.ts[2 * n + 1] * params.ts[2 * n + 2] - params.t)
+    if family == "an_hua_kadell" and hua_gap > 1e-13 * abs(params.t):
+        raise ValueError(f"family {family} takes t_(2n+2) t_(2n+3) = t")
+    if FAMILY_TABLE[family].shapes_option:
+        shapes = _aflt_shapes(family, n, seed, shapes)
+    case = _density_case(family, seed, cfg, n, k, shapes)
+    return _at_draw(case, _density_draw(family, params, shapes), shapes is None)
 
 
 def _sample_beta_k1(seed: int, cfg) -> IdentityCase:
-    rng = np.random.default_rng([seed, 101])
-    return _sample_density("beta_k1", seed, cfg, (1,), rng, _beta_k1_at, f"beta_k1-s{seed}", None)
-
-
-def _selberg_A1_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
-    _check_size("selberg_A1", params, params.n == 1, "n=1")
-    case_id = f"selberg_A1-k{params.k[0]}-s{seed}"
-    return _density_case(case_id, "selberg_A1", seed, cfg, params, contour, doublings=0)
+    return _sample_density("beta_k1", seed, cfg, (1,), np.random.default_rng([seed, 101]), None)
 
 
 def _sample_selberg_A1(seed: int, cfg, k: int = 2) -> IdentityCase:
-    rng, case_id = np.random.default_rng([seed, 102, k]), f"selberg_A1-k{k}-s{seed}"
-    return _sample_density("selberg_A1", seed, cfg, (k,), rng, _selberg_A1_at, case_id, None)
+    return _sample_density("selberg_A1", seed, cfg, (k,), np.random.default_rng([seed, 102, k]), None)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +475,7 @@ def _sample_kernel_weighted(tag: int, case: IdentityCase, walked: str, phase_onl
     values, then phase-only ones.  An empty polytope gives an infeasible
     case with id family-sSEED."""
     plan = Plan(case.id, tuple(walked.split()), tuple(f"{walked} {phase_only}".split()), build)
-
-    def at(drawn: Draw, contour: Contour) -> IdentityCase:
-        return replace(case, draw=drawn)
-
-    rng = np.random.default_rng([case.seed, tag])
-    return _sample_on_polytope(case.family, case.seed, rng, plan, (case.grid, case.tol), at, "", False)
+    return _sample_on_plan(case, plan, np.random.default_rng([case.seed, tag]), False, "")
 
 
 # ---------------------------------------------------------------------------
@@ -629,18 +644,8 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
 # Families: an_selberg, an_aflt, an_kadell, an_hua_kadell
 # ---------------------------------------------------------------------------
 
-def _an_selberg_id(n: int, k: tuple[int, ...], seed: int) -> str:
-    return f"an_selberg-n{n}k{''.join(str(v) for v in k)}-s{seed}"
-
-
-def _an_selberg_at(seed: int, cfg, params: ParamSet, contour: Contour) -> IdentityCase:
-    case_id = _an_selberg_id(params.n, params.k, seed)
-    return _density_case(case_id, "an_selberg", seed, cfg, params, contour, doublings=0)
-
-
 def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) -> IdentityCase:
-    rng, case_id = np.random.default_rng([seed, 107, n, *k]), _an_selberg_id(n, k, seed)
-    return _sample_density("an_selberg", seed, cfg, k, rng, _an_selberg_at, case_id, None)
+    return _sample_density("an_selberg", seed, cfg, k, np.random.default_rng([seed, 107, n, *k]), None)
 
 
 def _eval_an_selberg(case: IdentityCase) -> Evaluation:
@@ -691,59 +696,21 @@ def _aflt_shapes(family: str, n: int, seed: int, shapes) -> tuple[Bipartition, B
     return pool[seed % len(pool)]
 
 
-def _aflt_size(cfg, n: int) -> tuple[GridSpec, float]:
-    return GridSpec(((cfg.grid_1d if n == 1 else cfg.grid_2d_aflt),) * n), 1e-8 if n == 1 else 1e-5
-
-
-def _aflt_at(
-    seed: int, cfg, params: ParamSet, contour: Contour, family: str, shapes=None
-) -> IdentityCase:
-    """The interpolation-average case of family at params.  It runs on
-    the unit torus only, with one variable per level, and every
-    interpolation pole tower must keep the density's margin; otherwise
-    the case is infeasible, naming why."""
-    n = params.n
-    _check_size(family, params, n <= 2, "n=1 or n=2")
-    hua_gap = abs(params.ts[2 * n + 1] * params.ts[2 * n + 2] - params.t)
-    if family == "an_hua_kadell" and hua_gap > 1e-13 * abs(params.t):
-        raise ValueError(f"family {family} takes t_(2n+2) t_(2n+3) = t")
-    lam, mu = _aflt_shapes(family, n, seed, shapes)
-    grid, tol = _aflt_size(cfg, n)
-    draw = _density_draw(family, params, (lam, mu))
-    case = IdentityCase(f"{family}-n{n}-{lam}-{mu}-s{seed}", family, seed, grid, tol, draw, shapes=(lam, mu))
-    if contour.residues:
-        case.infeasible = (
-            f"{family} is evaluated on the unit torus only; these parameters "
-            f"need the contour {contour.describe()}"
-        )
-    elif params.k != (1,) * n:
-        case.infeasible = (
-            f"{family} puts each interpolation factor on a single variable; "
-            f"it needs every k_r = 1, not k={params.k}"
-        )
-    elif poles := margin_violations(draw.poles):
-        case.infeasible = "; ".join(poles)
-    return case
-
-
 def _sample_an_aflt(seed: int, cfg, n: int = 1, shapes=None, *, family: str, tag: int) -> IdentityCase:
     """Sampler shared by an_aflt, an_kadell and an_hua_kadell; tag keeps
     their random streams apart."""
-    note_id = f"{family}-n{n}-s{seed}"
     if n > 2:
-        return _infeasible_case(family, seed, f"family {family} takes n=1 or n=2, not n={n}", note_id, None)
+        reason = f"family {family} takes n=1 or n=2, not n={n}"
+        return _infeasible_case(family, seed, reason, f"{family}-n{n}-s{seed}", None)
     rng, shapes = np.random.default_rng([seed, 108, n, tag]), _aflt_shapes(family, n, seed, shapes)
-    at = partial(_aflt_at, family=family, shapes=shapes)
-    return _sample_density(family, seed, cfg, (1,) * n, rng, at, note_id, shapes)
+    return _sample_density(family, seed, cfg, (1,) * n, rng, shapes)
 
 
 def _eval_an_aflt(case: IdentityCase) -> Evaluation:
     """The integral over the density's normalizer is compared with the
     closed form of the interpolation-function average."""
-    params = case.paramset
-    lam, mu = case.shapes
-    ctx = SymbolContext(params.nomes, params.t)
-    integrand = _set_integrand(case, 0, ctx, TableCache(seed=case.seed))
+    _, ctx, _, integrand = _evaluation_parts(case)
+    params, (lam, mu) = case.paramset, case.shapes
     notes = "" if case.family != "an_hua_kadell" else (
         "verified as the t_(2n+2) t_(2n+3) = t specialisation; the printed "
         "corollary's t_(n+1) is read as t_(2n+1)"
@@ -1190,11 +1157,12 @@ class HarnessConfig:
 class Family:
     """One identity family.  `sample(seed, cfg, **options)` draws a case
     and `evaluate(case)` gives its Evaluation.  `at(seed, cfg, params,
-    contour, **options)`, set for the density families, whose draw is one
-    ParamSet with the factors of its shapes, builds the case its sampler
-    builds from a drawn set, at params on contour; `ellsel case --params`
-    runs it.  `shapes_option`: the option of both that `ellsel case
-    --shapes` fills, "mu" for one bipartition or "shapes" for a pair."""
+    shapes=None)`, set for the density families, whose draw is one
+    ParamSet with the factors of its shapes, builds and checks the case
+    at params as its sampler does a drawn set; `ellsel case --params` and
+    the paramset setter run it.  `shapes_option`: the option that `ellsel
+    case --shapes` fills, "mu" for one bipartition or "shapes" for a
+    pair."""
 
     sample: Callable[..., IdentityCase]
     evaluate: Callable[[IdentityCase], Evaluation]
@@ -1203,18 +1171,18 @@ class Family:
 
 
 FAMILY_TABLE = {
-    "beta_k1": Family(_sample_beta_k1, _eval_selberg, _beta_k1_at),
-    "selberg_A1": Family(_sample_selberg_A1, _eval_selberg, _selberg_A1_at),
+    "beta_k1": Family(_sample_beta_k1, _eval_selberg, partial(_density_at, "beta_k1")),
+    "selberg_A1": Family(_sample_selberg_A1, _eval_selberg, partial(_density_at, "selberg_A1")),
     "vdBult": Family(_sample_vdbult, _eval_vdbult, shapes_option="mu"),
     "kernel_decomp": Family(_sample_kernel_decomp, _eval_kernel_decomp),
     "key_theorem": Family(_sample_key_theorem, _eval_key_theorem, shapes_option="mu"),
     "prop_RK": Family(_sample_prop_rk, _eval_prop_rk, shapes_option="mu"),
-    "an_selberg": Family(_sample_an_selberg, _eval_an_selberg, _an_selberg_at),
+    "an_selberg": Family(_sample_an_selberg, _eval_an_selberg, partial(_density_at, "an_selberg")),
     **{
         family: Family(
             partial(_sample_an_aflt, family=family, tag=tag),
             _eval_an_aflt,
-            partial(_aflt_at, family=family),
+            partial(_density_at, family),
             shapes_option="shapes",
         )
         for tag, family in enumerate(("an_aflt", "an_kadell", "an_hua_kadell"), start=1)
@@ -1236,18 +1204,15 @@ def sample_case(family: str, seed: int, cfg: HarnessConfig | None = None, **opti
 
 
 def case_at(family: str, seed: int, cfg: HarnessConfig, params: ParamSet, **options) -> IdentityCase:
-    """The family's case at an explicit parameter set, built as its
-    sampler builds a draw, on the contour contour_feasibility picks.  A
-    set that fits no contour gives an infeasible case naming each
-    violated condition."""
+    """The family's case at an explicit parameter set, built and checked
+    by its `at` as its sampler builds and checks a draw, on the contour
+    contour_feasibility picks.  A set that fits no contour, or whose
+    interpolation poles keep no margin, gives an infeasible case naming
+    each violated condition."""
     at = FAMILY_TABLE[family].at
     if at is None:
         raise ValueError(f"family {family} takes no --params")
-    feas = contour_feasibility(params)
-    case = at(seed, cfg, params, feas.contour, **options)
-    if not feas.ok:
-        case.infeasible = "; ".join(feas.violations)
-    return case
+    return at(seed, cfg, params, **options)
 
 
 def evaluate_case(case: IdentityCase) -> Evaluation:

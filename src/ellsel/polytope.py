@@ -184,13 +184,13 @@ def chebyshev_centre(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, float, n
 
 class SelbergPolytope:
     """The log-modulus polytope of a plan's draws: each set's
-    selberg_bounds at rho (crossed as given), each pole tower at rho and
-    each floor.  Its coordinates are the walked log-moduli; radius is the
-    Chebyshev radius in them, and why_empty names the LP's binding
-    rows."""
+    selberg_bounds at rho (crossed as given, and kept), each pole tower
+    at rho and each floor.  Its coordinates are the walked log-moduli;
+    radius is the Chebyshev radius in them, and why_empty names the LP's
+    binding rows."""
 
     def __init__(self, plan: Plan, rho: float, crossed: bool):
-        self.plan = plan
+        self.plan, self.crossed = plan, crossed
         unit = np.eye(len(plan.walked))
         rows = dict(zip(plan.walked, map(LogModulus, unit)))
         at = plan.build({name: rows.get(name, LogModulus(0 * unit[0])) for name in plan.phased})

@@ -2,7 +2,7 @@
 evaluation, a sum of Delta0 symbols over many shapes is one theta call
 per component, however many factors or shapes (a binomial table solve,
 endpoints and holdout rows included, is one such call per attempt), and
-every kernel-weighted draw passes through densities.feasibility_check,
+every kernel-weighted draw passes through densities.contour_feasibility,
 which accepts the very sets its evaluator integrates."""
 
 import numpy as np
@@ -157,12 +157,12 @@ def test_bracketed_row_takes_one_theta_call_per_component(monkeypatch):
 )
 def test_kernel_weighted_draw_runs_the_density_check(monkeypatch, family, options):
     # the accepted draw is the last one checked, and it passes
-    calls = counting(monkeypatch, harness, "feasibility_check")
+    calls = counting(monkeypatch, harness, "contour_feasibility")
     case = harness.sample_case(family, 0, **options)
     assert case.infeasible is None and calls
     (params,) = calls[-1]
     assert (params.p, params.q, params.t) == tuple(case.draw.values[key] for key in "pqt")
-    accepted = {params for (params,) in calls if densities.feasibility_check(params).ok}
+    accepted = {params for (params,) in calls if densities.contour_feasibility(params).ok}
     assert params in accepted
 
     # every set the evaluator integrates is one the sampler accepted:

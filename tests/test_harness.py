@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from ellsel import harness
 from ellsel.core import NomePair
 from ellsel.binomials import TableCache
-from ellsel.densities import ParamSet, an_selberg_rhs, selberg_average_normalizer
+from ellsel.densities import Contour, ParamSet, an_selberg_rhs, selberg_average_normalizer
 from ellsel.cli import _load_config, main
 from ellsel.harness import (
     AFLT_N1_SHAPES,
@@ -25,6 +26,7 @@ from ellsel.harness import (
     HarnessConfig,
     aflt_rhs,
     algebraic_checks,
+    case_at,
     pool_size,
     report_csv_row,
     reports_to_json,
@@ -39,6 +41,24 @@ from ellsel.symbols import SymbolContext, delta0_bi
 from ellsel.interpolation import interp_hybrid
 
 CFG = HarnessConfig()
+
+
+def comparable(rep) -> dict:
+    """A report's JSON record without runtime_ms."""
+    return {key: val for key, val in rep.to_json_dict().items() if key != "runtime_ms"}
+
+
+def pole_violating_set() -> ParamSet:
+    """an_aflt seed 0's set with t2 scaled up to |t2| = |p| and t5 down by
+    the same factor, keeping the balancing: the density stays
+    torus-feasible, but the pole t2/p of the 1|0 interpolation factor
+    sits on the unit circle, outside the margin."""
+    params = sample_case("an_aflt", 0, CFG).paramset
+    ts = list(params.ts)
+    scale = abs(params.p / ts[1])
+    assert scale > 1
+    ts[1], ts[4] = ts[1] * scale, ts[4] / scale
+    return ParamSet(1, (1,), params.p, params.q, params.t, tuple(ts))
 
 
 class TestFamilies:
@@ -216,6 +236,21 @@ class TestOneDraw:
         assert case.draw.values == values and case.draw.sets == [params]
         assert case.draw.factors == harness._aflt_factors(1, *case.shapes, False, values)
 
+    def test_assigned_paramset_runs_the_params_checks(self):
+        # the pole-violating set, assigned, reads as case_at reads it
+        params = pole_violating_set()
+        case = sample_case("an_aflt", 0, CFG)
+        case.paramset = params
+        rep = run_case(case)
+        assert rep.status == "infeasible"
+        assert rep.notes == case_at("an_aflt", 0, CFG, params).infeasible
+        assert rep.notes.startswith("interpolation pole of R_1|0 comp1: b t^(1-1) q^0 p^-1:")
+
+    def test_assigned_paramset_keeps_the_case_sizes(self):
+        case = sample_case("an_aflt", 0, CFG, n=1)
+        with pytest.raises(ValueError, match="cannot take a set that makes case an_aflt-n2-"):
+            case.paramset = sample_case("an_aflt", 0, CFG, n=2).paramset
+
     def test_kernel_weighted_case_refuses_a_paramset(self):
         case = sample_case("vdBult", 0, CFG)
         with pytest.raises(ValueError, match="family vdBult draws no single parameter set"):
@@ -287,14 +322,13 @@ class TestReports:
 
 
 class TestBuilders:
-    """`ellsel case --params` builds its case with the family's `at`, the
-    builder its sampler ends with, so a drawn case and a file's case come
-    from one code path."""
+    """A drawn set, a --params file's set and an assigned paramset reach
+    their case through one build-and-check step, so all three report
+    alike."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_builder_matches_sampler(self, family, tmp_path, capsys):
-        at = FAMILY_TABLE[family].at
-        if at is None:
+        if FAMILY_TABLE[family].at is None:
             pfile = tmp_path / "p.json"
             pfile.write_text(sample_case("beta_k1", 0, CFG).paramset.to_json())
             assert main(["case", "--family", family, "--params", str(pfile)]) == 3
@@ -311,10 +345,13 @@ class TestBuilders:
             for seed in range(3):
                 case = sample_case(family, seed, CFG, **options)
                 assert case.paramset is not None, case.infeasible
-                built = at(seed, CFG, case.paramset, case.contour, **at_options)
-                fields = ("id", "grid", "tol", "doublings", "shapes", "contour", "draw", "variant", "infeasible")
-                for name in fields:
-                    assert getattr(built, name) == getattr(case, name), (case.id, name)
+                want = comparable(run_case(case))
+                built = case_at(family, seed, CFG, case.paramset, **at_options)
+                assert comparable(run_case(built)) == want, case.id
+                # a stale draw, contour and note are all replaced
+                assigned = replace(case, draw=None, contour=Contour(), infeasible="stale")
+                assigned.paramset = case.paramset
+                assert comparable(run_case(assigned)) == want, case.id
 
 
 class TestParamsFiles:
@@ -352,18 +389,8 @@ class TestParamsFiles:
             assert (rep.status, rep.id, rep.grid) == ("pass", f"selberg_A1-k3-s{seed}", "48x48x48")
 
     def test_aflt_interpolation_pole_infeasible(self, capsys, tmp_path):
-        # Scaling the pole-carrying t2 up to |t2| = |p| (and t5 down by the
-        # same factor, keeping the balancing) leaves the density
-        # torus-feasible but moves the pole t2/p of the 1|0 interpolation
-        # factor onto the unit circle, outside the margin.
-        case = sample_case("an_aflt", 0, CFG)
-        assert str(case.shapes[0]) == "1|0"
-        ts = list(case.paramset.ts)
-        scale = abs(case.paramset.p / ts[1])
-        assert scale > 1
-        ts[1], ts[4] = ts[1] * scale, ts[4] / scale
-        params = ParamSet(1, (1,), case.paramset.p, case.paramset.q, case.paramset.t, tuple(ts))
-        rep = self.run_file(capsys, tmp_path, "an_aflt", params, code=2)
+        assert str(sample_case("an_aflt", 0, CFG).shapes[0]) == "1|0"
+        rep = self.run_file(capsys, tmp_path, "an_aflt", pole_violating_set(), code=2)
         assert rep["status"] == "infeasible"
         assert rep["notes"].startswith("interpolation pole of R_1|0 comp1: b t^(1-1) q^0 p^-1:")
         assert ">= 0.95" in rep["notes"]

@@ -162,7 +162,7 @@ SWEEP = [("vdBult", {}), ("key_theorem", {}), ("prop_RK", {})] + KERNEL_WEIGHTED
 
 @pytest.mark.parametrize("family,options", SWEEP, ids=["-".join([f, *o.values()]) for f, o in SWEEP])
 def test_kernel_weighted_seeds_sample_without_rejection(family, options):
-    # a draw that feasibility_check or the pole check rejects raises
+    # a draw that harness._at_draw rejects (a set or a pole tower) raises
     # AssertionError; only vdBult's (1|1) seeds are certified empty
     for seed in range(21):
         case = sample_case(family, seed, **options)
