@@ -129,68 +129,50 @@ class Evaluation:
     notes: str = ""
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class VerificationReport:
+    """One case's verdict, its schema declared once: the fields are the
+    JSON keys in order, and CSV_COLUMNS follows from them.  n and k are
+    the paramset's, or None; status is pass | fail | infeasible | budget."""
+
     id: str
     family: str
-    status: str  # pass | fail | infeasible | budget
+    n: int | None
+    k: tuple[int, ...] | None
+    params: dict
+    shapes: str
+    grid: str
+    lhs: complex
+    rhs: complex
+    rel_err: float
+    doubling_estimate: float
+    status: str
     seed: int
-    lhs: complex = 0.0
-    rhs: complex = 0.0
-    rel_err: float = math.inf
-    doubling_estimate: float = math.inf
-    grid: str = ""
-    tol: float = 0.0
-    n: int | None = None
-    k: tuple[int, ...] | None = None
-    params: dict = field(default_factory=dict)
-    shapes: str = ""
-    runtime_ms: int = 0
-    notes: str = ""
+    tol: float
+    runtime_ms: int
+    notes: str
 
     def to_json_dict(self) -> dict:
-        def c2(z):
+        """The fields in order, with k a list and params' values, lhs and
+        rhs [re, im] pairs whatever their number type."""
+
+        def pair(z):
             z = complex(z)
             return [z.real, z.imag]
 
-        return {
-            "id": self.id,
-            "family": self.family,
-            "n": self.n,
-            "k": list(self.k) if self.k else None,
-            "params": {key: c2(val) for key, val in self.params.items()},
-            "shapes": self.shapes,
-            "grid": self.grid,
-            "lhs": c2(self.lhs),
-            "rhs": c2(self.rhs),
-            "rel_err": self.rel_err,
-            "doubling_estimate": self.doubling_estimate,
-            "status": self.status,
-            "seed": self.seed,
-            "tol": self.tol,
-            "runtime_ms": self.runtime_ms,
-            "notes": self.notes,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["k"] = list(self.k) if self.k else None
+        data["params"] = {key: pair(val) for key, val in self.params.items()}
+        data["lhs"], data["rhs"] = pair(self.lhs), pair(self.rhs)
+        return data
 
 
+# The JSON keys without params, with lhs and rhs split in place.
 CSV_COLUMNS = [
-    "id",
-    "family",
-    "n",
-    "k",
-    "shapes",
-    "grid",
-    "lhs_re",
-    "lhs_im",
-    "rhs_re",
-    "rhs_im",
-    "rel_err",
-    "doubling_estimate",
-    "status",
-    "seed",
-    "tol",
-    "runtime_ms",
-    "notes",
+    col
+    for f in fields(VerificationReport)
+    if f.name != "params"
+    for col in ([f"{f.name}_re", f"{f.name}_im"] if f.name in ("lhs", "rhs") else [f.name])
 ]
 
 
@@ -645,6 +627,8 @@ def _eval_prop_rk(case: IdentityCase) -> Evaluation:
 # ---------------------------------------------------------------------------
 
 def _sample_an_selberg(seed: int, cfg, n: int = 2, k: tuple[int, ...] = (1, 1)) -> IdentityCase:
+    if n != len(k):
+        raise ValueError(f"family an_selberg takes one k_r per rank: n={n} but k={tuple(k)}")
     return _sample_density("an_selberg", seed, cfg, k, np.random.default_rng([seed, 107, n, *k]), None)
 
 
@@ -1090,26 +1074,25 @@ def _report(case: IdentityCase, ev: Evaluation, res: QuadResult | None, runtime_
             status = "budget"
         else:
             status = "pass" if rel <= case.tol and np.isfinite(rel) else "fail"
-    rep = VerificationReport(
+    ps = case.paramset
+    return VerificationReport(
         id=case.id,
         family=case.family,
-        status=status,
-        seed=case.seed,
+        n=None if ps is None else ps.n,
+        k=None if ps is None else ps.k,
+        params={} if case.draw is None else dict(case.draw.values),
+        shapes=_shapes_str(case),
+        grid=ev.grid or "x".join(str(n) for n in case.grid.dims),
         lhs=lhs,
         rhs=ev.rhs,
         rel_err=rel,
         doubling_estimate=estimate,
-        grid=ev.grid or "x".join(str(n) for n in case.grid.dims),
+        status=status,
+        seed=case.seed,
         tol=case.tol,
-        params={} if case.draw is None else dict(case.draw.values),
-        shapes=_shapes_str(case),
         runtime_ms=runtime_ms,
         notes=ev.notes,
     )
-    ps = case.paramset
-    if ps is not None:
-        rep.n, rep.k = ps.n, ps.k
-    return rep
 
 
 def _named(ps: ParamSet) -> dict:
@@ -1129,8 +1112,18 @@ class HarnessConfig:
     tol_3d: float = 1e-4
     threads: int = 1  # worker processes for run_suite; 1 runs its cases in this process
 
+    def __post_init__(self):
+        """Refuse values a run cannot use, however the config is built."""
+        for key, val in vars(self).items():
+            if key.startswith("tol_"):
+                if not (math.isfinite(val) and val > 0):
+                    raise ValueError(f"config key {key} must be positive and finite, got {val}")
+            elif val < (low := 2 if key.startswith("grid_") else 1):
+                raise ValueError(f"config key {key} must be at least {low}, got {val}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "HarnessConfig":
+        """The config of a JSON object of known keys and declared types."""
         if not isinstance(data, dict):
             raise ValueError("a config file holds one JSON object")
         types = {f.name: f.type for f in fields(cls)}
@@ -1143,13 +1136,6 @@ class HarnessConfig:
             kinds = int if types[key] == "int" else (int, float)
             if isinstance(val, bool) or not isinstance(val, kinds):
                 raise ValueError(f"config key {key} must be {types[key]}, got {val!r}")
-            if key.startswith("tol_"):
-                if not (math.isfinite(val) and val > 0):
-                    raise ValueError(f"config key {key} must be positive and finite, got {val}")
-                continue
-            low = 2 if key.startswith("grid_") else 1
-            if val < low:
-                raise ValueError(f"config key {key} must be at least {low}, got {val}")
         return cls(**data)
 
 

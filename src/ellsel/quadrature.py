@@ -299,8 +299,8 @@ def integrate_adaptive(f, start: GridSpec, target_rel: float, doublings: int) ->
 
 
 def convergence_table(f, start: GridSpec, levels: int) -> list[dict]:
-    """One row per grid of the first `levels` of the doubling ladder;
-    rows mirror the CSV schema."""
+    """One row per grid of the first `levels` of the doubling ladder; the
+    rows' keys, in order, are convergence_csv's columns."""
     rows = []
     for _, grid in zip(range(levels), doubling_ladder(start)):
         t0 = time.perf_counter()
@@ -319,14 +319,13 @@ def convergence_table(f, start: GridSpec, levels: int) -> list[dict]:
 
 
 def convergence_csv(rows: list[dict]) -> str:
-    """The rows as CSV text, header first."""
+    """The rows, at least one, as CSV text: a header of the first row's
+    keys, then the rows."""
     import csv
     import io
 
     out = io.StringIO()
-    writer = csv.DictWriter(
-        out, fieldnames=["grid", "value_re", "value_im", "doubling_estimate", "evals", "runtime_ms"]
-    )
+    writer = csv.DictWriter(out, fieldnames=list(rows[0]))
     writer.writeheader()
     writer.writerows(rows)
     return out.getvalue()

@@ -29,6 +29,7 @@ from ellsel.harness import (
     case_at,
     pool_size,
     report_csv_row,
+    reports_to_csv,
     reports_to_json,
     run_case,
     run_suite,
@@ -110,6 +111,12 @@ class TestFamilies:
         assert rep.status == "infeasible"
         assert rep.id == "an_aflt-n3-s0"
         assert rep.notes == "family an_aflt takes n=1 or n=2, not n=3"
+
+    def test_an_selberg_rank_must_match_k(self):
+        # the rank is len(k); an n that disagrees would only reseed the
+        # draw and give one case id two parameter points
+        with pytest.raises(ValueError, match=r"n=3 but k=\(1, 1\)"):
+            sample_case("an_selberg", 0, CFG, n=3, k=(1, 1))
 
 
 class TestRegistry:
@@ -269,11 +276,15 @@ class TestReports:
     def test_json_schema(self):
         rep = run_case(sample_case("beta_k1", 0, CFG))
         data = json.loads(reports_to_json([rep]))[0]
-        for key in ("id", "family", "n", "k", "params", "shapes", "grid", "lhs",
-                    "rhs", "rel_err", "doubling_estimate", "status", "seed", "runtime_ms"):
-            assert key in data
+        assert list(data) == [
+            "id", "family", "n", "k", "params", "shapes", "grid", "lhs", "rhs", "rel_err",
+            "doubling_estimate", "status", "seed", "tol", "runtime_ms", "notes",
+        ]
         assert isinstance(data["lhs"], list) and len(data["lhs"]) == 2
         assert all(isinstance(v, list) and len(v) == 2 for v in data["params"].values())
+        # an infeasible report's lhs is the float 0.0: still written as a pair
+        infeasible = json.loads(reports_to_json([run_case(sample_case("vdBult", 5, CFG))]))[0]
+        assert (infeasible["status"], infeasible["lhs"], infeasible["k"]) == ("infeasible", [0.0, 0.0], None)
 
     def test_csv_row_columns(self):
         from ellsel.harness import CSV_COLUMNS
@@ -281,6 +292,10 @@ class TestReports:
         rep = run_case(sample_case("beta_k1", 0, CFG))
         row = report_csv_row(rep)
         assert list(row) == CSV_COLUMNS
+        assert reports_to_csv([rep]).splitlines()[0] == (
+            "id,family,n,k,shapes,grid,lhs_re,lhs_im,rhs_re,rhs_im,rel_err,"
+            "doubling_estimate,status,seed,tol,runtime_ms,notes"
+        )
 
     def test_run_suite_sorted_and_threaded(self):
         cfg = HarnessConfig(threads=2)
@@ -648,6 +663,18 @@ class TestCli:
         res = self.run_cli("verify", "--suite", "algebraic", "--seeds", "1", "--config", str(cfgfile))
         assert res.returncode == 3
         assert message in res.stderr
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ({"tol_1d": -1}, "config key tol_1d must be positive and finite, got -1"),
+            ({"threads": 0}, "config key threads must be at least 1, got 0"),
+            ({"grid_2d": 1}, "config key grid_2d must be at least 2, got 1"),
+        ],
+    )
+    def test_config_built_in_python_checks_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(**values)
 
     @pytest.mark.parametrize("family", ["beta_k1", "equal_k_recursion", "kernel_decomp"])
     def test_shapes_for_family_without_shapes_exit_3(self, family):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import ellsel
 
-KNOBS = 116
+KNOBS = 104
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
