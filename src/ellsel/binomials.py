@@ -14,6 +14,13 @@ two-matrix inverse identity are all asserted by the test suite.
 Batching: a solve attempt takes its neq rows, the HOLDOUT rows after them
 in the table's (c, d) stream and both endpoints from one delta0_bi_groups
 call; a rejected attempt moves neq pairs on, so its holdout pairs recur.
+
+A table is solved only when an interior coefficient is read.  The
+endpoints <lam over 0> = Delta0_lam(a | b) and <lam over lam> =
+C+_lam(a)/C+_lam(a/b) are read from those closed forms (binomial_row
+for a row of endpoints, binomial_column for a nu = 0 column), the same
+products the solve pins, so an endpoint read no longer raises the
+table's ConditioningError.
 """
 
 from __future__ import annotations
@@ -95,7 +102,8 @@ def solve_binomial_table(
     The two endpoints <lam over 0> and <lam over lam> have explicit
     closed forms and are pinned exactly; the least squares covers only
     the interior coefficients.  Held-out equations then certify the
-    whole table, endpoints included.
+    whole table, endpoints included.  binomial_row and binomial_column
+    call this only when they read an interior coefficient.
     """
     subs = sub_bipartitions(lam)
     if len(subs) == 1:
@@ -204,7 +212,8 @@ def binomial(
     bracket variables v1..vk; unbracketed when bracket is empty.
 
     Zero whenever mu is not contained in lam; exactly the Kronecker
-    delta at b = 1.
+    delta at b = 1.  For mu = 0 or lam, the closed-form endpoint: no
+    table is solved, so no ConditioningError is raised.
     """
     return binomial_row(lam, [mu], a, b, ctx, cache, bracket)[0]
 
@@ -220,7 +229,12 @@ def binomial_row(
 ) -> list:
     """[binomial(lam, mu, a, b, ctx, cache, bracket) for mu in mus]: one
     table lookup, and the bracket's Delta0_mu(a/b | v) of every mu with
-    a nonzero coefficient from one delta0_bi_shapes call."""
+    a nonzero coefficient from one delta0_bi_shapes call.
+
+    The table of lam is solved only when some mu is an interior shape
+    of lam.  When every mu inside lam is 0 or lam, the row is read from
+    endpoint_zero and endpoint_full, the products the solve pins its
+    endpoints to, and that table's ConditioningError cannot be raised."""
     if b == 1:
         # the bracketed coefficient trivialises outright: the bracket
         # ratio is identically one at b = 1, so skip it for exactness
@@ -228,15 +242,29 @@ def binomial_row(
     inside = [lam.contains(mu) for mu in mus]
     if not any(inside):
         return [0.0] * len(mus)
-    cache = cache if cache is not None else TableCache()
-    table = cache.get(lam, a, b, ctx)
-    base = [table[mu] if ok else 0.0 for mu, ok in zip(mus, inside)]
+    wanted = {mu for mu, ok in zip(mus, inside) if ok}
+    ends = {ZERO: endpoint_zero, lam: endpoint_full}
+    if wanted <= ends.keys():
+        values = {mu: end(lam, a, b, ctx) for mu, end in ends.items() if mu in wanted}
+    else:
+        cache = cache if cache is not None else TableCache()
+        values = cache.get(lam, a, b, ctx).values
+    base = [values[mu] if ok else 0.0 for mu, ok in zip(mus, inside)]
     live = [mu for mu, val in zip(mus, base) if val != 0.0]
     if not bracket or not live:
         return base
     (num,), dens = delta0_bi_groups([([lam], a, list(bracket)), (live, a / b, list(bracket))], ctx)
     den = dict(zip(live, dens))
     return [val if val == 0.0 else val * num / den[mu] for mu, val in zip(mus, base)]
+
+
+def binomial_column(mus, nu: Bipartition, a: complex, b: complex, ctx: SymbolContext, cache: TableCache) -> list:
+    """[binomial(mu, nu, a, b, ctx, cache) for mu in mus].  With nu = 0
+    and b != 1, every <mu over 0> is its closed form Delta0_mu(a | b),
+    all from one delta0_bi_shapes call, and no table is solved."""
+    if nu.is_zero() and b != 1:
+        return delta0_bi_shapes(mus, a, [b], ctx)
+    return [binomial(mu, nu, a, b, ctx, cache) for mu in mus]
 
 
 def jackson_residual(
@@ -263,8 +291,9 @@ def jackson_residual(
     mus = [mu for mu in sub_bipartitions(lam) if mu.contains(nu)]
     deltas = delta0_bi_shapes(mus, a / b, [d, e], ctx)
     outer = binomial_row(lam, mus, a, b, ctx, cache)
-    for mu, delta, coeff in zip(mus, deltas, outer):
-        term = delta * coeff * binomial(mu, nu, a / b, c / b, ctx, cache)
+    inner = binomial_column(mus, nu, a / b, c / b, ctx, cache)
+    for delta, coeff, coeff_inner in zip(deltas, outer, inner):
+        term = delta * coeff * coeff_inner
         lhs += term
         total += abs(term)
     rhs = binomial(lam, nu, a, c, ctx, cache, bracket=(b * d, b * e))

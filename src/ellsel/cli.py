@@ -14,6 +14,7 @@ or usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -132,26 +133,29 @@ def _check_flags(args):
 
 
 def _load_config(args) -> HarnessConfig:
+    """The config file's config, or the default one, with the flags and
+    ELLSEL_THREADS applied through HarnessConfig's own value checks."""
     cfg = HarnessConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = HarnessConfig.from_dict(json.load(fh))
+    updates = {}
     if getattr(args, "grid", None) is not None:
-        cfg.grid_1d = args.grid
+        updates["grid_1d"] = args.grid
     if getattr(args, "tol", None) is not None:
-        cfg.tol_1d = args.tol
+        updates["tol_1d"] = args.tol
     threads = getattr(args, "threads", None)
     env_threads = os.environ.get("ELLSEL_THREADS")
     if threads is not None:
-        cfg.threads = threads
+        updates["threads"] = threads
     elif env_threads is not None:
         try:
-            cfg.threads = int(env_threads)
+            updates["threads"] = int(env_threads)
         except ValueError:
             raise ValueError(f"ELLSEL_THREADS must be an integer, got {env_threads!r}") from None
-        if cfg.threads < 1:
+        if updates["threads"] < 1:
             raise ValueError(f"ELLSEL_THREADS must be at least 1, got {env_threads}")
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _write(text: str, out: str | None) -> None:

@@ -104,6 +104,8 @@ def theta(z, p: complex):
     They are evaluated as an (nterms, block) table and multiplied down
     axis 0, with block = THETA_TABLE_ENTRIES // nterms points at a time,
     so the table stays bounded when one call passes thousands of points.
+    When every point already lies in the annulus, the reduction is
+    skipped: its shift m is 0 everywhere, so its prefactor is exactly 1.
     """
     if abs(p) >= 1.0:
         raise DomainError(f"theta requires |p| < 1, got |p|={abs(p):.4g}")
@@ -120,9 +122,12 @@ def theta(z, p: complex):
     # theta(p^m w) = (-1)^m w^(-m) p^(-m(m-1)/2) theta(w).
     logp = math.log(abs(p))
     m = np.round(np.log(np.abs(arr)) / logp).astype(np.int64)
-    w = arr * np.power(p, -m)
-    sign = np.where(m % 2 == 0, 1.0, -1.0)
-    pref = sign * np.power(w, -m) * np.power(p, -(m * (m - 1)) // 2)
+    if m.any():
+        w = arr * np.power(p, -m)
+        sign = np.where(m % 2 == 0, 1.0, -1.0)
+        pref = sign * np.power(w, -m) * np.power(p, -(m * (m - 1)) // 2)
+    else:  # every point already lies in the annulus
+        w, pref = arr, 1.0
 
     wmax = max(float(np.max(np.abs(w))), float(np.max(1.0 / np.abs(w))))
     # the first n >= 1 with |p|^n wmax < EPS_TAIL, plus a guard term

@@ -926,10 +926,10 @@ def algebraic_checks(seed: int) -> list[tuple[str, float, float]]:
     val = delta0_bi(lam, a, [b], ctx) * delta0_bi(lam, a, [ctx.pq * a / b], ctx)
     out.append(("delta0_reflection", abs(val - 1.0), 1e-10))
 
-    from ellsel.binomials import draw_generic_ab, endpoint_full, endpoint_zero, solve_binomial_table
+    from ellsel.binomials import draw_generic_ab, endpoint_full, endpoint_zero
 
     ga, gb = draw_generic_ab(lam, ctx, rng)
-    table = solve_binomial_table(lam, ga, gb, ctx, rng_seed=seed)
+    table = cache.get(lam, ga, gb, ctx)
     out.append(("binomial_endpoint_zero", rel(table[ZERO], endpoint_zero(lam, ga, gb, ctx)), 1e-8))
     out.append(("binomial_endpoint_full", rel(table[lam], endpoint_full(lam, ga, gb, ctx)), 1e-8))
     out.append(("binomial_table_residual", table.residual, 1e-9))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ellsel.binomials import TableCache, binomial, binomial_row
+from ellsel.binomials import TableCache, binomial_column, binomial_row
 from ellsel.densities import monomial
 from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext, delta0_bi, delta0_bi_shapes
@@ -86,13 +86,10 @@ def interp_skew(
     pq = ctx.pq
     args = [pq / (b * np.asarray(v)) for v in vs]
     mus = [mu for mu in sub_bipartitions(lam) if mu.contains(nu)]
-    live = []
-    for mu, outer in zip(mus, binomial_row(lam, mus, a / b, a * b / pq, ctx, cache)):
-        if outer == 0.0:
-            continue
-        inner = binomial(mu, nu, pq / b**2, pq * V / (a * b), ctx, cache)
-        if inner != 0.0:
-            live.append((mu, outer, inner))
+    outers = binomial_row(lam, mus, a / b, a * b / pq, ctx, cache)
+    kept = [(mu, outer) for mu, outer in zip(mus, outers) if outer != 0.0]
+    inners = binomial_column([mu for mu, _ in kept], nu, pq / b**2, pq * V / (a * b), ctx, cache)
+    live = [(mu, outer, inner) for (mu, outer), inner in zip(kept, inners) if inner != 0.0]
     deltas = delta0_bi_shapes([mu for mu, _, _ in live], pq / b**2, args, ctx)
     total = 0.0
     for (_, outer, inner), delta in zip(live, deltas):

@@ -14,8 +14,10 @@ one theta call per component, and hands each shape its own cells; the
 other Delta0 functions are its one-group case, so there is one code
 path.  Each shape is still checked on its own: its PoleError names the
 first argument index and cell of that shape, its OverflowError the first
-argument index, and the first failing shape in list order raises.  Table
-solves and bracketed binomial rows make one grouped call each.
+argument index, and the first failing shape in list order raises.  The
+checks run only on failure, for a shape whose product is not finite, as
+a vanishing denominator makes it; any other shape is its product.
+Table solves and bracketed binomial rows make one grouped call each.
 """
 
 from __future__ import annotations
@@ -131,7 +133,9 @@ def _delta0_each(groups, ctx: SymbolContext, series: str, plus=None) -> list:
     theta(pq a x_c / b_i), x_c = base^(j-1) t^(1-i), of every group come
     from one theta call over the hull of all the shapes, C+'s cells with
     them; each mu multiplies its own cells' ratios in its cell order, then
-    runs a product over its arguments."""
+    runs a product over its arguments.  Only a mu whose last running
+    product is not finite goes through _delta0_checked; a group whose
+    arguments are all scalars needs no broadcast."""
     shapes = [mu for lams, _, _ in groups for mu in lams]
     rows = max((mu.length for mu in shapes), default=0)
     hull = Partition(tuple(max(mu[i] for mu in shapes) for i in range(rows)))
@@ -139,8 +143,11 @@ def _delta0_each(groups, ctx: SymbolContext, series: str, plus=None) -> list:
     offset = list(itertools.accumulate(hull.parts, initial=0))
     points, blocks = [], []
     for _, a, bs in groups:
-        a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
-        bs = np.array(bs).reshape((len(bs),) + a.shape)
+        if all(np.ndim(v) == 0 for v in (a, *bs)):
+            a, bs = np.asarray(a, dtype=np.complex128), np.array(bs, dtype=np.complex128)
+        else:
+            a, *bs = np.broadcast_arrays(*(np.asarray(v, dtype=np.complex128) for v in (a, *bs)))
+            bs = np.array(bs).reshape((len(bs),) + a.shape)
         points.append(a)
         blocks.append((hull, [bs, ctx.pq * a / bs], _c0_exponents))
     if plus is not None:
@@ -150,13 +157,18 @@ def _delta0_each(groups, ctx: SymbolContext, series: str, plus=None) -> list:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for (lams, _, _), a, cells in zip(groups, points, thetas):
             num, den = cells.swapaxes(0, 1)  # each (cell, argument, *a.shape)
-            vanishing = (den == 0).reshape(*den.shape[:2], a.size).any(axis=2)
             ratio = num / den
             out.append([])
             for mu in lams:
                 sel = [offset[i] + j for i, part in enumerate(mu.parts) for j in range(part)]
                 running = np.cumprod(np.prod(ratio[sel], axis=0), axis=0)
-                out[-1].append(_delta0_checked(running, vanishing[sel], mu, a))
+                # a vanishing denominator makes its ratio non-finite, and a
+                # non-finite product stays non-finite down the arguments
+                if not np.isfinite(running[-1:]).all():
+                    vanishing = (den[sel] == 0).reshape(len(sel), len(running), a.size).any(axis=2)
+                    out[-1].append(_delta0_checked(running, vanishing, mu, a))
+                else:
+                    out[-1].append(_delta0_value(running, a))
     if plus is not None:
         out.append(np.prod(thetas[-1], axis=0))
     return out
@@ -176,7 +188,12 @@ def _delta0_checked(running, vanishing, mu: Partition, a):
                 f"Delta0 denominator vanishes for argument index {idx} at cell ({i},{j})"
             )
         return OverflowError(f"Delta0 overflow at argument index {idx}")
-    result = running[-1] if nargs else np.ones(a.shape, dtype=np.complex128)
+    return _delta0_value(running, a)
+
+
+def _delta0_value(running, a):
+    """The last running product over the arguments; one with no arguments."""
+    result = running[-1] if len(running) else np.ones(a.shape, dtype=np.complex128)
     return complex(result) if a.ndim == 0 else result
 
 

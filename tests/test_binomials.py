@@ -9,8 +9,11 @@ import pytest
 
 from ellsel.core import NomePair
 from ellsel.binomials import (
+    ConditioningError,
     TableCache,
     binomial,
+    binomial_column,
+    binomial_row,
     draw_generic_ab,
     endpoint_full,
     endpoint_zero,
@@ -19,7 +22,7 @@ from ellsel.binomials import (
     solve_binomial_table,
 )
 from ellsel.partitions import ZERO, Bipartition, bipartition_strip, sub_bipartitions
-from ellsel.symbols import SymbolContext
+from ellsel.symbols import SymbolContext, delta0_bi
 
 CTX = SymbolContext(NomePair(0.1, 0.2), 0.25)
 
@@ -113,6 +116,57 @@ class TestTableEndpoints:
         lam2 = Bipartition.of((2,), ())
         table2 = solve_binomial_table(lam2, a, b, CTX)
         assert rel_err(table2[lam2], endpoint_full(lam2, a, b, CTX)) < 1e-8
+
+
+ENDPOINT_SHAPES = [
+    ZERO,
+    Bipartition.of((1,), ()),
+    Bipartition.of((), (1,)),
+    Bipartition.of((1,), (1,)),
+    Bipartition.of((2,), (1,)),
+]
+
+
+def hexes(values) -> list:
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+class TestClosedFormEndpoints:
+    """A row that reads only <lam over 0> and <lam over lam> takes them
+    from endpoint_zero and endpoint_full, and a nu = 0 column from one
+    Delta0 call: at these generic points each must equal the solved
+    table's entry bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lam", ENDPOINT_SHAPES, ids=str)
+    def test_row_endpoints_equal_the_solved_table(self, lam, seed):
+        a, b = draw_generic_ab(lam, CTX, np.random.default_rng(seed))
+        table = solve_binomial_table(lam, a, b, CTX).values
+        want = [table[ZERO], table[lam]]
+        assert hexes(binomial_row(lam, [ZERO, lam], a, b, CTX, TableCache(), ())) == hexes(want)
+        bracket = (0.7 - 0.1j, 0.35j)
+        num = delta0_bi(lam, a, list(bracket), CTX)
+        dens = [delta0_bi(mu, a / b, list(bracket), CTX) for mu in (ZERO, lam)]
+        got = binomial_row(lam, [ZERO, lam], a, b, CTX, TableCache(), bracket)
+        assert hexes(got) == hexes([val * num / den for val, den in zip(want, dens)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zero_column_equals_the_solved_tables(self, seed):
+        lam = Bipartition.of((2, 1), (1,))
+        mus = sub_bipartitions(lam)
+        a, b = draw_generic_ab(lam, CTX, np.random.default_rng(seed))
+        want = [solve_binomial_table(mu, a, b, CTX).values[ZERO] for mu in mus]
+        assert hexes(binomial_column(mus, ZERO, a, b, CTX, TableCache())) == hexes(want)
+
+    def test_endpoint_read_survives_an_ill_conditioned_table(self, ill_conditioned):
+        # the table of lam cannot be solved, but its endpoints need no solve
+        lam = Bipartition.of((2,), (1,))
+        a, b = draw_generic_ab(lam, CTX, np.random.default_rng(4))
+        ill_conditioned(1000)
+        with pytest.raises(ConditioningError):
+            binomial_row(lam, sub_bipartitions(lam), a, b, CTX, TableCache())
+        row = binomial_row(lam, [ZERO, lam], a, b, CTX, TableCache())
+        assert row == [endpoint_zero(lam, a, b, CTX), endpoint_full(lam, a, b, CTX)]
 
 
 class TestBinomialOp:

@@ -3,7 +3,9 @@ evaluation, a sum of Delta0 symbols over many shapes is one theta call
 per component, however many factors or shapes (a binomial table solve,
 endpoints and holdout rows included, is one such call per attempt), and
 every kernel-weighted draw passes through densities.contour_feasibility,
-which accepts the very sets its evaluator integrates."""
+which accepts the very sets its evaluator integrates.  A binomial table
+is solved only when an interior coefficient is read: endpoint reads and
+nu = 0 columns come from their closed forms."""
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ import pytest
 from ellsel import binomials, core, densities, harness, kernel, symbols
 from ellsel.core import NomePair, elliptic_gamma, elliptic_gamma_multi
 from ellsel.densities import IntegrandDescriptor, vertex_unary_fn
-from ellsel.partitions import Bipartition, sub_bipartitions
+from ellsel.interpolation import interp_skew
+from ellsel.partitions import ZERO, Bipartition, sub_bipartitions
 from ellsel.symbols import SymbolContext
 
 NOMES = NomePair(0.2, 0.3 + 0.1j)
@@ -139,6 +142,39 @@ def test_bracketed_row_takes_one_theta_call_per_component(monkeypatch):
     for mu, val in zip(mus, row):
         den = symbols.delta0_bi(mu, TABLE_A / TABLE_B, list(bracket), TABLE_CTX)
         assert val == table[mu] * num / den
+
+
+@pytest.mark.parametrize(
+    "lam", [ZERO, Bipartition.of((1,), ()), Bipartition.of((1,), (1,)), Bipartition.of((2, 1), (1,))], ids=str
+)
+@pytest.mark.parametrize("bracket", [(), (0.7 - 0.1j, 0.35j)], ids=["plain", "bracketed"])
+def test_endpoint_row_solves_no_table(monkeypatch, lam, bracket):
+    # <lam over 0> and <lam over lam> have closed forms; a mu outside lam
+    # reads zero without a table either
+    calls = counting(monkeypatch, binomials, "solve_binomial_table")
+    outside = Bipartition.of((3,), ())
+    mus = [ZERO, lam, outside, lam]
+    row = binomials.binomial_row(lam, mus, TABLE_A, TABLE_B, TABLE_CTX, binomials.TableCache(), bracket)
+    assert calls == [] and row[2] == 0.0
+
+
+def test_skew_with_empty_nu_solves_only_its_outer_table(monkeypatch):
+    # every inner <mu over 0> is a closed form, from one Delta0 call
+    lam = Bipartition.of((2,), (1,))
+    calls = counting(monkeypatch, binomials, "solve_binomial_table")
+    vs = (0.7 - 0.1j, 0.35j, 0.5 + 0.2j, 0.6)
+    interp_skew(lam, ZERO, vs, TABLE_A, TABLE_B, TABLE_CTX, binomials.TableCache())
+    assert [args[0] for args in calls] == [lam]
+
+
+@pytest.mark.parametrize("seed, solves", [(0, 13), (1, 15), (2, 16)])
+def test_algebraic_pass_table_solve_count(monkeypatch, seed, solves):
+    # pinned at the solves one pass needs, none of them for an endpoint
+    # alone: a change that solves a table for an endpoint again fails
+    # here, with no timing run
+    calls = counting(monkeypatch, binomials, "solve_binomial_table")
+    harness.algebraic_checks(seed)
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize(

@@ -776,6 +776,22 @@ class TestCli:
         args.threads = None
         assert _load_config(args).threads == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ({"grid": 1}, "config key grid_1d must be at least 2, got 1"),
+            ({"tol": -1.0}, "config key tol_1d must be positive and finite, got -1.0"),
+            ({"threads": 0}, "config key threads must be at least 1, got 0"),
+        ],
+        ids=["grid", "tol", "threads"],
+    )
+    def test_loaded_config_checks_flag_values(self, flags, message):
+        # the flags reach the config through its own value checks, not
+        # only through the CLI's flag checks
+        args = argparse.Namespace(**{"config": None, "grid": None, "tol": None, "threads": None, **flags})
+        with pytest.raises(ValueError, match=message):
+            _load_config(args)
+
     def test_threads_env_override(self, tmp_path):
         out = tmp_path / "rep.json"
         res = subprocess.run(
